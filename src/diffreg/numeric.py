@@ -2,11 +2,14 @@
 
 Radial reduction: int e^{ip.x} f(r) d^n x = Omega_{n-1} int_0^inf f(r)
 A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z).
-The finite range is integrated adaptively between oscillation breakpoints;
-the conditionally convergent tail beyond R = tail_radius_factor / p is
-handled either by exponential damping with Richardson extrapolation to zero
-damping, or by an asymptotic integration-by-parts series built on the
-large-argument Hankel expansion.  Both paths are deterministic.
+The finite range is integrated adaptively between oscillation breakpoints.
+The conditionally convergent tail beyond R = tail_radius_factor / p is
+summed by an asymptotic integration-by-parts series built on the
+large-argument Hankel expansion whenever f is a PositionFunction.  A
+callable profile has no series, so its tail is integrated with exponential
+damping and extrapolated to zero damping; the same damping ladder is the
+independent cross-check of the series (tail_cross_check).  Both paths are
+deterministic.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from .errors import ConvergenceError, EvaluationError, NonIntegrableError
 
 Profile = Union[PositionFunction, Callable[[float], float]]
 
-TAIL_DAMPING = "exponential-damping-extrapolation"
-TAIL_ASYMPTOTIC = "asymptotic-series"
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -40,10 +40,11 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     max_depth: int = 40
     tail_radius_factor: float = 200.0  # R = factor / p
-    tail_method: str = TAIL_DAMPING
-    # geometric ladder; five levels so the Richardson table reaches quartic
-    # order (three levels leave the extrapolant short of the 1e-6
-    # cross-regulator agreement at small p)
+    # damping rates in units of p (the tail regulator is e^{-d p (r-R)}, so
+    # the decay per oscillation is the same at every p); geometric ladder,
+    # five levels so the Richardson table reaches quartic order (three
+    # levels leave the extrapolant short of the 1e-6 cross-regulator
+    # agreement)
     dampings: Tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025, 0.00125)
     tail_cross_check: bool = False
     tail_cross_tol: float = 1e-6
@@ -55,8 +56,6 @@ class QuadratureConfig:
             raise ValueError("tail radius must be positive")
         if list(self.dampings) != sorted(self.dampings, reverse=True):
             raise ValueError("damping list must be strictly decreasing")
-        if self.tail_method not in (TAIL_DAMPING, TAIL_ASYMPTOTIC):
-            raise ValueError(f"unknown tail method {self.tail_method!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -146,6 +145,8 @@ def _profile_value(f: Profile, r: float, Mval: float) -> float:
 
 
 def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
+    if not (math.isfinite(p) and math.isfinite(Mval)):
+        raise EvaluationError("p and M must be finite")
     if p < 0:
         raise EvaluationError("p must be non-negative")
     omega = sphere_area(n).evalf()
@@ -170,8 +171,7 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
 
     tail_val, tail_err = _tail(f, p, n, Mval, R, cfg)
     if cfg.tail_cross_check and isinstance(f, PositionFunction):
-        alt = TAIL_ASYMPTOTIC if cfg.tail_method == TAIL_DAMPING else TAIL_DAMPING
-        other_val, _ = _tail(f, p, n, Mval, R, cfg, method=alt)
+        other_val, _ = _tail_damping(_vector_integrand(f, p, n, Mval), p, R, cfg)
         scale_ref = abs(main_val + tail_val) + cfg.abs_tol
         if abs(other_val - tail_val) > cfg.tail_cross_tol * scale_ref:
             raise ConvergenceError(
@@ -232,12 +232,8 @@ def _quad_panels(fn, pts: Sequence[float], cfg) -> Tuple[float, float]:
     return math.fsum(vals), math.fsum(errs)
 
 
-def _tail(f, p, n, Mval, R, cfg, method=None) -> Tuple[float, float]:
-    method = method or cfg.tail_method
-    if method == TAIL_ASYMPTOTIC:
-        if not isinstance(f, PositionFunction):
-            # smooth decaying profiles have negligible tails at R
-            return 0.0, 0.0
+def _tail(f, p, n, Mval, R, cfg) -> Tuple[float, float]:
+    if isinstance(f, PositionFunction):
         return _tail_asymptotic(f, p, n, Mval, R, cfg)
     return _tail_damping(_vector_integrand(f, p, n, Mval), p, R, cfg)
 
@@ -274,7 +270,7 @@ def _vector_integrand(f: Profile, p: float, n: int, Mval: float):
 
 
 def _tail_damping(vintegrand, p, R, cfg) -> Tuple[float, float]:
-    """Integrate the tail with an exponential regulator e^{-d (r-R)} for
+    """Integrate the tail with an exponential regulator e^{-d p (r-R)} for
     each damping d, then extrapolate polynomially to d = 0.  Fixed-order
     Gauss-Legendre per half-period: the damped integrand is smooth there,
     and fixed nodes keep the result bit-deterministic."""
@@ -291,7 +287,7 @@ def _tail_damping(vintegrand, p, R, cfg) -> Tuple[float, float]:
             a = R + ks * half
             r = a[:, None] + (_GL_NODES[None, :] + 1.0) * scale
             g = vintegrand(r.ravel()).reshape(r.shape)
-            g *= np.exp(-d * (r - R))
+            g *= np.exp(-d * p * (r - R))
             panel = scale * (g @ _GL_WEIGHTS)
             vals.extend(panel.tolist())
             abs_mass += float(np.sum(np.abs(panel)))

@@ -22,7 +22,7 @@ from .algebra import (
     scale,
 )
 from .errors import DiffRegError, EvaluationError
-from .fourier import fourier_base, fourier_formal, fourier_safe
+from .fourier import fourier_base, fourier_formal, fourier_safe, term_fourier_safe
 from .numeric import DEFAULT_CONFIG, QuadratureConfig, hankel_numeric
 from .regulate import find_representation
 
@@ -106,7 +106,7 @@ def transform_value(
     n = f.dim
     safe, divergent, rest = [], [], []
     for t in f.radial:
-        if -n < t.rpow < 0 and t.logpow <= 3:
+        if term_fourier_safe(t, n):
             safe.append(t)
         elif t.rpow <= -n and t.rpow.denominator == 1:
             divergent.append(t)

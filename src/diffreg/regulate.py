@@ -43,10 +43,6 @@ class Representation:
     note: str = "equality holds for r != 0"
 
 
-def radial_parts_equal(f: PositionFunction, g: PositionFunction) -> bool:
-    return f.radial == g.radial and f.dim == g.dim
-
-
 def _box_power_radial(dim: int, term: RadialTerm, m: int) -> List[RadialTerm]:
     cur = [term]
     for _ in range(m):
@@ -142,12 +138,12 @@ def _solve_exact(target, basis, images):
         b[row], b[pr] = b[pr], b[row]
         piv = A[row][col]
         A[row] = [x / piv for x in A[row]]
-        b[row] = _scale_coeff(b[row], Fraction(1) / piv)
+        b[row] = b[row] * (Fraction(1) / piv)
         for r in range(nrows):
             if r != row and A[r][col] != 0:
                 f = A[r][col]
                 A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                b[r] = b[r] - _scale_coeff(b[row], f)
+                b[r] = b[r] - b[row] * f
         pivot_cols.append(col)
         row += 1
     for r in range(row, nrows):
@@ -161,10 +157,6 @@ def _solve_exact(target, basis, images):
     for r, col in enumerate(pivot_cols):
         x[col] = b[r]
     return x
-
-
-def _scale_coeff(c: Coefficient, q: Fraction) -> Coefficient:
-    return c * q
 
 
 @dataclass(frozen=True)

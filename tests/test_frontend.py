@@ -268,6 +268,29 @@ class TestCli:
         assert code == 2
         assert doc["error"]["code"] == "domain"
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["regulate", "--target", "r^-4", "--dim", "0"], None),
+            (["regulate", "--target", "r^-4", "--max-box", "0"], None),
+            (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,abc"], None),
+            (["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "0"], None),
+            (["oracle", "--fn", "r^-2", "--p", "nan"], None),
+            (["oracle", "--fn", "r^-2", "--p", "inf"], None),
+            (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = tight\n"),
+        ],
+        ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value"],
+    )
+    def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            path = tmp_path / "numeric.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["status"] == "error"
+        assert doc["error"]["code"] == "domain"
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["regulate"]) == 2
 
@@ -288,12 +311,12 @@ class TestConfig:
         path = tmp_path / "numeric.cfg"
         path.write_text(
             "rel_tol = 1e-6\n"
-            "tail_method = asymptotic-series  # faster tails\n"
+            "tail_cross_check = yes  # check the series tail\n"
             "dampings = 0.02,0.01,0.005\n"
         )
         cfg = load_config(str(path))
         assert cfg.rel_tol == 1e-6
-        assert cfg.tail_method == "asymptotic-series"
+        assert cfg.tail_cross_check is True
         assert cfg.dampings == (0.02, 0.01, 0.005)
 
     def test_env_var(self, tmp_path, monkeypatch):
@@ -310,9 +333,20 @@ class TestConfig:
         with pytest.raises(DiffRegError):
             load_config(str(path))
 
-    def test_cli_uses_config(self, capsys, tmp_path):
+    def test_removed_tail_method_key(self, capsys, tmp_path):
+        # the tail regulator follows the input type; the old key is unknown
         path = tmp_path / "numeric.cfg"
         path.write_text("tail_method = asymptotic-series\n")
+        code, doc = run_json(
+            capsys, "oracle", "--fn", "r^-2", "--p", "1", "--config", str(path)
+        )
+        assert code == 2
+        assert doc["error"]["code"] == "domain"
+        assert "unknown config key" in doc["error"]["message"]
+
+    def test_cli_uses_config(self, capsys, tmp_path):
+        path = tmp_path / "numeric.cfg"
+        path.write_text("tail_cross_check = yes\n")
         code, out = run_cli(
             capsys, "oracle", "--fn", "r^-2", "--p", "1", "--config", str(path), "--json"
         )

@@ -8,7 +8,6 @@ from diffreg.algebra import add, delta_term, eval_momentum, position_term
 from diffreg.errors import EvaluationError, NonIntegrableError
 from diffreg.fourier import fourier_base
 from diffreg.numeric import (
-    TAIL_ASYMPTOTIC,
     QuadratureConfig,
     finite_diff_lnM,
     gaussian_profile,
@@ -99,17 +98,16 @@ class TestContract:
             true_err = abs(val - eval_momentum(F, p, 1.0))
             assert true_err <= max(err * 50.0, 1e-9 * abs(val))
 
-    def test_tail_methods_agree(self):
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 1.0, 1e2])
+    def test_tail_cross_check_matches_exact(self, p):
+        # the damping ladder must agree with the asymptotic series across
+        # the documented momentum range, and the result with the exact value
         f = add(
             position_term(4, 1, Fraction(-2)),
             position_term(4, Fraction(-1, 4), Fraction(-2), 1),
         )
-        for p in (0.5, 1.0, 2.0):
-            damp, _ = hankel_numeric(f, p, 4)
-            asym, _ = hankel_numeric(
-                f, p, 4, cfg=QuadratureConfig(tail_method=TAIL_ASYMPTOTIC)
-            )
-            assert damp == pytest.approx(asym, rel=1e-6)
+        val, _ = hankel_numeric(f, p, 4, cfg=QuadratureConfig(tail_cross_check=True))
+        assert val == pytest.approx(eval_momentum(fourier_base(f), p, 1.0), rel=1e-6)
 
     def test_cross_check_mode(self):
         f = position_term(4, 1, Fraction(-2))
@@ -129,6 +127,11 @@ class TestContract:
         with pytest.raises(EvaluationError):
             hankel_numeric(gaussian_profile, -1.0, 4)
 
+    @pytest.mark.parametrize("p, M", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_input(self, p, M):
+        with pytest.raises(EvaluationError):
+            hankel_numeric(position_term(4, 1, Fraction(-2)), p, 4, M)
+
     def test_zero_momentum_needs_decay(self):
         with pytest.raises(EvaluationError):
             hankel_numeric(position_term(4, 1, Fraction(-2)), 0.0, 4)
@@ -138,8 +141,6 @@ class TestContract:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(dampings=(0.01, 0.02))
-        with pytest.raises(ValueError):
-            QuadratureConfig(tail_method="midpoint")
 
 
 class TestFiniteDifference:
