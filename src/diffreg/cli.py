@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -39,6 +40,24 @@ def _fmt(x: Optional[float]) -> Optional[str]:
     if x is None:
         return None
     return format(x, ".17g")
+
+
+class _NonFinite(str):
+    """A float option given as nan or inf, kept as its text so that the
+    envelope's inputs stay strict JSON; main() rejects it as a domain
+    error."""
+
+
+def _finite_float(text: str):
+    """argparse type of every float option."""
+    value = float(text)
+    return value if math.isfinite(value) else _NonFinite(text)
+
+
+def _check_finite(name: str, value):
+    if isinstance(value, _NonFinite):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
 
 
 # config value parsers, keyed by the type of the QuadratureConfig default
@@ -260,7 +279,10 @@ def _cmd_verify(args, cfg, report):
     rep = find_representation(target, args.max_box)
     se = surface_expansion(rep.L, rep.g, order=args.order)
     formal = eval_momentum(fourier_formal(rep), args.p, args.mass)
-    eps_grid = [float(s) for s in args.eps_grid.split(",")]
+    eps_grid = [
+        _check_finite("--eps-grid entry", _finite_float(s))
+        for s in args.eps_grid.split(",")
+    ]
     report.set_symbolic(
         f"formal transform at p={args.p}: {formal!r}",
         {"formal": _fmt(formal)},
@@ -325,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--dim", type=int, default=4)
-        sp.add_argument("--mass", type=float, default=1.0)
-        sp.add_argument("--tol", type=float, default=1e-5)
+        sp.add_argument("--mass", type=_finite_float, default=1.0)
+        sp.add_argument("--tol", type=_finite_float, default=1e-5)
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true")
         fmt.add_argument("--text", action="store_true")
@@ -346,44 +368,44 @@ def build_parser() -> argparse.ArgumentParser:
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--rep-target", dest="rep_target")
     grp.add_argument("--fn")
-    sp.add_argument("--at", type=float, default=None)
+    sp.add_argument("--at", type=_finite_float, default=None)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
     common(sp)
 
     sp = sub.add_parser("surface", help="epsilon-ball surface expansion")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--eps", type=float, required=True)
+    sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--order", type=int, default=8)
-    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--p", type=_finite_float, default=1.0)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
-    sp.add_argument("--tol-defect", type=float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
     common(sp)
 
     sp = sub.add_parser("verify", help="defect-identity table over an eps grid")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--eps-grid", required=True, dest="eps_grid")
     sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
-    sp.add_argument("--tol-defect", type=float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
     common(sp)
 
     sp = sub.add_parser("cs", help="mass-scale derivative M dF/dM")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
     common(sp)
 
     sp = sub.add_parser("audit", help="commuting-diagram residual report")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--p0", type=float, required=True)
+    sp.add_argument("--p0", type=_finite_float, required=True)
     common(sp)
 
     sp = sub.add_parser("oracle", help="numeric transform only")
     sp.add_argument("--fn", required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=None)
+    sp.add_argument("--p", type=_finite_float, required=True)
+    sp.add_argument("--eps", type=_finite_float, default=None)
     common(sp)
 
     return ap
@@ -415,6 +437,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = _Report(args.command, inputs)
     code = 0
     try:
+        for key, value in inputs.items():
+            _check_finite("--" + key.replace("_", "-"), value)
         cfg = load_config(args.config)
         _HANDLERS[args.command](args, cfg, report)
         if not all(c["pass"] for c in report.checks):

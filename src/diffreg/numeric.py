@@ -2,22 +2,26 @@
 
 Radial reduction: int e^{ip.x} f(r) d^n x = Omega_{n-1} int_0^inf f(r)
 A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z).
-The finite range is integrated adaptively between oscillation breakpoints.
-The conditionally convergent tail beyond R = tail_radius_factor / p is
-summed by an asymptotic integration-by-parts series built on the
-large-argument Hankel expansion whenever f is a PositionFunction.  A
-callable profile has no series, so its tail is integrated with exponential
-damping and extrapolated to zero damping; the same damping ladder is the
-independent cross-check of the series (tail_cross_check).  Both paths are
-deterministic.
+The finite range is cut into panels at geometric breakpoints near the lower
+end and at oscillation half-periods.  Every panel gets fixed Gauss-Legendre
+nodes, all panels in one array evaluation, except the panel reaching down to
+the origin, where power-log profiles are singular: quad integrates that one
+adaptively.  The conditionally convergent tail beyond
+R = tail_radius_factor / p is summed by an asymptotic integration-by-parts
+series built on the large-argument Hankel expansion whenever f is a
+PositionFunction.  A callable profile has no series, so its tail is
+integrated with exponential damping and extrapolated to zero damping; the
+same damping ladder is the independent cross-check of the series
+(tail_cross_check).  Both paths are deterministic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special
@@ -107,8 +111,8 @@ def truncated_ft_numeric(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Tuple[float, float]:
     """Transform restricted to the region r > epsilon."""
-    if epsilon <= 0:
-        raise EvaluationError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise EvaluationError("epsilon must be finite and positive")
     if not isinstance(f, PositionFunction) or f.local:
         raise EvaluationError("truncated transform needs a radial-only function")
     return _radial_transform(f, p, n, Mval, epsilon, cfg)
@@ -151,22 +155,21 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
         raise EvaluationError("p must be non-negative")
     omega = sphere_area(n).evalf()
 
-    def integrand(r: float) -> float:
-        return _profile_value(f, r, Mval) * angular_kernel(n, p * r) * r ** (n - 1)
-
     if p == 0.0:
         if isinstance(f, PositionFunction):
             raise EvaluationError(
                 "p = 0 is only supported for decaying callable profiles"
             )
         R0 = 50.0
-        val, err = _quad_panels(integrand, _panel_points(lo, R0, math.inf, cfg), cfg)
+        pts = _panel_points(lo, R0, math.inf, cfg)
+        val, err = _quad_panels(f, p, n, Mval, pts, cfg)
         return omega * val, omega * err
 
-    R = cfg.tail_radius_factor / p
+    # a truncation radius beyond tail_radius_factor / p leaves only the tail
+    R = max(cfg.tail_radius_factor / p, lo)
     half = math.pi / p
     main_val, main_err = _quad_panels(
-        integrand, _panel_points(lo, R, half, cfg), cfg
+        f, p, n, Mval, _panel_points(lo, R, half, cfg), cfg
     )
 
     tail_val, tail_err = _tail(f, p, n, Mval, R, cfg)
@@ -193,11 +196,14 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     return value, err
 
 
+_GRID_START = 1e-6  # the geometric breakpoints start here (or at lo)
+
+
 def _panel_points(lo: float, hi: float, half: float, cfg) -> List[float]:
     """Deterministic breakpoints: geometric refinement near the lower end
     (steep power-law behaviour) plus oscillation half-periods."""
     pts = [lo]
-    start = max(lo, 1e-6)
+    start = max(lo, _GRID_START)
     x = start * 4.0
     first_osc = half if math.isfinite(half) else hi
     while x < min(first_osc, hi):
@@ -214,13 +220,34 @@ def _panel_points(lo: float, hi: float, half: float, cfg) -> List[float]:
     return pts
 
 
-def _quad_panels(fn, pts: Sequence[float], cfg) -> Tuple[float, float]:
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])
+# QUADPACK's roundoff floor: no panel estimate is below 50 eps int |g|
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+def _quad_panels(
+    f: Profile, p, n, Mval, pts: Sequence[float], cfg
+) -> Tuple[float, float]:
+    """Integral of f A_n(pr) r^(n-1) over the panels between pts.
+
+    A first panel starting below the geometric grid (r = 0, where power-log
+    profiles are singular) and, at p = 0, every panel are integrated
+    adaptively by quad.  The other panels get fixed 24-point Gauss-Legendre
+    nodes, all in one array evaluation; each panel's error estimate is
+    |GL24 - GL12| plus the roundoff floor."""
+
+    def integrand(r: float) -> float:
+        return _profile_value(f, r, Mval) * angular_kernel(n, p * r) * r ** (n - 1)
+
+    npanels = max(len(pts) - 1, 1)
+    n_adaptive = npanels if p == 0.0 else int(pts[0] < _GRID_START)
     vals = []
     errs = []
-    npanels = max(len(pts) - 1, 1)
-    for a, b in zip(pts[:-1], pts[1:]):
+    for a, b in zip(pts[:n_adaptive], pts[1:n_adaptive + 1]):
         v, e = quad(
-            fn,
+            integrand,
             a,
             b,
             epsabs=cfg.abs_tol / npanels,
@@ -229,6 +256,18 @@ def _quad_panels(fn, pts: Sequence[float], cfg) -> Tuple[float, float]:
         )
         vals.append(v)
         errs.append(e)
+    if len(pts) - 1 > n_adaptive:
+        edges = np.asarray(pts[n_adaptive:], dtype=float)
+        a = edges[:-1]
+        scale = 0.5 * (edges[1:] - a)
+        r = a[:, None] + (_PANEL_NODES[None, :] + 1.0) * scale[:, None]
+        g = _array_integrand(f, p, n, Mval)(r.ravel()).reshape(r.shape)
+        g24, g12 = g[:, : len(_GL_NODES)], g[:, len(_GL_NODES):]
+        fine = scale * (g24 @ _GL_WEIGHTS)
+        coarse = scale * (g12 @ _GL12_WEIGHTS)
+        floor = _ROUNDOFF * scale * (np.abs(g24) @ _GL_WEIGHTS)
+        vals.extend(fine.tolist())
+        errs.extend((np.abs(fine - coarse) + floor).tolist())
     return math.fsum(vals), math.fsum(errs)
 
 
@@ -238,11 +277,15 @@ def _tail(f, p, n, Mval, R, cfg) -> Tuple[float, float]:
     return _tail_damping(_vector_integrand(f, p, n, Mval), p, R, cfg)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
 def _vector_integrand(f: Profile, p: float, n: int, Mval: float):
-    """Array-valued integrand for the tail (r > 0 only)."""
+    """Array integrand of the damped tail.  A separate function from the
+    main panels' _array_integrand, so the benchmark tracer counts tail
+    evaluations apart."""
+    return _array_integrand(f, p, n, Mval)
+
+
+def _array_integrand(f: Profile, p: float, n: int, Mval: float):
+    """f A_n(pr) r^(n-1) on an array of radii (r > 0 only)."""
     nu = 0.5 * n - 1.0
     gfac = math.gamma(0.5 * n)
     if isinstance(f, PositionFunction):
@@ -342,8 +385,9 @@ def _tail_asymptotic(f: PositionFunction, p, n, Mval, R, cfg) -> Tuple[float, fl
     front = math.gamma(0.5 * n) * (2.0 / p) ** nu * math.sqrt(2.0 / (math.pi * p))
     lnM2 = math.log(Mval * Mval)
 
-    # G(r) = sum of gamma * r^rho * ln(r)^t
-    terms: List[Tuple[complex, float, int]] = []
+    # G(r) = sum of gamma * r^rho * ln(r)^t, keyed by (rho, t) so that
+    # like terms merge instead of multiplying under repeated derivatives
+    terms: Dict[Tuple[float, int], complex] = defaultdict(complex)
     trunc = 0.0
     for t in f.radial:
         a = float(t.rpow)
@@ -362,21 +406,25 @@ def _tail_asymptotic(f: PositionFunction, p, n, Mval, R, cfg) -> Tuple[float, fl
                     * p ** (-m)
                 )
                 rho = a + (n - 1) - nu - 0.5 - m
-                terms.append((gam, rho, tt))
+                terms[rho, tt] += gam
             trunc += abs(cfac * front * am[mmax] * p ** (-mmax) * R ** (a + (n - 1) - nu - 0.5 - mmax)) * (
                 1.0 + abs(math.log(R)) ** tt
             )
 
     def eval_terms(ts, r):
+        # the value and the sum of the moduli; the moduli measure the size
+        # of a term where the value cancels (log(r^2 M^2) vanishes at
+        # r M = 1), so the series does not stop on a vanishing term
         lr = math.log(r)
-        return sum(g * r ** rho * lr ** tt for g, rho, tt in ts)
+        parts = [g * r ** rho * lr ** tt for (rho, tt), g in ts.items()]
+        return sum(parts), sum(abs(x) for x in parts)
 
     def derive(ts):
-        out = []
-        for g, rho, tt in ts:
-            out.append((g * rho, rho - 1.0, tt))
+        out: Dict[Tuple[float, int], complex] = defaultdict(complex)
+        for (rho, tt), g in ts.items():
+            out[rho - 1.0, tt] += g * rho
             if tt:
-                out.append((g * tt, rho - 1.0, tt - 1))
+                out[rho - 1.0, tt - 1] += g * tt
         return out
 
     total = 0.0 + 0.0j
@@ -386,9 +434,9 @@ def _tail_asymptotic(f: PositionFunction, p, n, Mval, R, cfg) -> Tuple[float, fl
     last = 0.0
     for j in range(12):
         fac *= -1.0 / (1j * p)
-        contrib = fac * eval_terms(cur, R) * eipr
-        total += contrib
-        last = abs(contrib)
+        value, size = eval_terms(cur, R)
+        total += fac * value * eipr
+        last = abs(fac) * size
         if last < cfg.abs_tol * 1e-3:
             break
         cur = derive(cur)

@@ -168,9 +168,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name} in envelope")
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv, "--json")
-    doc = json.loads(out)
+    # strict JSON (RFC 8259): no bare NaN or Infinity
+    doc = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(doc, SCHEMA)
     return code, doc
 
@@ -278,8 +283,18 @@ class TestCli:
             (["oracle", "--fn", "r^-2", "--p", "nan"], None),
             (["oracle", "--fn", "r^-2", "--p", "inf"], None),
             (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = tight\n"),
+            (["transform", "--rep-target", "r^-4", "--at", "nan"], None),
+            (["oracle", "--fn", "r^-2", "--p", "1", "--tol", "nan"], None),
+            (["oracle", "--fn", "r^-2", "--p", "1", "--eps=-inf"], None),
+            (["cs", "--target", "r^-4", "--p", "1", "--mass", "inf"], None),
+            (["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "nan"], None),
+            (["surface", "--target", "r^-4", "--eps", "nan"], None),
+            (["surface", "--target", "r^-4", "--eps", "0.1", "--tol-defect", "inf"], None),
+            (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"], None),
         ],
-        ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value"],
+        ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value",
+             "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
+             "tol_defect_inf", "eps_grid_nan"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
         if config is not None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from diffreg.algebra import add, delta_term, eval_momentum, position_term
 from diffreg.errors import EvaluationError, NonIntegrableError
@@ -82,6 +83,64 @@ class TestTruncated:
         with pytest.raises(EvaluationError):
             truncated_ft_numeric(f, 1.0, 4, 1.0, 0.0)
 
+    def test_eps_beyond_tail_radius(self):
+        # at p = 100 the tail starts at R = 2 unless eps lies beyond it; the
+        # shell between two such radii must still be counted
+        f = position_term(4, 1, Fraction(-4))
+        p = 100.0
+
+        def shell_integrand(r):
+            return r ** -4 * 2.0 * jv(1.0, p * r) / (p * r) * r ** 3
+
+        shell, _ = quad(shell_integrand, 2.5, 3.0, limit=200)
+        near, _ = truncated_ft_numeric(f, p, 4, 1.0, 2.5)
+        far, _ = truncated_ft_numeric(f, p, 4, 1.0, 3.0)
+        assert near - far == pytest.approx(2.0 * math.pi ** 2 * shell, rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        f = position_term(4, 1, Fraction(-4))
+        with pytest.raises(EvaluationError):
+            truncated_ft_numeric(f, 1.0, 4, 1.0, eps)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("eps", [0.2, 0.02])
+    def test_truncated_plus_ball_is_full_transform(self, n, eps):
+        # the fixed-node panels above eps plus the ball integral, done here
+        # by plain adaptive quadrature, give the full transform
+        f = add(
+            position_term(n, 1, Fraction(-2)),
+            position_term(n, Fraction(-1, 4), Fraction(-2), 1),
+        )
+        p, omega = 1.3, 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        nu = n / 2.0 - 1.0
+
+        def ball_integrand(r):
+            z = p * r
+            kern = math.gamma(n / 2.0) * (2.0 / z) ** nu * jv(nu, z)
+            return (r ** -2 - 0.25 * r ** -2 * math.log(r * r)) * kern * r ** (n - 1)
+
+        ball, _ = quad(ball_integrand, 0.0, eps, epsabs=1e-14, epsrel=1e-12, limit=200)
+        trunc, _ = truncated_ft_numeric(f, p, n, 1.0, eps)
+        full, _ = hankel_numeric(f, p, n)
+        assert trunc + omega * ball == pytest.approx(full, rel=1e-9)
+
+
+class TestAccuracyGrid:
+    # every power r^a in the Fourier window -n < a < 0, log powers 0-2,
+    # across the documented momentum range
+    @pytest.mark.parametrize("p", [1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2])
+    @pytest.mark.parametrize(
+        "n, a, k",
+        [(n, a, k) for n in (2, 3, 4, 6) for a in range(1 - n, 0) for k in (0, 1, 2)],
+    )
+    def test_matches_exact_within_estimate(self, n, a, k, p):
+        f = position_term(n, 1, Fraction(a), k)
+        val, err = hankel_numeric(f, p, n)
+        want = eval_momentum(fourier_base(f), p, 1.0)
+        assert abs(val - want) <= 1e-8 * abs(want)
+        assert abs(val - want) <= err
+
 
 class TestContract:
     def test_deterministic(self):
@@ -108,6 +167,18 @@ class TestContract:
         )
         val, _ = hankel_numeric(f, p, 4, cfg=QuadratureConfig(tail_cross_check=True))
         assert val == pytest.approx(eval_momentum(fourier_base(f), p, 1.0), rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_tail_starting_where_log_vanishes(self, n):
+        # the tail starts at R = tail_radius_factor / p; with M = 1 / R the
+        # profile log(r^2 M^2) / r vanishes there, and so does the first
+        # term of the tail series, which must not end the series
+        f = position_term(n, 1, Fraction(-1), 1)
+        p = 100.0
+        M = p / QuadratureConfig().tail_radius_factor
+        val, err = hankel_numeric(f, p, n, M)
+        true_err = abs(val - eval_momentum(fourier_base(f), p, M))
+        assert true_err <= min(err, 1e-8 * abs(val))
 
     def test_cross_check_mode(self):
         f = position_term(4, 1, Fraction(-2))
