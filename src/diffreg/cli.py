@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -341,7 +342,10 @@ def _cmd_oracle(args, cfg, report):
 # -- argument plumbing -------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: no action appends and no default is
+    mutable, so parses leave no state behind."""
     ap = argparse.ArgumentParser(prog="diffreg", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

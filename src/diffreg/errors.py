@@ -31,11 +31,6 @@ class NotRepresentableError(DiffRegError):
     """No operator/seed pair reproduces the target within the search class."""
 
 
-class UnderdeterminedError(DiffRegError):
-    """The seed linear system stays underdetermined after the minimality
-    rule; refusing to make a silent choice."""
-
-
 class SurfaceOrderError(DiffRegError):
     """The angular-kernel series order is too small to collect every
     non-vanishing boundary entry."""

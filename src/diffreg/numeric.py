@@ -54,10 +54,14 @@ class QuadratureConfig:
     tail_cross_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.tail_radius_factor <= 0:
-            raise ValueError("tail radius must be positive")
+        values = (self.rel_tol, self.abs_tol, self.tail_radius_factor,
+                  self.tail_cross_tol, *self.dampings)
+        # "not x > 0" rather than "x <= 0", so that nan is rejected too
+        if not all(x > 0 and math.isfinite(x) for x in values):
+            raise ValueError(
+                "tolerances, tail radius factor and dampings must be finite "
+                "and positive"
+            )
         if list(self.dampings) != sorted(self.dampings, reverse=True):
             raise ValueError("damping list must be strictly decreasing")
 

@@ -1,20 +1,27 @@
 """Finding a representation (L, g) with L g = target away from the origin
 and g Fourier-safe: the differential-renormalization move.
 
-The search runs over pure powers L = box^m.  For each m the seed ansatz is
-spanned by r^(t+2m) log^j(r^2 M^2), one family per distinct target exponent
-t, with j up to (target max log power + m).  Applying the Laplacian
-recurrence m times gives an exact rational linear system for the ansatz
-coefficients.  Basis elements annihilated away from the origin (the kernel
-of box^m on the radial class, e.g. r^(2-n)) are pinned to zero: the scheme's
-only free parameter is then the mass M itself.
+The search runs over pure powers L = box^m.  Write L = log(r^2 M^2) and
+c_m(s) = prod_{i<m} (s-2i)(s-2i+n-2), so that box^m r^s = c_m(s) r^(s-2m).
+Differentiating in the exponent gives, away from the origin,
+
+    box^m [r^s L^j] = sum_i C(j,i) 2^i c_m^(i)(s) r^(s-2m) L^(j-i).
+
+So the seed system splits into one block per target exponent t, with seed
+exponent s = t + 2m, and each block is triangular in log power; it is
+solved by back-substitution from the top log power down, on exact
+rationals.  Where s is a root of c_m of order nu (a resonance) the seed's
+log power rises by nu, as in 1/x^4 = -1/4 box log(x^2 M^2)/x^2.  The seed
+log powers below nu span the kernel of box^m and are pinned to zero: the
+scheme's only free parameter is then the mass M itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .algebra import (
     MomentumFunction,
@@ -22,14 +29,10 @@ from .algebra import (
     RadialTerm,
     sub,
 )
-from .coeffs import Coefficient, LN2, ONE
-from .errors import (
-    DiffRegError,
-    NotRepresentableError,
-    UnderdeterminedError,
-)
+from .coeffs import Coefficient, LN2, ONE, ZERO
+from .errors import DiffRegError, NotRepresentableError
 from .fourier import fourier_base, fourier_safe, term_fourier_safe
-from .operators import DiffOperator, apply_operator, laplacian_radial, multiply_by_symbol, operator_symbol
+from .operators import DiffOperator, apply_operator, multiply_by_symbol, operator_symbol
 
 
 @dataclass(frozen=True)
@@ -43,11 +46,28 @@ class Representation:
     note: str = "equality holds for r != 0"
 
 
-def _box_power_radial(dim: int, term: RadialTerm, m: int) -> List[RadialTerm]:
-    cur = [term]
-    for _ in range(m):
-        cur = laplacian_radial(dim, cur)
-    return cur
+def _solve_block(
+    block: Dict[int, Coefficient], s: int, m: int, n: int, top: int
+) -> Optional[List[RadialTerm]]:
+    """Seed terms r^s L^j with box^m seed = sum_k block[k] r^(s-2m) L^k and
+    no kernel component; None when that needs a log power above top."""
+    # Taylor coefficients a_i = c_m^(i)(s) / i! of c_m at s
+    a = [1]
+    for i in range(m):
+        for root in (2 * i, 2 * i + 2 - n):
+            a = [(s - root) * x + y for x, y in zip(a + [0], [0] + a)]
+    nu = next(i for i, ai in enumerate(a) if ai)
+    top_k = max(block)
+    if top_k + nu > top:
+        return None
+    # the L^k equation weighs x_(k+i) by C(k+i, i) 2^i c_m^(i)(s)
+    x: Dict[int, Coefficient] = {}
+    for k in range(top_k, -1, -1):
+        rhs = block.get(k, ZERO)
+        for i in range(nu + 1, min(len(a) - 1, top_k + nu - k) + 1):
+            rhs = rhs - x[k + i] * (2 ** i * math.perm(k + i, i) * a[i])
+        x[k + nu] = rhs * Fraction(1, 2 ** nu * math.perm(k + nu, nu) * a[nu])
+    return [RadialTerm(c, s, j) for j, c in x.items()]
 
 
 def find_representation(
@@ -63,6 +83,7 @@ def find_representation(
         raise NotRepresentableError("target is identically zero")
     if fourier_safe(target):
         raise NotRepresentableError("precondition violated: target is Fourier-safe")
+    blocks: Dict[int, Dict[int, Coefficient]] = {}
     for t in target.radial:
         if t.rpow.denominator != 1:
             raise NotRepresentableError(
@@ -73,28 +94,19 @@ def find_representation(
                 f"target term r^{t.rpow} is not genuinely divergent "
                 f"(needs rpow <= -{n})"
             )
-    target_pows = sorted({t.rpow for t in target.radial})
+        blocks.setdefault(int(t.rpow), {})[t.logpow] = t.coeff
     max_logpow = max(t.logpow for t in target.radial)
 
     last_error: Optional[str] = None
     for m in range(1, max_box_power + 1):
-        basis: List[Tuple[Fraction, int]] = []
-        images: List[List[RadialTerm]] = []
-        for tp in target_pows:
-            for j in range(max_logpow + m + 1):
-                seed = RadialTerm(ONE, tp + 2 * m, j)
-                img = _box_power_radial(n, seed, m)
-                if not img:
-                    continue  # kernel element: minimality rule pins it to zero
-                basis.append((tp + 2 * m, j))
-                images.append(img)
-        solution = _solve_exact(target, basis, images)
-        if solution is None:
+        solved = [
+            _solve_block(block, t + 2 * m, m, n, max_logpow + m)
+            for t, block in blocks.items()
+        ]
+        if None in solved:
             last_error = f"inconsistent system at box^{m}"
             continue
-        g = PositionFunction.build(
-            n, [RadialTerm(c, rp, j) for c, (rp, j) in zip(solution, basis)]
-        )
+        g = PositionFunction.build(n, [term for terms in solved for term in terms])
         if not all(term_fourier_safe(t, n) for t in g.radial):
             last_error = f"solution at box^{m} is not Fourier-safe"
             continue
@@ -110,55 +122,6 @@ def find_representation(
     )
 
 
-def _solve_exact(target, basis, images):
-    """Solve sum_s x_s image_s = target exactly.  The matrix is rational
-    (the recurrence only multiplies by rationals); the right-hand side is a
-    vector of Coefficients, so elimination mixes Fractions with Coefficients.
-    Returns None when inconsistent; raises when underdetermined."""
-    keys = sorted(
-        {(t.rpow, t.logpow) for img in images for t in img}
-        | {(t.rpow, t.logpow) for t in target.radial}
-    )
-    tcoeffs = {(t.rpow, t.logpow): t.coeff for t in target.radial}
-    nrows, ncols = len(keys), len(basis)
-    A = [[Fraction(0)] * ncols for _ in range(nrows)]
-    b = [tcoeffs.get(key, Coefficient()) for key in keys]
-    for s, img in enumerate(images):
-        for t in img:
-            A[keys.index((t.rpow, t.logpow))][s] += t.coeff.rational_value()
-
-    # Gaussian elimination with partial (first-nonzero) pivoting.
-    pivot_cols = []
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, nrows) if A[r][col] != 0), None)
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        b[row], b[pr] = b[pr], b[row]
-        piv = A[row][col]
-        A[row] = [x / piv for x in A[row]]
-        b[row] = b[row] * (Fraction(1) / piv)
-        for r in range(nrows):
-            if r != row and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                b[r] = b[r] - b[row] * f
-        pivot_cols.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if not b[r].is_zero():
-            return None  # inconsistent
-    if len(pivot_cols) < ncols:
-        raise UnderdeterminedError(
-            "seed system underdetermined after minimality rule"
-        )
-    x = [Coefficient()] * ncols
-    for r, col in enumerate(pivot_cols):
-        x[col] = b[r]
-    return x
-
-
 @dataclass(frozen=True)
 class MassShift:
     """Exact effect of M -> lambda M on a representation."""
@@ -170,8 +133,6 @@ class MassShift:
 
 def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:
     """Substitute log(r^2 M^2) -> log(r^2 M^2) + 2 ln(lambda) exactly."""
-    import math as _math
-
     out = []
     two_l = 2 * ln_lambda
     for t in f.radial:
@@ -179,7 +140,7 @@ def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:
         for j in range(k + 1):
             out.append(
                 RadialTerm(
-                    t.coeff * Fraction(_math.comb(k, j)) * (two_l ** (k - j)),
+                    t.coeff * Fraction(math.comb(k, j)) * (two_l ** (k - j)),
                     t.rpow,
                     j,
                 )

@@ -55,7 +55,7 @@ class SurfaceExpansion:
 
     dim: int
     entries: Tuple[Tuple[Tuple[Fraction, int], MomentumFunction], ...] = ()
-    remainder_eps_pow: int = 2
+    remainder_eps_pow: Fraction = Fraction(2)
     remainder_log_pow: int = 1
 
     def entry(self, eps_pow, log_pow) -> Optional[MomentumFunction]:
@@ -90,6 +90,7 @@ def surface_expansion(
     omega = sphere_area(n)
     alphas = angular_series(n, order)
     acc: Dict[Tuple[Fraction, int], List[MomentumTerm]] = {}
+    dropped: List[Tuple[Fraction, int]] = []  # first dropped order per term
 
     for m, cm in L.coeffs:
         if m == 0:
@@ -106,6 +107,9 @@ def surface_expansion(
                         f"series order {order} cannot reach eps^0 for a term "
                         f"r^{a}; increase the order past {need + 1}"
                     )
+                # smallest positive mm = n - 2 + a + 2i over i >= 0
+                x = n - 2 + a
+                dropped.append((x + 2 * max(0, math.floor(-x / 2) + 1), k))
                 base = -1 * omega * t.coeff * Fraction(2) ** k * cm
                 for i, alpha in enumerate(alphas):
                     mm = n - 2 + a + 2 * i
@@ -133,8 +137,13 @@ def surface_expansion(
         val = MomentumFunction.build(n, acc[key])
         if not val.is_zero():
             entries.append((key, val))
-    # first dropped order: eps^1 or eps^2 depending on exponent parity
-    return SurfaceExpansion(n, tuple(entries), 2, 1)
+    if not dropped:
+        return SurfaceExpansion(n, tuple(entries))
+    # the remainder starts at the lowest dropped order, with the highest log
+    # power of the terms that reach it
+    eps_pow = min(mm for mm, _ in dropped)
+    log_pow = max(k for mm, k in dropped if mm == eps_pow)
+    return SurfaceExpansion(n, tuple(entries), eps_pow, log_pow)
 
 
 @dataclass(frozen=True)

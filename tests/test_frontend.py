@@ -16,7 +16,7 @@ from diffreg.algebra import (
     delta_term,
     position_term,
 )
-from diffreg.cli import CONFIG_ENV_VAR, load_config, main
+from diffreg.cli import CONFIG_ENV_VAR, build_parser, load_config, main
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
 from diffreg.errors import ParseError
 from diffreg.operators import DiffOperator
@@ -291,10 +291,13 @@ class TestCli:
             (["surface", "--target", "r^-4", "--eps", "nan"], None),
             (["surface", "--target", "r^-4", "--eps", "0.1", "--tol-defect", "inf"], None),
             (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"], None),
+            (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = nan\n"),
+            (["oracle", "--fn", "r^-2", "--p", "1"], "tail_radius_factor = inf\n"),
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
-             "tol_defect_inf", "eps_grid_nan"],
+             "tol_defect_inf", "eps_grid_nan", "config_rel_tol_nan",
+             "config_tail_radius_inf"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -305,6 +308,30 @@ class TestCli:
         assert code == 2
         assert doc["status"] == "error"
         assert doc["error"]["code"] == "domain"
+
+    def test_reused_parser_matches_fresh_parser(self, capsys):
+        # main reuses one parser per process; no parse may leak into the next
+        runs = [
+            ["transform", "--rep-target", "r^-4", "--at", "1", "--json"],
+            ["transform", "--fn", "r^-2", "--dim", "3", "--json"],
+            ["regulate", "--target", "r^-6", "--max-box", "2", "--json"],
+            ["oracle", "--fn", "r^-2", "--p", "nan", "--json"],
+            ["regulate", "--json"],  # missing --target: argparse usage error
+            ["cs", "--target", "r^-4", "--p", "2", "--text"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            cap = capsys.readouterr()
+            return code, cap.out, cap.err
+
+        reused = [run(argv) for argv in runs]
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["regulate"]) == 2

@@ -12,6 +12,7 @@ from diffreg.algebra import (
     position_term,
 )
 from diffreg.coeffs import Coefficient, LN2, ONE, PI
+from diffreg.fourier import term_fourier_safe
 from diffreg.errors import DiffRegError, NotRepresentableError
 from diffreg.fourier import fourier_formal
 from diffreg.operators import DiffOperator, apply_operator
@@ -97,6 +98,103 @@ class TestFindRepresentation:
         gamma = Coefficient.monomial(1, gammaE=1)
         assert got == {(Fraction(0), 1): -1 * PI * PI}
         assert F.local_poly == ((2 * PI * PI * LN2 - 2 * PI * PI * gamma, 0),)
+
+
+def _d_dr(terms):
+    """d/dr of {(a, k): c} meaning sum c r^a log^k(r^2 M^2); d log/dr = 2/r."""
+    out = {}
+    for (a, k), c in terms.items():
+        out[(a - 1, k)] = out.get((a - 1, k), 0) + a * c
+        if k:
+            out[(a - 1, k - 1)] = out.get((a - 1, k - 1), 0) + 2 * k * c
+    return out
+
+
+def _box(n, terms):
+    """Radial Laplacian f'' + (n-1) f'/r away from the origin, built from
+    d/dr alone, independently of diffreg.operators."""
+    d1 = _d_dr(terms)
+    out = _d_dr(d1)
+    for (a, k), c in d1.items():
+        out[(a - 1, k)] = out.get((a - 1, k), 0) + (n - 1) * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _function(n, terms):
+    return PositionFunction.build(
+        n, [RadialTerm(Coefficient.rational(c), a, k) for (a, k), c in terms.items()]
+    )
+
+
+def _terms(f):
+    return {(t.rpow, t.logpow): t.coeff.rational_value() for t in f.radial}
+
+
+class TestBlockSolver:
+    """find_representation against targets built as box^m seed with the
+    independent Laplacian above."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_recovers_seed(self, n, m):
+        for s in range(-n + 1, 0):  # every integer seed exponent in the window
+            # order of s as a root of c_m(s) = prod_{i<m} (s-2i)(s-2i+n-2)
+            nu = sum((s == 2 * i) + (s == 2 * i + 2 - n) for i in range(m))
+            for top in range(4):
+                seed = {(s, j): Fraction(j + 1, 1 - s) for j in range(top + 1)}
+                target = seed
+                for _ in range(m):
+                    target = _box(n, target)
+                if not target:
+                    continue  # the seed lies in the kernel of box^m
+                t = s - 2 * m
+                if t > -n:  # not divergent, hence no target of the search
+                    with pytest.raises(NotRepresentableError):
+                        find_representation(_function(n, target))
+                    continue
+                rep = find_representation(_function(n, target))
+                (power, coeff), = rep.L.coeffs
+                assert coeff == ONE
+                image = _terms(rep.g)
+                for _ in range(power):
+                    image = _box(n, image)
+                assert image == target
+                assert all(term_fourier_safe(t, n) for t in rep.g.radial)
+                if t + 2 * (m - 1) <= -n:
+                    # no smaller m has a window seed: box^m with the seed
+                    # less its kernel part, the log powers below nu
+                    assert power == m
+                    assert _terms(rep.g) == {
+                        (a, j): c for (a, j), c in seed.items() if j >= nu
+                    }
+
+    @pytest.mark.parametrize(
+        "n, t, k, seed",
+        [
+            # box[r^-2 L^2] = -8 r^-4 L + 8 r^-4 and box[r^-2 L] = -4 r^-4
+            (4, -4, 1, {(-2, 2): Fraction(-1, 8), (-2, 1): Fraction(-1, 4)}),
+            # box[r^-4 L] = -8 r^-6 in six dimensions
+            (6, -6, 0, {(-4, 1): Fraction(-1, 8)}),
+        ],
+    )
+    def test_resonance_raises_log_power(self, n, t, k, seed):
+        rep = find_representation(position_term(n, 1, Fraction(t), k))
+        assert rep.L == DiffOperator.box(1)
+        assert _terms(rep.g) == seed
+
+    @pytest.mark.parametrize(
+        "max_box, reason",
+        [
+            # c_1(s) = s^2 in two dimensions: nu = 2 > m at s = 0
+            (1, "inconsistent system at box^1"),
+            # s = 2m - 2 >= 2 lies outside the window -2 < s < 0
+            (4, "solution at box^4 is not Fourier-safe"),
+        ],
+    )
+    def test_dim2_failure_messages(self, max_box, reason):
+        with pytest.raises(NotRepresentableError) as exc:
+            find_representation(position_term(2, 1, Fraction(-2)), max_box)
+        assert str(exc.value).endswith(f"({reason})")
 
 
 class TestMassShift:

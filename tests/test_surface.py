@@ -113,3 +113,28 @@ class TestHigherOrder:
         exp = surface_expansion(rep.L, rep.g)
         assert exp.remainder_eps_pow == 2
         assert exp.remainder_log_pow == 1
+
+    @pytest.mark.parametrize(
+        "n, t, k, eps_pow, log_pow",
+        [
+            (3, -4, 0, 1, 0),  # seed r^-2: n - 2 + a = -1, odd
+            (5, -6, 0, 1, 0),  # seed r^-4: odd
+            (4, -5, 0, 1, 0),  # seed r^-3: odd
+            (3, -3, 0, 2, 1),  # seed r^-1 log: even
+            (4, -4, 0, 2, 1),
+            (4, -4, 1, 2, 2),  # seed log power 2 at the resonance
+        ],
+    )
+    def test_remainder_declaration_follows_parity(self, n, t, k, eps_pow, log_pow):
+        rep = find_representation(position_term(n, 1, Fraction(t), k))
+        exp = surface_expansion(rep.L, rep.g)
+        assert (exp.remainder_eps_pow, exp.remainder_log_pow) == (eps_pow, log_pow)
+        # the observed defect order agrees; a log power only lowers it a little
+        p, M = 1.0, 1.0
+        formal = eval_momentum(fourier_formal(rep), p, M)
+        defects = [
+            abs(truncated_ft_numeric(rep.target, p, n, M, eps)[0] - formal
+                - exp.eval_at(eps, p, M))
+            for eps in (0.02, 0.01)
+        ]
+        assert math.log2(defects[0] / defects[1]) == pytest.approx(eps_pow, abs=0.3)
