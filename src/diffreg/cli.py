@@ -175,6 +175,9 @@ class _Report:
             lines.append(f"  flag: {fl}")
         if self.error is not None:
             lines.append(f"  error[{self.error['code']}]: {self.error['message']}")
+            if self.error.get("partial") is not None:
+                lines.append(f"  partial={self.error['partial']} "
+                             f"err_estimate={self.error['err_estimate']}")
         return "\n".join(lines)
 
 
@@ -451,7 +454,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         report.error = {"code": "parse", "message": str(exc)}
         code = 2
     except ConvergenceError as exc:
-        report.error = {"code": "numeric", "message": str(exc)}
+        report.error = {
+            "code": "numeric",
+            "message": str(exc),
+            "partial": _fmt(exc.partial),
+            "err_estimate": _fmt(exc.err_estimate),
+        }
         code = 3
     except (DiffRegError, ValueError) as exc:
         # ValueError comes from argument checks on out-of-range input

@@ -12,20 +12,18 @@ series built on the large-argument Hankel expansion whenever f is a
 PositionFunction.  A callable profile has no series, so its tail is
 integrated with exponential damping and extrapolated to zero damping; the
 same damping ladder is the independent cross-check of the series
-(tail_cross_check).  Both paths are deterministic.
+(tail_cross_check).  Both paths are deterministic.  numpy and scipy load on
+the first quadrature call, so importing diffreg does not pay for them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple, Union
-
-import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 from .algebra import (
     PositionFunction,
@@ -62,8 +60,11 @@ class QuadratureConfig:
                 "tolerances, tail radius factor and dampings must be finite "
                 "and positive"
             )
-        if list(self.dampings) != sorted(self.dampings, reverse=True):
-            raise ValueError("damping list must be strictly decreasing")
+        d = self.dampings
+        if len(d) < 2 or any(a <= b for a, b in zip(d, d[1:])):
+            raise ValueError(
+                "damping list needs at least two entries, strictly decreasing"
+            )
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -74,8 +75,28 @@ def gaussian_profile(r: float) -> float:
     return math.exp(-r * r)
 
 
+# numpy, scipy and the Gauss-Legendre tables, bound by _load on the first
+# quadrature or Bessel call; special doubles as the loaded flag
+np = quad = special = None
+_GL_NODES = _GL_WEIGHTS = _GL12_NODES = _GL12_WEIGHTS = _PANEL_NODES = None
+
+
+def _load() -> None:
+    global np, quad, special
+    global _GL_NODES, _GL_WEIGHTS, _GL12_NODES, _GL12_WEIGHTS, _PANEL_NODES
+    import numpy as np
+    from scipy.integrate import quad
+
+    _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+    _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
+    _PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])
+    from scipy import special  # last: the flag is set once all is bound
+
+
 def angular_kernel(n: int, z: float) -> float:
     """Spherical average of the plane wave over a radius with p r = z."""
+    if special is None:
+        _load()
     if z == 0.0:
         return 1.0
     nu = 0.5 * n - 1.0
@@ -127,8 +148,8 @@ def gauss_flux_numeric(
 ) -> float:
     """Flux of grad f through the radius sphere:
     Omega_{n-1} radius^(n-1) f'(radius)."""
-    if radius <= 0:
-        raise EvaluationError("radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise EvaluationError("radius must be finite and positive")
     return sphere_area(n).evalf() * radius ** (n - 1) * radial_derivative(f, radius, Mval)
 
 
@@ -136,8 +157,8 @@ def finite_diff_lnM(
     fn: Callable[[float, float], float], p: float, Mval: float, h: float = 1e-4
 ) -> float:
     """Central difference in ln M: returns M dF/dM of fn(p, M)."""
-    if h <= 0:
-        raise EvaluationError("step must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise EvaluationError("step must be finite and positive")
     up = fn(p, Mval * math.exp(h))
     dn = fn(p, Mval * math.exp(-h))
     return (up - dn) / (2.0 * h)
@@ -157,6 +178,8 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
         raise EvaluationError("p and M must be finite")
     if p < 0:
         raise EvaluationError("p must be non-negative")
+    if special is None:
+        _load()
     omega = sphere_area(n).evalf()
 
     if p == 0.0:
@@ -224,11 +247,8 @@ def _panel_points(lo: float, hi: float, half: float, cfg) -> List[float]:
     return pts
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
-_PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])
 # QUADPACK's roundoff floor: no panel estimate is below 50 eps int |g|
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 def _quad_panels(

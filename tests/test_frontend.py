@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -16,9 +20,10 @@ from diffreg.algebra import (
     delta_term,
     position_term,
 )
+from diffreg import cli
 from diffreg.cli import CONFIG_ENV_VAR, build_parser, load_config, main
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
-from diffreg.errors import ParseError
+from diffreg.errors import ConvergenceError, ParseError
 from diffreg.operators import DiffOperator
 from diffreg.parser import parse_momentum, parse_operator, parse_position
 from diffreg.printer import format_momentum, format_operator, format_position
@@ -293,11 +298,13 @@ class TestCli:
             (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"], None),
             (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = nan\n"),
             (["oracle", "--fn", "r^-2", "--p", "1"], "tail_radius_factor = inf\n"),
+            (["oracle", "--fn", "r^-2", "--p", "1", "--dim", "3"],
+             "dampings = 0.02,0.02\ntail_cross_check = yes\n"),
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
              "tol_defect_inf", "eps_grid_nan", "config_rel_tol_nan",
-             "config_tail_radius_inf"],
+             "config_tail_radius_inf", "config_dampings_repeated"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -332,6 +339,33 @@ class TestCli:
             fresh.append(run(argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
+
+    def test_convergence_failure_keeps_partial(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("budget exceeded", partial=0.125, err_estimate=3e-7)
+
+        monkeypatch.setattr(cli, "hankel_numeric", fail)
+        code, doc = run_json(capsys, "oracle", "--fn", "r^-2", "--p", "1")
+        assert code == 3
+        assert doc["error"] == {
+            "code": "numeric",
+            "message": "budget exceeded",
+            "partial": "0.125",
+            "err_estimate": "2.9999999999999999e-07",
+        }
+        code, out = run_cli(capsys, "oracle", "--fn", "r^-2", "--p", "1", "--text")
+        assert code == 3
+        assert "partial=0.125 err_estimate=2.9999999999999999e-07" in out
+
+    def test_convergence_failure_without_partial(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("damped tail failed to decay")
+
+        monkeypatch.setattr(cli, "truncated_ft_numeric", fail)
+        code, doc = run_json(capsys, "surface", "--target", "r^-4", "--eps", "0.1")
+        assert code == 3
+        assert doc["error"]["partial"] is None
+        assert doc["error"]["err_estimate"] is None
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["regulate"]) == 2
@@ -397,3 +431,60 @@ class TestConfig:
         assert float(doc["symbolic"]["terms"]["value"]) == pytest.approx(
             4 * math.pi ** 2, rel=1e-9
         )
+
+
+# run in a fresh interpreter: reports which of numpy and scipy are loaded
+# after the imports, after exact-only subcommands and after the oracle
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+import diffreg, diffreg.cli
+
+def loaded():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = diffreg.cli.main([*argv, "--json"])
+    return code, buf.getvalue()
+
+out = {"import": loaded(), "exact": []}
+for argv in json.loads(sys.argv[1]):
+    code, env = run(*argv)
+    out["exact"].append([argv[0], code, json.loads(env)["symbolic"]["text"]])
+out["after_exact"] = loaded()
+out["oracle"] = run("oracle", "--fn", "r^-2", "--p", "2")
+out["after_oracle"] = loaded()
+print(json.dumps(out))
+"""
+
+
+class TestDeferredLoad:
+    EXACT_RUNS = [
+        ["apply", "--op", "box", "--fn", "r^2"],
+        ["regulate", "--target", "r^-4"],
+        ["cs", "--target", "r^-4", "--p", "1"],
+        ["transform", "--rep-target", "r^-4", "--at", "1"],
+        ["transform", "--fn", "r^-2"],
+        ["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "1"],
+    ]
+
+    def test_exact_subcommands_leave_numpy_and_scipy_unloaded(self, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env.pop(CONFIG_ENV_VAR, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD_PROBE, json.dumps(self.EXACT_RUNS)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        out = json.loads(proc.stdout)
+        assert out["import"] == []
+        assert [code for _, code, _ in out["exact"]] == [0] * len(self.EXACT_RUNS)
+        # the audit took the exact and regulated routes, no quadrature
+        assert "numeric" not in out["exact"][-1][2]
+        assert out["after_exact"] == []
+        assert out["after_oracle"] == ["numpy", "scipy"]
+        # loading on the first call gives the same envelope as a warm process
+        code, text = out["oracle"]
+        assert code == 0
+        assert text == run_cli(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--json")[1]

@@ -212,6 +212,16 @@ class TestContract:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(dampings=(0.01, 0.02))
+        # the zero-damping extrapolation needs two distinct dampings
+        for dampings in [(), (0.02,), (0.02, 0.02), (0.02, 0.01, 0.01)]:
+            with pytest.raises(ValueError, match="at least two entries"):
+                QuadratureConfig(dampings=dampings)
+
+    def test_two_dampings_extrapolate(self):
+        cfg = QuadratureConfig(dampings=(0.02, 0.01))
+        val, err = hankel_numeric(gaussian_profile, 1.0, 4, cfg=cfg)
+        assert val == pytest.approx(math.pi ** 2 * math.exp(-0.25), rel=1e-9)
+        assert math.isfinite(err)
 
 
 class TestFiniteDifference:
@@ -235,5 +245,6 @@ class TestFiniteDifference:
         assert 3.0 < ratio < 5.0  # central differences: O(h^2)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(EvaluationError):
-            finite_diff_lnM(lambda p, M: 0.0, 1.0, 1.0, h=0.0)
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(EvaluationError):
+                finite_diff_lnM(lambda p, M: 0.0, 1.0, 1.0, h=h)

@@ -13,7 +13,7 @@ from diffreg.algebra import (
     add,
 )
 from diffreg.coeffs import Coefficient, ONE, PI, sphere_area
-from diffreg.errors import DiffRegError
+from diffreg.errors import DiffRegError, EvaluationError
 from diffreg.operators import (
     RESONANCE_FLAG,
     DiffOperator,
@@ -175,3 +175,8 @@ class TestGaussFlux:
         fd = (eval_position(f, radius + h, M) - eval_position(f, radius - h, M)) / (2 * h)
         expected = sphere_area(4).evalf() * radius ** 3 * fd
         assert gauss_flux_numeric(f, radius, 4, M) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_radius(self, radius):
+        with pytest.raises(EvaluationError):
+            gauss_flux_numeric(position_term(4, 1, Fraction(-2)), radius, 4)
