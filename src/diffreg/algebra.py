@@ -78,10 +78,11 @@ class PositionFunction:
         rad: dict = {}
         for t in radial:
             key = (t.rpow, t.logpow)
-            rad[key] = rad.get(key, Coefficient()) + t.coeff
+            rad[key] = rad[key] + t.coeff if key in rad else t.coeff
         loc: dict = {}
         for t in local:
-            loc[t.boxpow] = loc.get(t.boxpow, Coefficient()) + t.coeff
+            j = t.boxpow
+            loc[j] = loc[j] + t.coeff if j in loc else t.coeff
         radial_out = tuple(
             RadialTerm(c, k[0], k[1]) for k, c in sorted(rad.items()) if not c.is_zero()
         )
@@ -113,7 +114,7 @@ class MomentumFunction:
         for c, j in local_poly:
             if j < 0:
                 raise ValueError("polynomial degree must be non-negative")
-            poly[j] = poly.get(j, Coefficient()) + c
+            poly[j] = poly[j] + c if j in poly else c
         for t in terms:
             if (
                 t.logpow == 0
@@ -123,10 +124,11 @@ class MomentumFunction:
             ):
                 j = int(t.ppow) // 2
                 sign = 1 if j % 2 == 0 else -1
-                poly[j] = poly.get(j, Coefficient()) + sign * t.coeff
+                c = sign * t.coeff
+                poly[j] = poly[j] + c if j in poly else c
             else:
                 key = (t.ppow, t.logpow)
-                pw[key] = pw.get(key, Coefficient()) + t.coeff
+                pw[key] = pw[key] + t.coeff if key in pw else t.coeff
         terms_out = tuple(
             MomentumTerm(c, k[0], k[1]) for k, c in sorted(pw.items()) if not c.is_zero()
         )

@@ -4,6 +4,16 @@ commuting constants pi, gammaE, ln2, zeta3.
 Everything the exact layer produces (sphere areas, transform constants,
 polygamma values at integer and half-integer arguments) lives in this ring,
 so equality of symbolic results is decidable by normal-form comparison.
+
+Normal form: ``Coefficient.terms`` is a tuple of (monomial, value) pairs with
+the monomials strictly increasing, no zero value, and every value a
+``Fraction``.  The arithmetic takes its operands in normal form and keeps
+only the work that preserving it needs: a sum with an empty operand is the
+other operand; a product by a rational scalar scales the values in place; a
+product by, or a division by, a single monomial shifts every monomial by one
+vector, which keeps their order and creates no zero.  Only a sum of two
+nonempty operands and a product of two many-monomial operands merge through
+a dict and sort.
 """
 
 from __future__ import annotations
@@ -67,10 +77,19 @@ class Coefficient:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for m, q in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + q
-        return Coefficient.from_dict(acc)
+            if m in acc:
+                q = acc[m] + q
+                if not q:
+                    del acc[m]
+                    continue
+            acc[m] = q
+        return Coefficient(tuple(sorted(acc.items())))
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
         return self + (-other)
@@ -80,12 +99,27 @@ class Coefficient:
 
     def __mul__(self, other) -> "Coefficient":
         if isinstance(other, (int, Fraction)):
-            other = Coefficient.rational(other)
+            if not other:
+                return ZERO
+            if other == 1:
+                return self
+            return Coefficient(tuple((m, q * other) for m, q in self.terms))
+        a, b = self.terms, other.terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # shifting every monomial by one vector keeps the order, and a
+            # product of nonzero rationals is nonzero
+            (s0, s1, s2, s3), r = b[0]
+            return Coefficient(tuple(
+                ((m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3), q * r)
+                for m, q in a
+            ))
         acc: dict = {}
-        for m1, q1 in self.terms:
-            for m2, q2 in other.terms:
+        for m1, q1 in a:
+            for m2, q2 in b:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                acc[m] = acc.get(m, Fraction(0)) + q1 * q2
+                acc[m] = acc[m] + q1 * q2 if m in acc else q1 * q2
         return Coefficient.from_dict(acc)
 
     __rmul__ = __mul__
@@ -113,13 +147,14 @@ class Coefficient:
         if len(other.terms) != 1:
             raise DiffRegError("division only by a single monomial")
         (mono, q) = other.terms[0]
-        acc: dict = {}
+        out = []
         for m, c in self.terms:
             newm = tuple(a - b for a, b in zip(m, mono))
             if min(newm) < 0:
                 raise DiffRegError(f"monomial {mono} does not divide {m}")
-            acc[newm] = acc.get(newm, Fraction(0)) + c / q
-        return Coefficient.from_dict(acc)
+            out.append((newm, c / q))
+        # a shift by one vector keeps the order and creates no zero
+        return Coefficient(tuple(out))
 
     # -- queries -------------------------------------------------------
 

@@ -100,15 +100,19 @@ def transform_value(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
     """Evaluate a transform of f at p0 by the best available route:
-    exact where Fourier-safe, regulated formal transform for integer
-    power-log targets at or below the window, numeric quadrature otherwise.
-    Returns (value, route)."""
+    exact for Fourier-safe terms with an integer exponent, regulated formal
+    transform for integer power-log targets at or below the window, numeric
+    quadrature otherwise.  A fractional exponent in the window goes to the
+    numeric route: its exact transform needs polygamma values outside the
+    symbol set.  Returns (value, route)."""
     n = f.dim
     safe, divergent, rest = [], [], []
     for t in f.radial:
-        if term_fourier_safe(t, n):
+        if t.rpow.denominator != 1:
+            rest.append(t)
+        elif term_fourier_safe(t, n):
             safe.append(t)
-        elif t.rpow <= -n and t.rpow.denominator == 1:
+        elif t.rpow <= -n:
             divergent.append(t)
         else:
             rest.append(t)

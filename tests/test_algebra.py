@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffreg.algebra import (
+    LocalTerm,
     MomentumFunction,
     MomentumTerm,
     PositionFunction,
@@ -21,7 +22,7 @@ from diffreg.algebra import (
     scale,
     sub,
 )
-from diffreg.coeffs import Coefficient, ONE, PI
+from diffreg.coeffs import GAMMA_E, LN2, ONE, PI, Coefficient
 from diffreg.errors import (
     DimensionMismatchError,
     DistributionProductError,
@@ -93,6 +94,72 @@ class TestNormalization:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             PositionFunction.build(0)
+
+
+def _one_by_one(pairs):
+    """Like terms merged by adding their coefficients one by one from
+    Coefficient(), zeros dropped, sorted by key."""
+    acc = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, Coefficient()) + c
+    return sorted((k, c) for k, c in acc.items() if not c.is_zero())
+
+
+class TestBuild:
+    def test_position(self):
+        half = Coefficient.rational(Fraction(1, 2))
+        radial = [
+            RadialTerm(ONE, Fraction(-2)),
+            RadialTerm(PI, Fraction(-2)),
+            RadialTerm(2 * GAMMA_E, Fraction(-3), 1),
+            RadialTerm(-1 * ONE, Fraction(-2)),
+            RadialTerm(-2 * GAMMA_E, Fraction(-3), 1),  # cancels exactly
+            RadialTerm(half, Fraction(-5, 2), 2),
+        ]
+        local = [LocalTerm(LN2, 0), LocalTerm(PI, 1), LocalTerm(half, 0),
+                 LocalTerm(-1 * PI, 1)]
+        f = PositionFunction.build(4, radial, local)
+        assert f == PositionFunction(
+            4,
+            tuple(RadialTerm(c, *k) for k, c in _one_by_one(
+                ((t.rpow, t.logpow), t.coeff) for t in radial)),
+            tuple(LocalTerm(c, j) for j, c in _one_by_one(
+                (t.boxpow, t.coeff) for t in local)),
+        )
+        assert [(t.rpow, t.logpow) for t in f.radial] == [(-Fraction(5, 2), 2),
+                                                          (-2, 0)]
+        assert f.radial[1].coeff == PI
+        assert f.local == (LocalTerm(LN2 + half, 0),)
+
+    def test_momentum(self):
+        terms = [
+            MomentumTerm(ONE, Fraction(-2), 1),
+            MomentumTerm(LN2, Fraction(-2), 1),
+            MomentumTerm(PI, Fraction(-1)),
+            MomentumTerm(-1 * PI, Fraction(-1)),  # cancels exactly
+            MomentumTerm(3 * ONE, Fraction(2)),  # folds to -3 (-p^2)^1
+            MomentumTerm(GAMMA_E, Fraction(4)),  # folds to +gammaE (-p^2)^2
+            MomentumTerm(PI, Fraction(6)),  # folds to -pi (-p^2)^3, a new key
+            MomentumTerm(ONE, Fraction(2), 1),  # has a log: stays a term
+        ]
+        poly = [(3 * ONE, 1), (PI, 0), (ONE, 2)]
+        F = MomentumFunction.build(4, terms, poly)
+        folded = []
+        kept = []
+        for t in terms:
+            if t.logpow == 0 and t.ppow in (2, 4, 6):
+                j = int(t.ppow) // 2
+                folded.append((j, (-1) ** j * t.coeff))
+            else:
+                kept.append(((t.ppow, t.logpow), t.coeff))
+        assert F == MomentumFunction(
+            4,
+            tuple(MomentumTerm(c, *k) for k, c in _one_by_one(kept)),
+            tuple((c, j) for j, c in _one_by_one([(j, c) for c, j in poly] + folded)),
+        )
+        # the (-p^2)^1 entry cancels against the folded 3 p^2
+        assert F.local_poly == ((PI, 0), (ONE + GAMMA_E, 2), (-1 * PI, 3))
+        assert [(t.ppow, t.logpow) for t in F.terms] == [(-2, 1), (2, 1)]
 
 
 class TestVectorSpace:

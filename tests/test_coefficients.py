@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 from scipy import special
 
 from diffreg.coeffs import (
@@ -56,6 +56,93 @@ class TestRingAxioms:
     def test_negation(self, a):
         assert a + (-a) == ZERO
         assert -(-a) == a
+
+
+# -- normal form against a reference ----------------------------------------
+
+
+def _reference(pairs):
+    """Normal form by the definition: accumulate in a dict, drop zeros, sort."""
+    acc = {}
+    for m, q in pairs:
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(q)
+    return tuple(sorted((m, q) for m, q in acc.items() if q != 0))
+
+
+def assert_normal(c):
+    monos = [m for m, _ in c.terms]
+    assert all(x < y for x, y in zip(monos, monos[1:]))
+    assert all(type(q) is Fraction and q != 0 for _, q in c.terms)
+
+
+ring_monomials = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4)
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=4),
+)
+ring_elements = st.dictionaries(ring_monomials, nonzero_rationals, max_size=4).map(
+    lambda d: Coefficient(_reference(d.items()))
+)
+scalars = st.sampled_from(
+    [0, 1, -1, 2, Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(3, 7)]
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b) where b may carry some of a's monomials with the opposite
+    value, so that a + b cancels exactly there."""
+    a, b = draw(ring_elements), draw(ring_elements)
+    if not a.terms:
+        return a, b
+    cancel = draw(st.lists(st.sampled_from(a.terms), unique=True))
+    terms = dict(b.terms)
+    terms.update((m, -q) for m, q in cancel)
+    return a, Coefficient(_reference(terms.items()))
+
+
+def _shift(m1, m2, sign=1):
+    return tuple(x + sign * y for x, y in zip(m1, m2))
+
+
+class TestNormalForm:
+    @given(operand_pairs())
+    def test_add_sub(self, ab):
+        a, b = ab
+        for got, want in (
+            (a + b, a.terms + b.terms),
+            (a - b, a.terms + tuple((m, -q) for m, q in b.terms)),
+        ):
+            assert_normal(got)
+            assert got.terms == _reference(want)
+
+    @given(operand_pairs())
+    def test_mul(self, ab):
+        a, b = ab
+        got = a * b
+        assert_normal(got)
+        assert got.terms == _reference(
+            (_shift(m1, m2), q1 * q2) for m1, q1 in a.terms for m2, q2 in b.terms
+        )
+
+    @given(ring_elements, scalars)
+    def test_scalar_mul(self, a, s):
+        want = _reference((m, q * s) for m, q in a.terms)
+        for got in (a * s, s * a):
+            assert_normal(got)
+            assert got.terms == want
+
+    @given(ring_elements, ring_monomials, nonzero_rationals)
+    def test_divide(self, c, mono, r):
+        # c * (r mono) / (r mono) == c, built without the ring's product
+        a = Coefficient(_reference((_shift(m, mono), q * r) for m, q in c.terms))
+        got = a.divide(Coefficient.monomial(r, *mono))
+        assert_normal(got)
+        assert got.terms == _reference(
+            (_shift(m, mono, -1), q / r) for m, q in a.terms
+        )
+        assert got.terms == c.terms
 
 
 class TestEvalf:

@@ -18,11 +18,15 @@ from diffreg.fourier import (
     cs_derivative,
     cs_derivative_position,
     fourier_base,
+    fourier_formal,
     fourier_safe,
     inverse_fourier_base,
     master_coefficients,
 )
 from diffreg.numeric import finite_diff_lnM, hankel_numeric
+from diffreg.parser import parse_position
+from diffreg.printer import format_momentum
+from diffreg.regulate import find_representation
 
 from conftest import small_rationals
 
@@ -58,6 +62,20 @@ class TestExactValues:
         assert F.terms == ()
         assert F.local_poly == ((Coefficient.rational(3), 2),)
         assert eval_momentum(F, 2.0, 1.0) == 3.0 * 16.0
+
+
+@pytest.mark.parametrize(
+    "n, text, golden",
+    [
+        (4, "r^-4", "-pi^2*log(p^2/M^2) + (2*pi^2*ln2 - 2*pi^2*gammaE)"),
+        (6, "r^-6", "-1/2*pi^3*log(p^2/M^2) + (1/2*pi^3 + pi^3*ln2 - pi^3*gammaE)"),
+        (3, "r^-4*log(r^2*M^2)",
+         "(-3*pi^2 + 2*pi^2*gammaE)*p^1 + pi^2*log(p^2/M^2)*p^1"),
+    ],
+)
+def test_formal_transform_golden(n, text, golden):
+    rep = find_representation(parse_position(text, n))
+    assert format_momentum(fourier_formal(rep)) == golden
 
 
 class TestWindow:

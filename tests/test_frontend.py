@@ -249,6 +249,16 @@ class TestCli:
         assert "residual" in doc["symbolic"]["terms"]
         assert doc["flags"]
 
+    @pytest.mark.parametrize(
+        "a, b, dim", [("r^-3/2", "r^-2", "4"), ("r^-1/3", "r^-1", "3")]
+    )
+    def test_audit_fractional_exponent(self, capsys, a, b, dim):
+        code, doc = run_json(
+            capsys, "audit", "--a", a, "--b", b, "--p0", "1", "--dim", dim
+        )
+        assert code == 0
+        assert "numeric" in doc["symbolic"]["terms"]["route"]
+
     def test_oracle(self, capsys):
         code, doc = run_json(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--dim", "4")
         assert code == 0

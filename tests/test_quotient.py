@@ -88,6 +88,22 @@ class TestTransformValue:
         v2, _ = transform_value(position_term(4, 1, Fraction(-4)), 1.0)
         assert val == pytest.approx(v1 + v2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, a, p",
+        [(4, Fraction(-7, 2), 1.0), (3, Fraction(-4, 3), 1.0), (5, Fraction(-5, 2), 2.0)],
+    )
+    def test_fractional_exponent_takes_numeric_route(self, n, a, p):
+        # in the window, but 2a' = -a is not an integer, so the exact
+        # master formula would need polygamma values outside the symbol set
+        val, route = transform_value(position_term(n, 1, a), p)
+        assert route == "numeric"
+        x = float(a)
+        want = (
+            math.pi ** (n / 2) * 2 ** (n + x) * math.gamma((n + x) / 2)
+            / math.gamma(-x / 2) * p ** (-x - n)
+        )
+        assert val == pytest.approx(want, rel=1e-8)
+
     def test_zero(self):
         val, route = transform_value(PositionFunction.build(4), 1.0)
         assert (val, route) == (0.0, "zero")
