@@ -25,10 +25,8 @@ from .algebra import (
     MomentumTerm,
     PositionFunction,
     RadialTerm,
-    add,
-    sub,
 )
-from .coeffs import Coefficient, gamma_exact, psi0, psi1, psi2
+from .coeffs import ZERO, Coefficient, gamma_exact, psi0, psi1, psi2
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
 
 MAX_EXACT_LOGPOW = 3
@@ -118,10 +116,18 @@ def fourier_base(g: PositionFunction) -> MomentumFunction:
 
 
 def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
-    """Inverse transform on the image class, by triangular back-substitution:
-    the highest log power at each momentum exponent can only come from one
-    position term, which is peeled off and its forward image subtracted."""
+    """Inverse transform on the image class, by back-substitution per
+    momentum exponent.  The seed terms c_k r^{-2a'} log^k(r^2 M^2) at one
+    exponent map to the log powers i of p^{2a'-n} as
+
+        F_i = sum_{k >= i} c_k (-1)^k C(k, i) C^{(k-i)}
+
+    with C^{(j)} the a'-derivatives of the master constant, so from the top
+    log power K down
+
+        c_i = (-1)^i (F_i - sum_{k > i} c_k (-1)^k C(k, i) C^{(k-i)}) / C."""
     n = F.dim
+    groups: dict = {}
     for t in F.terms:
         if not (-n < t.ppow < 0):
             raise FourierWindowError(
@@ -129,34 +135,22 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
             )
         if t.logpow > MAX_EXACT_LOGPOW:
             raise SymbolSetError("log power exceeds exact symbol set")
-    residual = MomentumFunction.build(n, F.terms)
-    out = PositionFunction.build(n)
-    guard = 0
-    while residual.terms:
-        guard += 1
-        if guard > 10000:
-            raise DiffRegError("internal: inverse transform failed to terminate")
-        # highest log power within some momentum exponent group
-        by_pow: dict = {}
-        for t in residual.terms:
-            cur = by_pow.get(t.ppow)
-            if cur is None or t.logpow > cur.logpow:
-                by_pow[t.ppow] = t
-        peeled = []
-        for t in by_pow.values():
-            aprime = (t.ppow + n) / 2
-            k = t.logpow
-            C0 = master_coefficients(aprime, n, 0)[0]
-            lead = Fraction(-1) ** k * C0
-            coeff = t.coeff.divide(lead)
-            peeled.append(RadialTerm(coeff, -2 * aprime, k))
-        cand = PositionFunction.build(n, peeled)
-        out = add(out, cand)
-        residual = sub(residual, fourier_base(cand))
+        groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
+    radial = []
+    for ppow, levels in groups.items():
+        aprime = (ppow + n) / 2
+        top = max(levels)
+        C = master_coefficients(aprime, n, top)
+        c: dict = {}
+        for i in range(top, -1, -1):
+            rest = levels.get(i, ZERO)
+            for k, ck in c.items():
+                rest = rest + ck * C[k - i] * ((-1) ** (k + 1) * math.comb(k, i))
+            if rest.terms:
+                c[i] = rest.divide(C[0]) * (-1) ** i
+                radial.append(RadialTerm(c[i], -2 * aprime, i))
     local = [LocalTerm(c, j) for c, j in F.local_poly]
-    return PositionFunction.build(
-        n, out.radial, local, out.flags + F.flags
-    )
+    return PositionFunction.build(n, radial, local, F.flags)
 
 
 def fourier_formal(rep) -> MomentumFunction:

@@ -11,17 +11,23 @@ Grammar (whitespace-insensitive):
     exponent := ['-'] int ['/' int]
     number   := int ['/' int]
 
-The log tokens are atomic.  A parsed expression is a tagged value (scalar /
-position / momentum / operator); the requested context then converts or
-rejects it.
+The log tokens are atomic.  A parsed value is a kind tag (scalar, position,
+momentum or operator) and its terms.  A scalar's terms are one
+``Coefficient``.  The other kinds map a term key to a nonzero
+``Coefficient``: (r power, log power) or a delta box power (an int) for
+position, (p power, log power) for momentum and a box power for an
+operator.  Products add keys and multiply coefficients, sums merge the dicts,
+and a sign is pushed into the first factor of its term.  The normal form is
+built once, when ``parse_*`` returns; only ``box * f`` builds ``f`` on the
+way, to apply the operator with its resonance deltas and flags.  Tokens keep
+their offset, and the line and column are worked out only for an error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .algebra import (
     LocalTerm,
@@ -29,11 +35,8 @@ from .algebra import (
     MomentumTerm,
     PositionFunction,
     RadialTerm,
-    add,
-    mul,
-    scale,
 )
-from .coeffs import GAMMA_E, LN2, PI, ZETA3, Coefficient
+from .coeffs import ONE, Coefficient
 from .errors import ParseError
 from .operators import DiffOperator, apply_operator
 
@@ -50,53 +53,81 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+MINUS_ONE = Coefficient.rational(-1)
+_SYMBOLS = ("pi", "gammaE", "ln2", "zeta3")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# (kind, text, offset)
+_Token = Tuple[str, str, int]
+
+
+def _where(text: str, offset: int) -> Tuple[int, int]:
+    """1-based line and column of an offset into the text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> List[_Token]:
     tokens = []
-    line, col = 1, 1
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        val = m.group()
+        if kind == "ws":
+            continue
         if kind == "bad":
-            raise ParseError(f"unexpected character {val!r}", line, col)
-        if kind != "ws":
-            tokens.append(_Token(kind, val, line, col))
-        for ch in val:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-    tokens.append(_Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {m.group()!r}", *_where(text, m.start()))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-# A parsed value: exactly one of the payloads is set.
-@dataclass(frozen=True)
-class _Value:
-    scalar: Optional[Coefficient] = None
-    position: Optional[PositionFunction] = None
-    momentum: Optional[MomentumFunction] = None
-    operator: Optional[DiffOperator] = None
+def _times(a: Coefficient, b: Coefficient) -> Coefficient:
+    # leaves carry the shared ONE, and a product by it needs no arithmetic
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    return a * b
 
-    @property
-    def kind(self) -> str:
-        for name in ("scalar", "position", "momentum", "operator"):
-            if getattr(self, name) is not None:
-                return name
-        raise AssertionError("empty value")
+
+def _merge(acc: dict, key, c: Coefficient) -> None:
+    """acc[key] += c, dropping the key when the sum cancels."""
+    if key in acc:
+        c = acc[key] + c
+        if not c.terms:
+            del acc[key]
+            return
+    acc[key] = c
+
+
+class _Value:
+    """A kind tag and its terms (see the module docstring)."""
+
+    __slots__ = ("kind", "terms", "flags")
+
+    def __init__(self, kind: str, terms, flags: Tuple[str, ...] = ()):
+        self.kind = kind
+        self.terms = terms
+        self.flags = flags
+
+
+def _promoted(target: str, c: Coefficient) -> dict:
+    """The terms of a scalar as a value of the target kind."""
+    if not c.terms:
+        return {}
+    return {0 if target == "operator" else (0, 0): c}
+
+
+def _position(dim: int, terms: dict, flags) -> PositionFunction:
+    radial, local = [], []
+    for key, c in terms.items():
+        if type(key) is tuple:
+            radial.append(RadialTerm(c, key[0], key[1]))
+        else:
+            local.append(LocalTerm(c, key))
+    return PositionFunction.build(dim, radial, local, flags)
 
 
 class _Parser:
     def __init__(self, text: str, dim: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dim = dim
@@ -109,307 +140,207 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
+    def expect(self, kind: str, text=None) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.line, tok.col)
-        return self.advance()
+            self.fail(f"expected {want!r}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
 
-    def fail(self, msg: str):
-        tok = self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def fail(self, msg: str, tok=None):
+        tok = tok or self.tokens[self.pos]
+        raise ParseError(msg, *_where(self.text, tok[2]))
+
+    def _is_op(self, text: str) -> bool:
+        # no token but an operator has one of the operator characters as text
+        return self.tokens[self.pos][1] == text
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> _Value:
         val = self.expr()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.peek()[0] != "eof":
+            self.fail(f"unexpected trailing input {self.peek()[1]!r}")
         return val
 
     def expr(self) -> _Value:
-        negate = False
-        if self._is_op("-"):
-            self.advance()
-            negate = True
-        val = self.term()
+        negate = self._is_op("-")
         if negate:
-            val = self._scale(Coefficient.rational(-1), val)
+            self.advance()
+        val = self.term(negate)
         while self._is_op("+") or self._is_op("-"):
-            op = self.advance().text
-            rhs = self.term()
-            if op == "-":
-                rhs = self._scale(Coefficient.rational(-1), rhs)
+            rhs = self.term(self.advance()[1] == "-")
             val = self._add(val, rhs)
         return val
 
-    def term(self) -> _Value:
-        val = self.factor()
+    def term(self, negate: bool = False) -> _Value:
+        val = self.factor(negate)
         while self._is_op("*") or self._is_op("/"):
-            op = self.advance().text
+            op = self.advance()[1]
             rhs = self.factor()
-            if op == "*":
-                val = self._mul(val, rhs)
-            else:
-                val = self._mul(val, self._invert(rhs))
+            val = self._mul(val, rhs if op == "*" else self._invert(rhs))
         return val
 
-    def factor(self) -> _Value:
-        tok = self.peek()
-        if self._is_op("-"):
-            self.advance()
-            return self._scale(Coefficient.rational(-1), self.factor())
-        if self._is_op("("):
-            self.advance()
+    def factor(self, negate: bool = False) -> _Value:
+        """One factor, times -1 when ``negate``: the sign lands on the
+        leaf's coefficient."""
+        kind, text, _ = tok = self.advance()
+        unit = MINUS_ONE if negate else ONE
+        if text == "-":
+            return self.factor(not negate)
+        if text == "(":
             val = self.expr()
             self.expect("op", ")")
-            return val
-        if tok.kind == "number":
-            return _Value(scalar=Coefficient.rational(self._rational()))
-        if tok.kind == "logr":
-            self.advance()
+            return self._scale(unit, val) if negate else val
+        if kind == "number":
+            q = self._ratio(int(text))
+            return _Value("scalar", Coefficient.rational(-q if negate else q))
+        if kind == "logr" or kind == "logp":
             k = self._opt_int_power()
-            return _Value(
-                position=PositionFunction.build(
-                    self.dim, [RadialTerm(Coefficient.rational(1), Fraction(0), k)]
-                )
-            )
-        if tok.kind == "logp":
-            self.advance()
+            return self._leaf("position" if kind == "logr" else "momentum", (0, k), unit)
+        if text in _SYMBOLS:
             k = self._opt_int_power()
-            return _Value(
-                momentum=MomentumFunction.build(
-                    self.dim, [MomentumTerm(Coefficient.rational(1), Fraction(0), k)]
-                )
-            )
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
-            symbols = {"pi": PI, "gammaE": GAMMA_E, "ln2": LN2, "zeta3": ZETA3}
-            if name in symbols:
-                k = self._opt_int_power()
-                return _Value(scalar=symbols[name] ** k)
-            if name == "delta":
-                return _Value(
-                    position=PositionFunction.build(
-                        self.dim, local=[LocalTerm(Coefficient.rational(1), 0)]
-                    )
-                )
-            if name == "box":
-                k = self._opt_int_power()
-                return _Value(operator=DiffOperator.box(k))
-            if name == "r":
-                e = self._opt_exponent()
-                return _Value(
-                    position=PositionFunction.build(
-                        self.dim, [RadialTerm(Coefficient.rational(1), e, 0)]
-                    )
-                )
-            if name == "p":
-                e = self._opt_exponent()
-                return _Value(
-                    momentum=MomentumFunction.build(
-                        self.dim, [MomentumTerm(Coefficient.rational(1), e, 0)]
-                    )
-                )
-        self.fail(f"unexpected token {tok.text!r}")
+            return _Value("scalar", Coefficient.monomial(-1 if negate else 1, **{text: k}))
+        if text == "delta":
+            return self._leaf("position", 0, unit)
+        if text == "box":
+            return _Value("operator", {self._opt_int_power(): unit})
+        if text == "r" or text == "p":
+            e = self._opt_exponent()
+            return self._leaf("position" if text == "r" else "momentum", (e, 0), unit)
+        self.fail(f"unexpected token {text!r}", tok)
 
-    def _is_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+    def _leaf(self, kind: str, key, unit: Coefficient) -> _Value:
+        # the first function factor rejects a bad dimension, as building
+        # the function would
+        if self.dim < 1:
+            raise ValueError("dimension must be a positive integer")
+        return _Value(kind, {key: unit})
 
-    def _rational(self) -> Fraction:
-        num = int(self.expect("number").text)
-        if self._is_op("/") and self.tokens[self.pos + 1].kind == "number":
-            # lookahead past the slash: only a plain integer denominator
-            # belongs to the number; anything else is term-level division
-            nxt = self.tokens[self.pos + 2]
-            if not (nxt.kind == "op" and nxt.text == "^"):
-                self.advance()
-                den = int(self.expect("number").text)
-                return Fraction(num, den)
-        return Fraction(num)
+    def _ratio(self, num: int):
+        """The integer just read, over a plain-integer denominator after a
+        slash unless a '^' follows that denominator; otherwise the slash is
+        term-level division."""
+        toks, i = self.tokens, self.pos
+        if toks[i][1] == "/" and toks[i + 1][0] == "number" and toks[i + 2][1] != "^":
+            den = int(toks[i + 1][1])
+            if den == 0:
+                self.fail("division by zero", toks[i + 1])
+            self.pos = i + 2
+            return Fraction(num, den)
+        return num
 
     def _opt_int_power(self) -> int:
         if self._is_op("^"):
             self.advance()
-            neg = False
-            if self._is_op("-"):
+            neg = self._is_op("-")
+            if neg:
                 self.advance()
-                neg = True
-            k = int(self.expect("number").text)
+            k = int(self.expect("number")[1])
             if neg:
                 self.fail("this power must be a non-negative integer")
             return k
         return 1
 
-    def _opt_exponent(self) -> Fraction:
+    def _opt_exponent(self):
+        # r^3/2 binds the slash to the exponent
         if not self._is_op("^"):
-            return Fraction(1)
+            return 1
         self.advance()
-        neg = False
-        if self._is_op("-"):
+        neg = self._is_op("-")
+        if neg:
             self.advance()
-            neg = True
-        num = int(self.expect("number").text)
-        e = Fraction(num)
-        if self._is_op("/"):
-            # r^3/2 binds the slash to the exponent
-            if self.tokens[self.pos + 1].kind == "number":
-                nxt = self.tokens[self.pos + 2]
-                if not (nxt.kind == "op" and nxt.text == "^"):
-                    self.advance()
-                    den = int(self.expect("number").text)
-                    e = Fraction(num, den)
+        e = self._ratio(int(self.expect("number")[1]))
         return -e if neg else e
 
     # -- semantics -----------------------------------------------------
 
     def _scale(self, c: Coefficient, v: _Value) -> _Value:
-        if v.scalar is not None:
-            return _Value(scalar=c * v.scalar)
-        if v.position is not None:
-            return _Value(position=scale(c, v.position))
-        if v.momentum is not None:
-            return _Value(momentum=scale(c, v.momentum))
-        return _Value(operator=v.operator.scaled(c))
+        if v.kind == "scalar":
+            return _Value("scalar", _times(c, v.terms))
+        terms = {k: _times(c, x) for k, x in v.terms.items()} if c.terms else {}
+        return _Value(v.kind, terms, v.flags)
 
-    def _promote_pair(self, a: _Value, b: _Value) -> Tuple[_Value, _Value]:
+    def _add(self, a: _Value, b: _Value) -> _Value:
         kinds = {a.kind, b.kind}
         if kinds == {"position", "momentum"}:
             self.fail("cannot mix r-space and p-space in one expression")
-        for target in ("position", "momentum", "operator"):
-            if target in kinds:
-                return self._to(target, a), self._to(target, b)
-        return a, b
-
-    def _to(self, target: str, v: _Value) -> _Value:
-        if v.kind == target:
-            return v
-        if v.scalar is None:
-            self.fail(f"cannot combine {v.kind} value here")
-        c = v.scalar
-        if target == "position":
-            return _Value(
-                position=PositionFunction.build(self.dim, [RadialTerm(c, Fraction(0), 0)])
-            )
-        if target == "momentum":
-            return _Value(
-                momentum=MomentumFunction.build(self.dim, [MomentumTerm(c, Fraction(0), 0)])
-            )
-        return _Value(operator=DiffOperator.identity().scaled(c))
-
-    def _add(self, a: _Value, b: _Value) -> _Value:
-        a, b = self._promote_pair(a, b)
-        kind = a.kind
-        if kind == "scalar":
-            return _Value(scalar=a.scalar + b.scalar)
-        if kind == "position":
-            return _Value(position=add(a.position, b.position))
-        if kind == "momentum":
-            return _Value(momentum=add(a.momentum, b.momentum))
-        return _Value(operator=a.operator + b.operator)
+        if a.kind == b.kind == "scalar":
+            return _Value("scalar", a.terms + b.terms)
+        target = next(k for k in ("position", "momentum", "operator") if k in kinds)
+        for v in (a, b):
+            if v.kind == "scalar":
+                v.kind, v.terms = target, _promoted(target, v.terms)
+            elif v.kind != target:
+                self.fail(f"cannot combine {v.kind} value here")
+        for key, c in b.terms.items():
+            _merge(a.terms, key, c)
+        a.flags += b.flags
+        return a
 
     def _mul(self, a: _Value, b: _Value) -> _Value:
-        if "scalar" in (a.kind, b.kind):
-            if a.kind == "scalar":
-                return self._scale(a.scalar, b)
-            return self._scale(b.scalar, a)
-        if a.kind == b.kind == "position":
-            try:
-                return _Value(position=mul(a.position, b.position))
-            except Exception as exc:
-                self.fail(str(exc))
-        if a.kind == b.kind == "momentum":
-            return _Value(momentum=self._mul_momentum(a.momentum, b.momentum))
-        if a.kind == b.kind == "operator":
-            return _Value(operator=a.operator * b.operator)
+        if a.kind == "scalar":
+            return self._scale(a.terms, b)
+        if b.kind == "scalar":
+            return self._scale(b.terms, a)
         if a.kind == "operator" and b.kind == "position":
-            return _Value(position=apply_operator(a.operator, b.position))
-        self.fail(f"cannot multiply {a.kind} by {b.kind}")
-
-    def _mul_momentum(self, A: MomentumFunction, B: MomentumFunction):
-        terms = []
-        seqA = list(A.terms) + [
-            (MomentumTerm(c if j % 2 == 0 else -1 * c, Fraction(2 * j), 0))
-            for c, j in A.local_poly
-        ]
-        seqB = list(B.terms) + [
-            (MomentumTerm(c if j % 2 == 0 else -1 * c, Fraction(2 * j), 0))
-            for c, j in B.local_poly
-        ]
-        for s in seqA:
-            for t in seqB:
-                terms.append(
-                    MomentumTerm(s.coeff * t.coeff, s.ppow + t.ppow, s.logpow + t.logpow)
-                )
-        return MomentumFunction.build(A.dim, terms)
+            op = DiffOperator.build(a.terms)
+            f = apply_operator(op, _position(self.dim, b.terms, b.flags))
+            terms = {(t.rpow, t.logpow): t.coeff for t in f.radial}
+            terms.update((t.boxpow, t.coeff) for t in f.local)
+            return _Value("position", terms, f.flags)
+        if a.kind != b.kind:
+            self.fail(f"cannot multiply {a.kind} by {b.kind}")
+        if a.kind == "position" and any(
+                type(k) is int for v in (a, b) for k in v.terms):
+            self.fail("undefined product of distributions")
+        out: dict = {}
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
+                key = k1 + k2 if a.kind == "operator" else (k1[0] + k2[0], k1[1] + k2[1])
+                _merge(out, key, _times(c1, c2))
+        return _Value(a.kind, out, a.flags + b.flags)
 
     def _invert(self, v: _Value) -> _Value:
-        if v.scalar is not None:
-            if len(v.scalar.terms) != 1 or not v.scalar.is_rational():
+        if v.kind == "scalar":
+            c = v.terms
+            if len(c.terms) != 1 or not c.is_rational():
                 self.fail("can only divide by a plain rational")
-            return _Value(scalar=Coefficient.rational(1 / v.scalar.rational_value()))
-        if v.position is not None:
-            f = v.position
-            if f.local or len(f.radial) != 1:
-                self.fail("can only divide by a single power term")
-            t = f.radial[0]
-            if t.logpow != 0 or not t.coeff.is_rational():
-                self.fail("can only divide by a rational power of r")
-            return _Value(
-                position=PositionFunction.build(
-                    self.dim,
-                    [RadialTerm(Coefficient.rational(1 / t.coeff.rational_value()), -t.rpow, 0)],
-                )
-            )
-        if v.momentum is not None:
-            F = v.momentum
-            seq = list(F.terms) + [
-                MomentumTerm(c if j % 2 == 0 else -1 * c, Fraction(2 * j), 0)
-                for c, j in F.local_poly
-            ]
-            if len(seq) != 1:
-                self.fail("can only divide by a single power term")
-            t = seq[0]
-            if t.logpow != 0 or not t.coeff.is_rational():
-                self.fail("can only divide by a rational power of p")
-            return _Value(
-                momentum=MomentumFunction.build(
-                    self.dim,
-                    [MomentumTerm(Coefficient.rational(1 / t.coeff.rational_value()), -t.ppow, 0)],
-                )
-            )
-        self.fail("cannot divide by an operator")
+            return _Value("scalar", Coefficient.rational(1 / c.rational_value()))
+        if v.kind == "operator":
+            self.fail("cannot divide by an operator")
+        if len(v.terms) != 1 or type(next(iter(v.terms))) is int:
+            self.fail("can only divide by a single power term")
+        ((e, k), c), = v.terms.items()
+        if k != 0 or not c.is_rational():
+            var = "r" if v.kind == "position" else "p"
+            self.fail(f"can only divide by a rational power of {var}")
+        inv = ONE if c is ONE else Coefficient.rational(1 / c.rational_value())
+        return _Value(v.kind, {(-e, 0): inv})
 
 
-def parse_value(text: str, dim: int) -> _Value:
-    return _Parser(text, dim).parse()
+def _parse_as(text: str, dim: int, kind: str, what: str):
+    """Terms and flags of the text read as the given kind; a scalar is
+    promoted to it."""
+    v = _Parser(text, dim).parse()
+    if v.kind == "scalar":
+        return _promoted(kind, v.terms), ()
+    if v.kind != kind:
+        raise ParseError(f"expected {what} expression, got {v.kind}")
+    return v.terms, v.flags
 
 
 def parse_position(text: str, dim: int) -> PositionFunction:
-    v = parse_value(text, dim)
-    if v.position is not None:
-        return v.position
-    if v.scalar is not None:
-        return PositionFunction.build(dim, [RadialTerm(v.scalar, Fraction(0), 0)])
-    raise ParseError(f"expected a position-space expression, got {v.kind}")
+    terms, flags = _parse_as(text, dim, "position", "a position-space")
+    return _position(dim, terms, flags)
 
 
 def parse_momentum(text: str, dim: int) -> MomentumFunction:
-    v = parse_value(text, dim)
-    if v.momentum is not None:
-        return v.momentum
-    if v.scalar is not None:
-        return MomentumFunction.build(dim, [MomentumTerm(v.scalar, Fraction(0), 0)])
-    raise ParseError(f"expected a momentum-space expression, got {v.kind}")
+    terms, _ = _parse_as(text, dim, "momentum", "a momentum-space")
+    return MomentumFunction.build(dim, [MomentumTerm(c, e, k) for (e, k), c in terms.items()])
 
 
 def parse_operator(text: str, dim: int = 4) -> DiffOperator:
-    v = parse_value(text, dim)
-    if v.operator is not None:
-        return v.operator
-    if v.scalar is not None:
-        return DiffOperator.identity().scaled(v.scalar)
-    raise ParseError(f"expected an operator expression, got {v.kind}")
+    terms, _ = _parse_as(text, dim, "operator", "an operator")
+    return DiffOperator.build(terms)

@@ -65,16 +65,17 @@ class AuditReport:
     character: Character
 
 
-def character_eval(b: PositionFunction, ch: Character) -> float:
-    """Numeric value of the exact transform of b at the character momentum."""
+def character_eval(
+    b: PositionFunction, ch: Character, cfg: QuadratureConfig = DEFAULT_CONFIG
+) -> float:
+    """Value of the transform of b at the character momentum, by the route
+    :func:`transform_value` picks: exact for integer exponents, numeric for
+    fractional ones, whose exact transform leaves the symbol set."""
     if b.dim != ch.dim:
         raise DiffRegError("dimension mismatch with character")
     if not fourier_safe(b):
         raise EvaluationError("character is defined on Fourier-safe functions only")
-    F = fourier_base(b)
-    if F.is_zero():
-        return 0.0
-    return eval_momentum(F, ch.p0, ch.Mval)
+    return transform_value(b, ch.p0, ch.Mval, cfg)[0]
 
 
 def reduce_mod_ideal(elem: IdealElement, ch: Character) -> PositionFunction:
@@ -146,7 +147,7 @@ def diagram_audit(
 ) -> AuditReport:
     """Residual of the kernel claim for a single ideal element."""
     ab = mul(elem.a, elem.b)
-    eps_b = character_eval(elem.b, ch)
+    eps_b = character_eval(elem.b, ch, cfg)
     if ab.is_zero():
         value_ab, route = 0.0, "zero"
     else:

@@ -37,13 +37,12 @@ def angular_series(n: int, order: int) -> List[Fraction]:
     """Taylor coefficients of the spherical plane-wave average
     A_n(z) = sum_i alpha_i z^(2i), alpha_i = (-1/4)^i Gamma(n/2)/(i! Gamma(n/2+i)).
     The ratio of Gammas is rational for every n, so the coefficients are
-    exact rationals; A_n(0) = 1."""
-    out = []
-    for i in range(order):
-        ratio = Fraction(1)
-        for j in range(i):
-            ratio /= Fraction(n, 2) + j
-        out.append(Fraction(-1, 4) ** i / math.factorial(i) * ratio)
+    exact rationals, from alpha_0 = 1 and
+    alpha_i = alpha_{i-1} (-1/4) / (i (n/2 + i - 1))
+            = -alpha_{i-1} / (2i (n + 2i - 2))."""
+    out = [Fraction(1)][:order]
+    for i in range(1, order):
+        out.append(out[-1] / (-2 * i * (n + 2 * i - 2)))
     return out
 
 
@@ -95,8 +94,11 @@ def surface_expansion(
     for m, cm in L.coeffs:
         if m == 0:
             continue
+        omega_cm = omega * cm
         v = list(g.radial)
         for j in range(m):
+            # the remaining Laplacians give the symbol factor (-p^2)^q
+            q = m - 1 - j
             # bracket of v_j against the angular kernel at r = eps
             for t in v:
                 a, k = t.rpow, t.logpow
@@ -107,28 +109,26 @@ def surface_expansion(
                         f"series order {order} cannot reach eps^0 for a term "
                         f"r^{a}; increase the order past {need + 1}"
                     )
-                # smallest positive mm = n - 2 + a + 2i over i >= 0
-                x = n - 2 + a
-                dropped.append((x + 2 * max(0, math.floor(-x / 2) + 1), k))
-                base = -1 * omega * t.coeff * Fraction(2) ** k * cm
-                for i, alpha in enumerate(alphas):
-                    mm = n - 2 + a + 2 * i
-                    if mm > 0:
-                        continue
-                    # value carries p^(2i) from the kernel and the symbol
-                    # factor (-p^2)^(m-1-j) from the remaining Laplacians
-                    q = m - 1 - j
-                    pref = base * alpha * (Fraction(-1) ** q)
+                # the orders i <= top have mm = x + 2i <= 0; the first
+                # dropped one is the smallest positive mm over i >= 0
+                x, top = n - 2 + a, math.floor(need)
+                dropped.append((x + 2 * max(0, top + 1), k))
+                base = omega_cm * t.coeff
+                shared = (-1) ** (q + 1) * 2 ** k
+                # each kept order carries p^(2i) from the kernel and p^(2q)
+                # from the symbol; its rational factors fold into one
+                # before the single coefficient product
+                for i in range(top + 1):
+                    pref = alphas[i] * shared
+                    key = (x + 2 * i, k)
                     ppow = Fraction(2 * i + 2 * q)
-                    c_k = pref * (a - 2 * i)  # multiplies log^k(eps M)
-                    if not c_k.is_zero():
-                        acc.setdefault((mm, k), []).append(
-                            MomentumTerm(c_k, ppow)
+                    if a != 2 * i:  # multiplies log^k(eps M)
+                        acc.setdefault(key, []).append(
+                            MomentumTerm(base * (pref * (a - 2 * i)), ppow)
                         )
                     if k >= 1:
-                        c_km1 = pref * k
-                        acc.setdefault((mm, k - 1), []).append(
-                            MomentumTerm(c_km1, ppow)
+                        acc.setdefault((key[0], k - 1), []).append(
+                            MomentumTerm(base * (pref * k), ppow)
                         )
             v = laplacian_radial(n, v)
 

@@ -28,7 +28,7 @@ from diffreg.parser import parse_position
 from diffreg.printer import format_momentum
 from diffreg.regulate import find_representation
 
-from conftest import small_rationals
+from conftest import coefficients, small_rationals
 
 
 class TestExactValues:
@@ -151,6 +151,21 @@ class TestInverse:
             4,
             [RadialTerm(Coefficient.rational(q), Fraction(a), k) for q, a, k in raw],
         )
+        assert inverse_fourier_base(fourier_base(f)) == f
+
+    @pytest.mark.parametrize("n, a", [(n, a) for n in range(2, 7) for a in range(1 - n, 0)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_symbol_coefficients(self, n, a, data):
+        # several log powers at the exponent a, plus terms at other window
+        # exponents, with coefficients over the whole symbol set
+        nonzero = coefficients().filter(lambda c: not c.is_zero())
+        logs = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        terms = [RadialTerm(data.draw(nonzero), Fraction(a), k) for k in logs]
+        for b, k in data.draw(st.lists(st.tuples(st.integers(1 - n, -1), st.integers(0, 3)),
+                                       max_size=3)):
+            terms.append(RadialTerm(data.draw(nonzero), Fraction(b), k))
+        f = PositionFunction.build(n, terms)
         assert inverse_fourier_base(fourier_base(f)) == f
 
     def test_round_trip_with_delta(self):

@@ -97,6 +97,109 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_operator("r^-2")
 
+    @pytest.mark.parametrize("text, col", [
+        ("1/0*r^-2", 3), ("r^-3/0", 6), ("0/0", 3), ("3/r^2/0", 7),
+    ])
+    def test_zero_denominator(self, text, col):
+        with pytest.raises(ParseError) as exc:
+            parse_position(text, 4)
+        assert str(exc.value) == f"division by zero (line 1, column {col})"
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+
+_PARSERS = {
+    "position": parse_position,
+    "momentum": parse_momentum,
+    "operator": parse_operator,
+}
+
+# Accepted inputs that the printer never writes, parsed in dim 4, with the
+# repr of each result as the parser gave it before it built each value once.
+PARSE_GOLDEN = [
+    ("position", "1440*ln2/r^10",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 1, 0), "
+     "Fraction(1440, 1)),)), rpow=Fraction(-10, 1), logpow=0),), local=(), flags=())"),
+    ("position", "3/r^2",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(3, 1)),)), rpow=Fraction(-2, 1), logpow=0),), local=(), flags=())"),
+    ("position", "-(r^-2 - 2*r^-4)",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(2, 1)),)), rpow=Fraction(-4, 1), logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-1, 1)),)), rpow=Fraction(-2, 1), logpow=0)), local=(), "
+     "flags=())"),
+    ("position", "(box + 2)*r^-2",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(2, 1)),)), rpow=Fraction(-2, 1), logpow=0),), local=(LocalTerm(coeff="
+     "Coefficient(terms=(((2, 0, 0, 0), Fraction(-4, 1)),)), boxpow=0),), flags=())"),
+    ("position", "box^2*r^2",
+     "PositionFunction(dim=4, radial=(), local=(), flags=())"),
+    ("position", "3/2*box*delta",
+     "PositionFunction(dim=4, radial=(), local=(LocalTerm(coeff=Coefficient(terms=(((0, 0, "
+     "0, 0), Fraction(3, 2)),)), boxpow=1),), flags=())"),
+    ("operator", "2/(1/2)",
+     "DiffOperator(coeffs=((0, Coefficient(terms=(((0, 0, 0, 0), Fraction(4, 1)),))),))"),
+    ("position", "r^-2/(2*r^-2)",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(1, 2)),)), rpow=Fraction(0, 1), logpow=0),), local=(), flags=())"),
+    ("momentum", "-4*pi^2*log(p^2/M^2)/p^2",
+     "MomentumFunction(dim=4, terms=(MomentumTerm(coeff=Coefficient(terms=(((2, 0, 0, 0), "
+     "Fraction(-4, 1)),)), ppow=Fraction(-2, 1), logpow=1),), local_poly=(), flags=())"),
+    ("position", "r^-4\n  - 1/4*log(r^2*M^2)/r^2",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(1, 1)),)), rpow=Fraction(-4, 1), logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-1, 4)),)), rpow=Fraction(-2, 1), logpow=1)), local=(), "
+     "flags=())"),
+    ("position", "-box*(r^-2*log(r^2*M^2))",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(4, 1)),)), rpow=Fraction(-4, 1), logpow=0),), local=(), "
+     "flags=('distributional part undetermined',))"),
+    ("position", "r^-6 + box*(r^-2*log(r^2*M^2))",
+     "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(1, 1)),)), rpow=Fraction(-6, 1), logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-4, 1)),)), rpow=Fraction(-4, 1), logpow=0)), local=(), "
+     "flags=('distributional part undetermined',))"),
+    ("operator", "(box + 2)*(box - 1/2)",
+     "DiffOperator(coeffs=((0, Coefficient(terms=(((0, 0, 0, 0), Fraction(-1, 1)),))), "
+     "(1, Coefficient(terms=(((0, 0, 0, 0), Fraction(3, 2)),))), (2, Coefficient(terms="
+     "(((0, 0, 0, 0), Fraction(1, 1)),)))))"),
+    ("momentum", "p^2*(1 - p^-2)",
+     "MomentumFunction(dim=4, terms=(), local_poly=((Coefficient(terms=(((0, 0, 0, 0), "
+     "Fraction(-1, 1)),)), 0), (Coefficient(terms=(((0, 0, 0, 0), Fraction(-1, 1)),)), 1)), "
+     "flags=())"),
+]
+
+
+@pytest.mark.parametrize("kind, text, golden", PARSE_GOLDEN)
+def test_parse_golden(kind, text, golden):
+    assert repr(_PARSERS[kind](text, 4)) == golden
+
+
+# Malformed position inputs: message, line and column as the parser gave
+# them before it built each value once.  The first four are the tour's
+# malformations of a target.
+PARSE_ERRORS = [
+    ("r^-4 +", "unexpected token ''", 1, 7),
+    ("r^^-4", "expected 'number', found '^'", 1, 3),
+    ("(r^-4", "expected ')', found ''", 1, 6),
+    ("r^-4*)", "unexpected token ')'", 1, 6),
+    ("r^-2 + @", "unexpected character '@'", 1, 8),
+    ("r^-2 r", "unexpected trailing input 'r'", 1, 6),
+    ("pi^-2", "this power must be a non-negative integer", 1, 6),
+    ("r^-2*p^2", "cannot multiply position by momentum", 1, 9),
+    ("(r^-2)/(r^-2+r^-4)", "can only divide by a single power term", 1, 19),
+    ("r^-2 +\n  2*r^-4 +", "unexpected token ''", 2, 11),
+    ("r^-2\n  * box", "cannot multiply position by operator", 2, 8),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS)
+def test_parse_error_golden(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_position(text, 4)
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
 
 exponent_st = st.one_of(
     st.integers(-5, 5).map(Fraction),
@@ -259,6 +362,17 @@ class TestCli:
         assert code == 0
         assert "numeric" in doc["symbolic"]["terms"]["route"]
 
+    def test_audit_fractional_b(self, capsys):
+        code, doc = run_json(
+            capsys, "audit", "--a", "r^-2", "--b", "r^-3/2", "--p0", "1", "--dim", "4"
+        )
+        assert code == 0
+        # pi^{n/2} 2^{n+a} Gamma((n+a)/2) / Gamma(-a/2) at n = 4, a = -3/2
+        want = math.pi ** 2 * 2 ** 2.5 * math.gamma(1.25) / math.gamma(0.75)
+        assert want == pytest.approx(41.2963837353358, rel=1e-14)
+        got = float(doc["symbolic"]["terms"]["character_value"])
+        assert got == pytest.approx(want, rel=1e-8)
+
     def test_oracle(self, capsys):
         code, doc = run_json(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--dim", "4")
         assert code == 0
@@ -281,6 +395,13 @@ class TestCli:
         assert code == 2
         assert doc["status"] == "error"
         assert doc["error"]["code"] == "parse"
+
+    def test_zero_denominator_gives_parse_envelope(self, capsys):
+        code, doc = run_json(capsys, "regulate", "--target=1/0*r^-2", "--dim", "4")
+        assert code == 2
+        assert doc["error"] == {
+            "code": "parse", "message": "division by zero (line 1, column 3)",
+        }
 
     def test_domain_error_exit_code(self, capsys):
         # r^-2 is already Fourier-safe: regulating it is a domain error

@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from diffreg.algebra import PositionFunction, add, eval_position, position_term, scale
+from diffreg.algebra import (
+    PositionFunction,
+    add,
+    eval_momentum,
+    eval_position,
+    position_term,
+    scale,
+)
 from diffreg.errors import DiffRegError, EvaluationError
+from diffreg.fourier import fourier_base
 from diffreg.quotient import (
     AuditReport,
     Character,
@@ -35,6 +43,18 @@ class TestCharacter:
         ch = Character(1.0, 4)
         with pytest.raises(EvaluationError):
             character_eval(position_term(4, 1, Fraction(-4)), ch)
+
+    def test_integer_exponent_is_the_exact_value(self):
+        ch = Character(1.3, 4)
+        b = add(position_term(4, 2, Fraction(-2), 1), position_term(4, -1, Fraction(-3)))
+        assert character_eval(b, ch) == eval_momentum(fourier_base(b), 1.3, 1.0)
+
+    @pytest.mark.parametrize("n, a", [(4, Fraction(-3, 2)), (3, Fraction(-1, 3))])
+    def test_fractional_exponent_takes_numeric_route(self, n, a):
+        got = character_eval(position_term(n, 1, a), Character(1.0, n))
+        x = float(a)
+        want = math.pi ** (n / 2) * 2 ** (n + x) * math.gamma((n + x) / 2) / math.gamma(-x / 2)
+        assert got == pytest.approx(want, rel=1e-8)
 
     def test_rejects_bad_momentum(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from diffreg.algebra import eval_momentum, position_term
-from diffreg.coeffs import PI
+from diffreg.coeffs import PI, gamma_exact
 from diffreg.errors import SurfaceOrderError
 from diffreg.fourier import fourier_formal
 from diffreg.numeric import angular_kernel, truncated_ft_numeric
@@ -24,6 +24,17 @@ class TestAngularSeries:
             alphas = angular_series(n, 4)
             assert alphas[0] == 1
             assert alphas[1] == Fraction(-1, 2 * n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gamma_ratio_definition(self, n):
+        # alpha_i = (-1/4)^i Gamma(n/2) / (i! Gamma(n/2 + i)), exactly
+        g0, h0 = gamma_exact(Fraction(n, 2))
+        want = []
+        for i in range(12):
+            gi, hi = gamma_exact(Fraction(n, 2) + i)
+            assert hi == h0  # the sqrt(pi) parts cancel
+            want.append(Fraction(-1, 4) ** i * g0 / (math.factorial(i) * gi))
+        assert angular_series(n, 12) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_matches_kernel(self, n):
