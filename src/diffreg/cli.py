@@ -64,7 +64,6 @@ def _check_finite(name: str, value):
 # config value parsers, keyed by the type of the QuadratureConfig default
 _VALUE_PARSERS = {
     float: float,
-    int: int,
     bool: lambda v: v.lower() in ("1", "true", "yes"),
     tuple: lambda v: tuple(float(s) for s in v.split(",")),
 }
@@ -107,25 +106,21 @@ class _Report:
     def set_symbolic(self, text: str, terms=None):
         self.symbolic = {"text": text, "terms": terms or []}
 
-    def check(self, name: str, expected: Optional[float], actual: Optional[float], tol: float):
-        if expected is None or actual is None:
-            ok = True
-            abs_err = rel_err = None
-        else:
+    def _add_check(self, name: str, expected, actual, abs_err, rel_err, ok) -> None:
+        """The one builder of a numeric check; each caller keeps its pass rule."""
+        self.checks.append({"name": name, "expected": _fmt(expected), "actual": _fmt(actual),
+                            "abs_err": _fmt(abs_err), "rel_err": _fmt(rel_err),
+                            "pass": bool(ok)})
+
+    def check(self, name: str, expected: Optional[float], actual: Optional[float],
+              tol: float) -> None:
+        abs_err = rel_err = None
+        ok = True
+        if expected is not None and actual is not None:
             abs_err = abs(actual - expected)
             rel_err = abs_err / max(abs(expected), 1e-300)
             ok = rel_err <= tol or abs_err <= tol * 1e-3
-        self.checks.append(
-            {
-                "name": name,
-                "expected": _fmt(expected),
-                "actual": _fmt(actual),
-                "abs_err": _fmt(abs_err),
-                "rel_err": _fmt(rel_err),
-                "pass": bool(ok),
-            }
-        )
-        return ok
+        self._add_check(name, expected, actual, abs_err, rel_err, ok)
 
     def defect_check(self, name: str, model: float, trunc: float, tol_defect: float,
                      prev: Optional[float] = None) -> float:
@@ -136,16 +131,8 @@ class _Report:
         defect = abs(trunc - model)
         bound = max(tol_defect, abs(trunc) * 0.05)
         shrinking = prev is None or defect <= prev * 1.2
-        self.checks.append(
-            {
-                "name": name,
-                "expected": _fmt(model),
-                "actual": _fmt(trunc),
-                "abs_err": _fmt(defect),
-                "rel_err": _fmt(defect / max(abs(trunc), 1e-300)),
-                "pass": bool(defect <= bound and shrinking),
-            }
-        )
+        self._add_check(name, model, trunc, defect, defect / max(abs(trunc), 1e-300),
+                        defect <= bound and shrinking)
         return defect
 
     def as_dict(self) -> dict:

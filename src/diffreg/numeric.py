@@ -4,16 +4,16 @@ Radial reduction: int e^{ip.x} f(r) d^n x = Omega_{n-1} int_0^inf f(r)
 A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z).
 The finite range is cut into panels at geometric breakpoints near the lower
 end and at oscillation half-periods.  Every panel gets fixed Gauss-Legendre
-nodes, all panels in one array evaluation, except the panel reaching down to
-the origin, where power-log profiles are singular: quad integrates that one
-adaptively.  The conditionally convergent tail beyond
-R = tail_radius_factor / p is summed by an asymptotic integration-by-parts
-series built on the large-argument Hankel expansion whenever f is a
-PositionFunction.  A callable profile has no series, so its tail is
+nodes, all panels in one array evaluation, except a PositionFunction's panel
+reaching down to the origin, where it is singular: that one is integrated in
+closed form over the Taylor series of A_n.  The conditionally convergent
+tail beyond R = tail_radius_factor / p is summed by an asymptotic
+integration-by-parts series built on the large-argument Hankel expansion
+whenever f is a PositionFunction.  A callable profile has no series, so its tail is
 integrated with exponential damping and extrapolated to zero damping; the
 same damping ladder is the independent cross-check of the series
-(tail_cross_check).  Both paths are deterministic.  numpy and scipy load on
-the first quadrature call, so importing diffreg does not pay for them.
+(tail_cross_check).  Both paths are deterministic.  numpy and scipy.special
+load on the first quadrature call, so importing diffreg does not pay for them.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .algebra import (
-    PositionFunction,
-    eval_position,
-    radial_derivative,
-)
+from .algebra import PositionFunction, radial_derivative
 from .coeffs import sphere_area
 from .errors import ConvergenceError, EvaluationError, NonIntegrableError
 
@@ -40,7 +36,6 @@ Profile = Union[PositionFunction, Callable[[float], float]]
 class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_depth: int = 40
     tail_radius_factor: float = 200.0  # R = factor / p
     # damping rates in units of p (the tail regulator is e^{-d p (r-R)}, so
     # the decay per oscillation is the same at every p); geometric ladder,
@@ -75,17 +70,16 @@ def gaussian_profile(r: float) -> float:
     return math.exp(-r * r)
 
 
-# numpy, scipy and the Gauss-Legendre tables, bound by _load on the first
-# quadrature or Bessel call; special doubles as the loaded flag
-np = quad = special = None
+# numpy, scipy.special and the Gauss-Legendre tables, bound by _load on the
+# first quadrature or Bessel call; special doubles as the loaded flag
+np = special = None
 _GL_NODES = _GL_WEIGHTS = _GL12_NODES = _GL12_WEIGHTS = _PANEL_NODES = None
 
 
 def _load() -> None:
-    global np, quad, special
+    global np, special
     global _GL_NODES, _GL_WEIGHTS, _GL12_NODES, _GL12_WEIGHTS, _PANEL_NODES
     import numpy as np
-    from scipy.integrate import quad
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
     _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -167,17 +161,11 @@ def finite_diff_lnM(
 # -- internals ---------------------------------------------------------
 
 
-def _profile_value(f: Profile, r: float, Mval: float) -> float:
-    if isinstance(f, PositionFunction):
-        return eval_position(f, r, Mval)
-    return f(r)
-
-
 def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     if not (math.isfinite(p) and math.isfinite(Mval)):
         raise EvaluationError("p and M must be finite")
-    if p < 0:
-        raise EvaluationError("p must be non-negative")
+    if p < 0 or Mval <= 0:
+        raise EvaluationError("p must be non-negative and M positive")
     if special is None:
         _load()
     omega = sphere_area(n).evalf()
@@ -187,17 +175,13 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
             raise EvaluationError(
                 "p = 0 is only supported for decaying callable profiles"
             )
-        R0 = 50.0
-        pts = _panel_points(lo, R0, math.inf, cfg)
-        val, err = _quad_panels(f, p, n, Mval, pts, cfg)
+        val, err = _quad_panels(f, p, n, Mval, _panel_points(lo, 50.0, math.inf))
         return omega * val, omega * err
 
     # a truncation radius beyond tail_radius_factor / p leaves only the tail
     R = max(cfg.tail_radius_factor / p, lo)
     half = math.pi / p
-    main_val, main_err = _quad_panels(
-        f, p, n, Mval, _panel_points(lo, R, half, cfg), cfg
-    )
+    main_val, main_err = _quad_panels(f, p, n, Mval, _panel_points(lo, R, half))
 
     tail_val, tail_err = _tail(f, p, n, Mval, R, cfg)
     if cfg.tail_cross_check and isinstance(f, PositionFunction):
@@ -226,22 +210,20 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
 _GRID_START = 1e-6  # the geometric breakpoints start here (or at lo)
 
 
-def _panel_points(lo: float, hi: float, half: float, cfg) -> List[float]:
+def _panel_points(lo: float, hi: float, half: float) -> List[float]:
     """Deterministic breakpoints: geometric refinement near the lower end
     (steep power-law behaviour) plus oscillation half-periods."""
     pts = [lo]
-    start = max(lo, _GRID_START)
-    x = start * 4.0
-    first_osc = half if math.isfinite(half) else hi
-    while x < min(first_osc, hi):
+    x = max(lo, _GRID_START) * 4.0
+    while x < min(half, hi):
         pts.append(x)
         x *= 4.0
-    if math.isfinite(half):
-        k = 1
-        while k * half < hi:
-            if k * half > pts[-1]:
-                pts.append(k * half)
-            k += 1
+    # the first half-period past the last point; half = inf (p = 0) adds none
+    k = max(1, int(pts[-1] // half))
+    while k * half < hi:
+        if k * half > pts[-1]:
+            pts.append(k * half)
+        k += 1
     if pts[-1] < hi:
         pts.append(hi)
     return pts
@@ -251,37 +233,18 @@ def _panel_points(lo: float, hi: float, half: float, cfg) -> List[float]:
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
-def _quad_panels(
-    f: Profile, p, n, Mval, pts: Sequence[float], cfg
-) -> Tuple[float, float]:
-    """Integral of f A_n(pr) r^(n-1) over the panels between pts.
-
-    A first panel starting below the geometric grid (r = 0, where power-log
-    profiles are singular) and, at p = 0, every panel are integrated
-    adaptively by quad.  The other panels get fixed 24-point Gauss-Legendre
-    nodes, all in one array evaluation; each panel's error estimate is
-    |GL24 - GL12| plus the roundoff floor."""
-
-    def integrand(r: float) -> float:
-        return _profile_value(f, r, Mval) * angular_kernel(n, p * r) * r ** (n - 1)
-
-    npanels = max(len(pts) - 1, 1)
-    n_adaptive = npanels if p == 0.0 else int(pts[0] < _GRID_START)
-    vals = []
-    errs = []
-    for a, b in zip(pts[:n_adaptive], pts[1:n_adaptive + 1]):
-        v, e = quad(
-            integrand,
-            a,
-            b,
-            epsabs=cfg.abs_tol / npanels,
-            epsrel=cfg.rel_tol * 0.1,
-            limit=max(cfg.max_depth, 10),
-        )
-        vals.append(v)
-        errs.append(e)
-    if len(pts) - 1 > n_adaptive:
-        edges = np.asarray(pts[n_adaptive:], dtype=float)
+def _quad_panels(f: Profile, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
+    """Integral of f A_n(pr) r^(n-1) over the panels between pts: fixed
+    24-point Gauss-Legendre nodes, all in one array evaluation, with the
+    estimate |GL24 - GL12| plus the roundoff floor per panel.  Only a
+    PositionFunction's first panel, if it starts below the geometric grid
+    (at r = 0, where it is singular), is integrated in closed form."""
+    vals, errs = [], []
+    if isinstance(f, PositionFunction) and pts[0] < _GRID_START:
+        v, e = _origin_panel(f, p, n, Mval, pts[0], pts[1])
+        vals, errs, pts = [v], [e], pts[1:]
+    if len(pts) > 1:
+        edges = np.asarray(pts, dtype=float)
         a = edges[:-1]
         scale = 0.5 * (edges[1:] - a)
         r = a[:, None] + (_PANEL_NODES[None, :] + 1.0) * scale[:, None]
@@ -293,6 +256,49 @@ def _quad_panels(
         vals.extend(fine.tolist())
         errs.extend((np.abs(fine - coarse) + floor).tolist())
     return math.fsum(vals), math.fsum(errs)
+
+
+def _origin_panel(f: PositionFunction, p, n, Mval, a, b) -> Tuple[float, float]:
+    """int_a^b f A_n(pr) r^(n-1) dr in closed form, a = 0 or a truncation
+    radius below the grid.  With A_n(z) = sum_j alpha_j z^(2j),
+    alpha_j = -alpha_{j-1} / (2j (n+2j-2)), each term c r^s L^k,
+    L = log(r^2 M^2), integrates by parts: int r^sig L^k dr =
+    x^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i k!/(k-i)! L^(k-i), sig = s+n-1+2j
+    (L^(k+1) / 2(k+1) at sig = -1).  The sum stops once a j-block is below
+    roundoff; the estimate, that block plus the roundoff floor on the sum of
+    the moduli, shows the loss where p r is large and the sum cancels."""
+    # s + n summed exactly: float(s) + n would lose digits where it nears 0
+    terms = [(t.coeff.evalf(), float(t.rpow + n), t.logpow) for t in f.radial]
+    # each end above 0 adds sign * antiderivative; kerns holds alpha_j (p x)^(2j)
+    ends = [(sgn, x, math.log(x * x * Mval * Mval))
+            for sgn, x in ((1.0, b), (-1.0, a)) if x > 0]
+    kerns = [1.0] * len(ends)
+    parts = []
+    size = 0.0
+    # a panel ends at the first half-period past a or before, so p b <= pi
+    # when a = 0 and the blocks fall below roundoff by j = 15; where p a is
+    # large they never do, and the last block says so in the estimate
+    for j in range(64):
+        if j:
+            kerns = [w * -(p * x) ** 2 / (2 * j * (n + 2 * j - 2))
+                     for w, (_, x, _) in zip(kerns, ends)]
+        block = []
+        for (sgn, x, L), w in zip(ends, kerns):
+            for c, e, k in terms:
+                e2 = e + 2 * j  # sig + 1
+                front = sgn * c * w * x ** e
+                if e2 == 0.0:
+                    block.append(front * L ** (k + 1) / (2 * (k + 1)))
+                    continue
+                for i in range(k + 1):
+                    block.append(front / e2 * (-2.0 / e2) ** i
+                                 * math.perm(k, i) * L ** (k - i))
+        parts.extend(block)
+        last = math.fsum(abs(v) for v in block)
+        size += last
+        if last <= _ROUNDOFF * size:
+            break
+    return math.fsum(parts), last + _ROUNDOFF * size
 
 
 def _tail(f, p, n, Mval, R, cfg) -> Tuple[float, float]:
@@ -309,29 +315,26 @@ def _vector_integrand(f: Profile, p: float, n: int, Mval: float):
 
 
 def _array_integrand(f: Profile, p: float, n: int, Mval: float):
-    """f A_n(pr) r^(n-1) on an array of radii (r > 0 only)."""
+    """f A_n(pr) r^(n-1) on an array of radii (r > 0 only); the kernel is 1
+    at p = 0."""
     nu = 0.5 * n - 1.0
     gfac = math.gamma(0.5 * n)
     if isinstance(f, PositionFunction):
         data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
 
-        def vec(r):
-            z = p * r
-            kern = gfac * (2.0 / z) ** nu * special.jv(nu, z)
+        def profile(r):
             lg = np.log(r * r * (Mval * Mval))
             fr = np.zeros_like(r)
             for c, a, k in data:
                 fr += c * r ** a * lg ** k
-            return fr * kern * r ** (n - 1)
-
-        return vec
-
-    sf = np.frompyfunc(f, 1, 1)
+            return fr
+    else:
+        profile = np.vectorize(f, otypes=[float])
 
     def vec(r):
         z = p * r
-        kern = gfac * (2.0 / z) ** nu * special.jv(nu, z)
-        return sf(r).astype(float) * kern * r ** (n - 1)
+        kern = gfac * (2.0 / z) ** nu * special.jv(nu, z) if p else 1.0
+        return profile(r) * kern * r ** (n - 1)
 
     return vec
 

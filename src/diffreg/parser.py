@@ -125,12 +125,18 @@ def _position(dim: int, terms: dict, flags) -> PositionFunction:
     return PositionFunction.build(dim, radial, local, flags)
 
 
+# parentheses may nest this deep: the descent recurses once per level, and
+# deeper input would exhaust the Python stack
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, dim: int):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dim = dim
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -186,12 +192,17 @@ class _Parser:
         """One factor, times -1 when ``negate``: the sign lands on the
         leaf's coefficient."""
         kind, text, _ = tok = self.advance()
+        while text == "-":
+            negate = not negate
+            kind, text, _ = tok = self.advance()
         unit = MINUS_ONE if negate else ONE
-        if text == "-":
-            return self.factor(not negate)
         if text == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
             val = self.expr()
             self.expect("op", ")")
+            self.depth -= 1
             return self._scale(unit, val) if negate else val
         if kind == "number":
             q = self._ratio(int(text))

@@ -14,6 +14,7 @@ structure on the momentum side, so the residual is data, not a failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from .algebra import (
     PositionFunction,
@@ -36,8 +37,11 @@ class Character:
     Mval: float = 1.0
 
     def __post_init__(self):
-        if self.p0 <= 0:
-            raise ValueError("character momentum must be positive")
+        # "not p0 > 0" rather than "p0 <= 0", so that nan is rejected too
+        if not (self.p0 > 0 and math.isfinite(self.p0)):
+            raise ValueError("character momentum must be finite and positive")
+        if not math.isfinite(self.Mval):
+            raise ValueError("character mass scale must be finite")
 
 
 @dataclass(frozen=True)

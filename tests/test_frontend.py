@@ -403,6 +403,20 @@ class TestCli:
             "code": "parse", "message": "division by zero (line 1, column 3)",
         }
 
+    def test_deep_nesting_gives_parse_envelope(self, capsys):
+        # the recursive descent must not overflow the Python stack
+        target = "(" * 400 + "r^-4" + ")" * 400
+        code, doc = run_json(capsys, "regulate", f"--target={target}", "--dim", "4")
+        assert code == 2
+        assert doc["error"] == {
+            "code": "parse",
+            "message": "parentheses nested deeper than 100 (line 1, column 101)",
+        }
+        # long sign chains are read by a loop, not by recursion
+        code, doc = run_json(capsys, "regulate", "--target=" + "-" * 2000 + "r^-4",
+                             "--dim", "4")
+        assert code == 0
+
     def test_domain_error_exit_code(self, capsys):
         # r^-2 is already Fourier-safe: regulating it is a domain error
         code, doc = run_json(capsys, "regulate", "--target", "r^-2")
@@ -528,9 +542,9 @@ class TestConfig:
 
     def test_env_var(self, tmp_path, monkeypatch):
         path = tmp_path / "numeric.cfg"
-        path.write_text("max_depth = 17\n")
+        path.write_text("tail_radius_factor = 150\n")
         monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_config().max_depth == 17
+        assert load_config().tail_radius_factor == 150.0
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "numeric.cfg"
@@ -540,10 +554,13 @@ class TestConfig:
         with pytest.raises(DiffRegError):
             load_config(str(path))
 
-    def test_removed_tail_method_key(self, capsys, tmp_path):
-        # the tail regulator follows the input type; the old key is unknown
+    @pytest.mark.parametrize("line", ["tail_method = asymptotic-series", "max_depth = 40"],
+                             ids=["tail_method", "max_depth"])
+    def test_removed_tail_method_key(self, capsys, tmp_path, line):
+        # removed keys are unknown: the tail regulator follows the input
+        # type, and no panel is integrated adaptively
         path = tmp_path / "numeric.cfg"
-        path.write_text("tail_method = asymptotic-series\n")
+        path.write_text(line + "\n")
         code, doc = run_json(
             capsys, "oracle", "--fn", "r^-2", "--p", "1", "--config", str(path)
         )
@@ -564,14 +581,15 @@ class TestConfig:
         )
 
 
-# run in a fresh interpreter: reports which of numpy and scipy are loaded
-# after the imports, after exact-only subcommands and after the oracle
+# run in a fresh interpreter: reports which of numpy, scipy and
+# scipy.integrate are loaded after the imports, after exact-only subcommands
+# and after the oracle
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 import diffreg, diffreg.cli
 
 def loaded():
-    return [m for m in ("numpy", "scipy") if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "scipy.integrate") if m in sys.modules]
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
@@ -614,7 +632,9 @@ class TestDeferredLoad:
         # the audit took the exact and regulated routes, no quadrature
         assert "numeric" not in out["exact"][-1][2]
         assert out["after_exact"] == []
+        # the oracle needs numpy and scipy.special, no adaptive quadrature
         assert out["after_oracle"] == ["numpy", "scipy"]
+        assert "scipy.integrate" not in out["after_oracle"]
         # loading on the first call gives the same envelope as a warm process
         code, text = out["oracle"]
         assert code == 0

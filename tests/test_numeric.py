@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
 from diffreg.algebra import add, delta_term, eval_momentum, position_term
-from diffreg.errors import EvaluationError, NonIntegrableError
+from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
 from diffreg.fourier import fourier_base
 from diffreg.numeric import (
     QuadratureConfig,
+    _origin_panel,
+    _panel_points,
     finite_diff_lnM,
     gaussian_profile,
     hankel_numeric,
@@ -142,6 +145,53 @@ class TestAccuracyGrid:
         assert abs(val - want) <= err
 
 
+class TestOriginPanel:
+    # the closed-form panel from r = 0 (or a truncation radius below the
+    # geometric grid) to the first breakpoint, for r^s log^k(r^2 M^2) with
+    # s just above -n; at p = 1e6 the panel ends at p r = pi
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("e", [Fraction(1, 10), Fraction(1, 2), Fraction(1)],
+                             ids=["s=-n+1/10", "s=-n+1/2", "s=-n+1"])
+    def test_matches_mpmath_within_estimate(self, n, e):
+        # with r = b t^(1/e) the panel is b^e / e int L^k A_n(p r) dt over
+        # [(a/b)^e, 1], smooth but for log t at t = 0; the kernel is mpmath's
+        # Bessel function, cached over k and M at each node
+        with mp.workdps(20):
+            em = mp.mpf(e.numerator) / e.denominator
+            for p in (1e-3, 1.0, 1e2, 1e6):
+                for lo in (0.0, 1e-7):
+                    a, b = _panel_points(lo, 200.0 / p, math.pi / p)[:2]
+                    kern = {}
+
+                    def node(t):
+                        if t not in kern:
+                            r = b * t ** (1 / em)
+                            z = p * r
+                            nu = mp.mpf(n) / 2 - 1
+                            kern[t] = r, mp.gamma(nu + 1) * (2 / z) ** nu * mp.besselj(nu, z)
+                        return kern[t]
+
+                    for k in range(4):
+                        for M in (0.5, 1.0, 2.0):
+                            f = position_term(n, 1, e - n, k)
+                            val, err = _origin_panel(f, p, n, M, a, b)
+
+                            def g(t):
+                                r, A = node(t)
+                                return mp.log(r * r * M * M) ** k * A
+
+                            ref = mp.quad(g, [(mp.mpf(a) / b) ** em, 1]) * mp.mpf(b) ** em / em
+                            assert abs(float(ref - val)) <= err, (p, lo, k, M)
+                            assert err <= 1e-12 * abs(val), (p, lo, k, M)
+
+    def test_cancelling_series_raises(self):
+        # at p = 1e9 a panel from r = 1e-7 spans p r from 100 on: the Taylor
+        # series of A_n cancels far below roundoff, and the estimate says so
+        f = position_term(4, 1, Fraction(-2))
+        with pytest.raises(ConvergenceError):
+            truncated_ft_numeric(f, 1e9, 4, 1.0, 1e-7)
+
+
 class TestContract:
     def test_deterministic(self):
         f = position_term(4, 1, Fraction(-2), 1)
@@ -202,6 +252,17 @@ class TestContract:
     def test_rejects_non_finite_input(self, p, M):
         with pytest.raises(EvaluationError):
             hankel_numeric(position_term(4, 1, Fraction(-2)), p, 4, M)
+
+    @pytest.mark.parametrize("M", [0.0, -1.0])
+    def test_rejects_non_positive_mass(self, M):
+        # the origin panel takes log(r^2 M^2) in closed form: M <= 0 must
+        # not reach it
+        for eps in (None, 1e-7, 0.1):
+            with pytest.raises(EvaluationError):
+                if eps is None:
+                    hankel_numeric(position_term(4, 1, Fraction(-2), 1), 1.0, 4, M)
+                else:
+                    truncated_ft_numeric(position_term(4, 1, Fraction(-4)), 1.0, 4, M, eps)
 
     def test_zero_momentum_needs_decay(self):
         with pytest.raises(EvaluationError):

@@ -60,6 +60,17 @@ class TestCharacter:
         with pytest.raises(ValueError):
             Character(0.0, 4)
 
+    @pytest.mark.parametrize("p0", [math.nan, math.inf])
+    def test_rejects_non_finite_momentum(self, p0):
+        # nan would make character_eval return nan, inf a silent 0.0
+        with pytest.raises(ValueError):
+            Character(p0, 4)
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, M):
+        with pytest.raises(ValueError):
+            Character(1.0, 4, M)
+
 
 class TestIdealElement:
     def test_validates_b_safe(self):
