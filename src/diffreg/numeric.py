@@ -207,14 +207,14 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     return value, err
 
 
-_GRID_START = 1e-6  # the geometric breakpoints start here (or at lo)
+_GRID_START = 1e-6  # the geometric breakpoints start here when lo = 0
 
 
 def _panel_points(lo: float, hi: float, half: float) -> List[float]:
     """Deterministic breakpoints: geometric refinement near the lower end
     (steep power-law behaviour) plus oscillation half-periods."""
     pts = [lo]
-    x = max(lo, _GRID_START) * 4.0
+    x = (lo or _GRID_START) * 4.0
     while x < min(half, hi):
         pts.append(x)
         x *= 4.0
@@ -237,11 +237,11 @@ def _quad_panels(f: Profile, p, n, Mval, pts: Sequence[float]) -> Tuple[float, f
     """Integral of f A_n(pr) r^(n-1) over the panels between pts: fixed
     24-point Gauss-Legendre nodes, all in one array evaluation, with the
     estimate |GL24 - GL12| plus the roundoff floor per panel.  Only a
-    PositionFunction's first panel, if it starts below the geometric grid
-    (at r = 0, where it is singular), is integrated in closed form."""
+    PositionFunction's first panel, if it starts at r = 0 (where the
+    profile is singular), is integrated in closed form."""
     vals, errs = [], []
-    if isinstance(f, PositionFunction) and pts[0] < _GRID_START:
-        v, e = _origin_panel(f, p, n, Mval, pts[0], pts[1])
+    if isinstance(f, PositionFunction) and pts[0] == 0.0:
+        v, e = _origin_panel(f, p, n, Mval, pts[1])
         vals, errs, pts = [v], [e], pts[1:]
     if len(pts) > 1:
         edges = np.asarray(pts, dtype=float)
@@ -258,41 +258,30 @@ def _quad_panels(f: Profile, p, n, Mval, pts: Sequence[float]) -> Tuple[float, f
     return math.fsum(vals), math.fsum(errs)
 
 
-def _origin_panel(f: PositionFunction, p, n, Mval, a, b) -> Tuple[float, float]:
-    """int_a^b f A_n(pr) r^(n-1) dr in closed form, a = 0 or a truncation
-    radius below the grid.  With A_n(z) = sum_j alpha_j z^(2j),
-    alpha_j = -alpha_{j-1} / (2j (n+2j-2)), each term c r^s L^k,
-    L = log(r^2 M^2), integrates by parts: int r^sig L^k dr =
-    x^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i k!/(k-i)! L^(k-i), sig = s+n-1+2j
-    (L^(k+1) / 2(k+1) at sig = -1).  The sum stops once a j-block is below
-    roundoff; the estimate, that block plus the roundoff floor on the sum of
-    the moduli, shows the loss where p r is large and the sum cancels."""
+def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
+    """int_0^b f A_n(pr) r^(n-1) dr in closed form.  With A_n(z) =
+    sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), each term
+    c r^s L^k, L = log(r^2 M^2), integrates by parts: int_0^b r^sig L^k dr =
+    b^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i k!/(k-i)! L(b)^(k-i), where
+    sig = s+n-1+2j > -1 because f is integrable at the origin.  The panel
+    ends at the first half-period or before, so p b <= pi and the sum stops
+    once a j-block is below roundoff; the estimate is that block plus the
+    roundoff floor on the sum of the moduli."""
+    L = math.log(b * b * Mval * Mval)
     # s + n summed exactly: float(s) + n would lose digits where it nears 0
-    terms = [(t.coeff.evalf(), float(t.rpow + n), t.logpow) for t in f.radial]
-    # each end above 0 adds sign * antiderivative; kerns holds alpha_j (p x)^(2j)
-    ends = [(sgn, x, math.log(x * x * Mval * Mval))
-            for sgn, x in ((1.0, b), (-1.0, a)) if x > 0]
-    kerns = [1.0] * len(ends)
+    terms = [(t.coeff.evalf() * b ** float(t.rpow + n), float(t.rpow + n), t.logpow)
+             for t in f.radial]
     parts = []
     size = 0.0
-    # a panel ends at the first half-period past a or before, so p b <= pi
-    # when a = 0 and the blocks fall below roundoff by j = 15; where p a is
-    # large they never do, and the last block says so in the estimate
-    for j in range(64):
+    w = 1.0  # alpha_j (p b)^(2j)
+    for j in range(32):
         if j:
-            kerns = [w * -(p * x) ** 2 / (2 * j * (n + 2 * j - 2))
-                     for w, (_, x, _) in zip(kerns, ends)]
+            w *= -(p * b) ** 2 / (2 * j * (n + 2 * j - 2))
         block = []
-        for (sgn, x, L), w in zip(ends, kerns):
-            for c, e, k in terms:
-                e2 = e + 2 * j  # sig + 1
-                front = sgn * c * w * x ** e
-                if e2 == 0.0:
-                    block.append(front * L ** (k + 1) / (2 * (k + 1)))
-                    continue
-                for i in range(k + 1):
-                    block.append(front / e2 * (-2.0 / e2) ** i
-                                 * math.perm(k, i) * L ** (k - i))
+        for c, e, k in terms:
+            e2 = e + 2 * j  # sig + 1
+            block.extend(c * w / e2 * (-2.0 / e2) ** i * math.perm(k, i)
+                         * L ** (k - i) for i in range(k + 1))
         parts.extend(block)
         last = math.fsum(abs(v) for v in block)
         size += last
