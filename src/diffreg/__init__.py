@@ -36,7 +36,6 @@ from .numeric import (
     QuadratureConfig,
     finite_diff_lnM,
     gauss_flux_numeric,
-    gaussian_profile,
     hankel_numeric,
     truncated_ft_numeric,
 )

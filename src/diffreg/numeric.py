@@ -1,19 +1,25 @@
 """Independent numerical oracle for the symbolic layer.
 
 Radial reduction: int e^{ip.x} f(r) d^n x = Omega_{n-1} int_0^inf f(r)
-A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z).
-The finite range is cut into panels at geometric breakpoints near the lower
-end and at oscillation half-periods.  Every panel gets fixed Gauss-Legendre
-nodes, all panels in one array evaluation, except a PositionFunction's panel
-reaching down to the origin, where it is singular: that one is integrated in
-closed form over the Taylor series of A_n.  The conditionally convergent
-tail beyond R = tail_radius_factor / p is summed by an asymptotic
-integration-by-parts series built on the large-argument Hankel expansion
-whenever f is a PositionFunction.  A callable profile has no series, so its tail is
-integrated with exponential damping and extrapolated to zero damping; the
-same damping ladder is the independent cross-check of the series
-(tail_cross_check).  Both paths are deterministic.  numpy and scipy.special
-load on the first quadrature call, so importing diffreg does not pay for them.
+A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z),
+for a power-log function f, a sum of c r^a log^k(r^2 M^2).  The range
+splits at b = max(lo, pi/p), where lo is 0 or the truncation radius:
+
+- [0, b] is one panel, integrated in closed form over the Taylor series of
+  A_n, which converges fast because p b = pi;
+- [lo, b] from a truncation radius gets fixed Gauss-Legendre nodes on a
+  geometric grid, all panels in one array evaluation; there is no such
+  piece when lo >= pi/p;
+- [b, inf) is rotated onto the contour r = b + iu/p (numerical steepest
+  descent).  f is analytic for Re r > 0 and J_nu = Re H1_nu, so the tail is
+  the real part of a contour integral whose integrand decays like e^{-u}
+  and does not oscillate; fixed Gauss-Laguerre nodes integrate it.  Where
+  the integrand grows, the rotated integral is the Abel-summed value.
+
+The opt-in tail_cross_check integrates [b, inf) on the real axis with
+exponential damping, extrapolated to zero damping, as an independent check
+of the contour.  All of it is deterministic.  numpy and scipy.special load
+on the first quadrature call, so importing diffreg does not pay for them.
 """
 
 from __future__ import annotations
@@ -21,40 +27,32 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 from .algebra import PositionFunction, radial_derivative
 from .coeffs import sphere_area
 from .errors import ConvergenceError, EvaluationError, NonIntegrableError
-
-Profile = Union[PositionFunction, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    tail_radius_factor: float = 200.0  # R = factor / p
-    # damping rates in units of p (the tail regulator is e^{-d p (r-R)}, so
-    # the decay per oscillation is the same at every p); geometric ladder,
-    # five levels so the Richardson table reaches quartic order (three
-    # levels leave the extrapolant short of the 1e-6 cross-regulator
-    # agreement)
+    # damping rates of the cross-check in units of p (its regulator is
+    # e^{-d p (r-b)}, so the decay per oscillation is the same at every p);
+    # geometric ladder, five levels so the Richardson table reaches quartic
+    # order (three levels leave the extrapolant short of the 1e-6
+    # cross-regulator agreement)
     dampings: Tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025, 0.00125)
     tail_cross_check: bool = False
     tail_cross_tol: float = 1e-6
 
     def __post_init__(self):
-        values = (self.rel_tol, self.abs_tol, self.tail_radius_factor,
-                  self.tail_cross_tol, *self.dampings)
+        values = (self.rel_tol, self.abs_tol, self.tail_cross_tol, *self.dampings)
         # "not x > 0" rather than "x <= 0", so that nan is rejected too
         if not all(x > 0 and math.isfinite(x) for x in values):
-            raise ValueError(
-                "tolerances, tail radius factor and dampings must be finite "
-                "and positive"
-            )
+            raise ValueError("tolerances and dampings must be finite and positive")
         d = self.dampings
         if len(d) < 2 or any(a <= b for a, b in zip(d, d[1:])):
             raise ValueError(
@@ -65,26 +63,42 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def gaussian_profile(r: float) -> float:
-    """Built-in smooth test profile exp(-r^2)."""
-    return math.exp(-r * r)
-
-
-# numpy, scipy.special and the Gauss-Legendre tables, bound by _load on the
-# first quadrature or Bessel call; special doubles as the loaded flag
+# numpy, scipy.special and the Gauss-Legendre and Gauss-Laguerre tables,
+# bound by _load on the first quadrature or Bessel call; special doubles as
+# the loaded flag
 np = special = None
 _GL_NODES = _GL_WEIGHTS = _GL12_NODES = _GL12_WEIGHTS = _PANEL_NODES = None
+_LAG_WEIGHTS = _LAG40_WEIGHTS = _CONTOUR_NODES = None
+_LAG_N = 60  # contour nodes; the estimate compares them with 40
 
 
 def _load() -> None:
     global np, special
     global _GL_NODES, _GL_WEIGHTS, _GL12_NODES, _GL12_WEIGHTS, _PANEL_NODES
+    global _LAG_WEIGHTS, _LAG40_WEIGHTS, _CONTOUR_NODES
     import numpy as np
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
     _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
     _PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])
+    lag_nodes, _LAG_WEIGHTS = _laguerre_rule(_LAG_N)
+    lag40_nodes, _LAG40_WEIGHTS = _laguerre_rule(40)
+    _CONTOUR_NODES = np.concatenate([lag_nodes, lag40_nodes])
     from scipy import special  # last: the flag is set once all is bound
+
+
+def _laguerre_rule(n: int):
+    """Gauss-Laguerre nodes from numpy, with the weights 1 / sum_{k<n}
+    L_k(x)^2 (the Christoffel function) by the three-term recurrence: within
+    2e-14 of themselves, where numpy's own weights are off by up to 1e-12
+    at the smallest nodes."""
+    x = np.polynomial.laguerre.laggauss(n)[0]
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    total = cur * cur
+    for k in range(n - 1):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        total += cur * cur
+    return x, 1.0 / total
 
 
 def angular_kernel(n: int, z: float) -> float:
@@ -101,23 +115,24 @@ def angular_kernel(n: int, z: float) -> float:
 
 
 def hankel_numeric(
-    f: Profile,
+    f: PositionFunction,
     p: float,
     n: int,
     Mval: float = 1.0,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> Tuple[float, float]:
     """Radial Fourier transform at momentum p; returns (value, errEstimate)."""
-    if isinstance(f, PositionFunction):
-        if f.local:
-            raise EvaluationError("numeric transform of delta terms is exact, "
-                                  "not quadrature; strip the local part")
-        for t in f.radial:
-            if t.rpow <= -n:
-                raise NonIntegrableError(
-                    f"term r^{t.rpow} is not integrable at the origin in "
-                    f"dim {n}; use truncated_ft_numeric"
-                )
+    if not isinstance(f, PositionFunction):
+        raise EvaluationError("the oracle transforms power-log functions only")
+    if f.local:
+        raise EvaluationError("numeric transform of delta terms is exact, "
+                              "not quadrature; strip the local part")
+    for t in f.radial:
+        if t.rpow <= -n:
+            raise NonIntegrableError(
+                f"term r^{t.rpow} is not integrable at the origin in "
+                f"dim {n}; use truncated_ft_numeric"
+            )
     return _radial_transform(f, p, n, Mval, 0.0, cfg)
 
 
@@ -164,28 +179,20 @@ def finite_diff_lnM(
 def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     if not (math.isfinite(p) and math.isfinite(Mval)):
         raise EvaluationError("p and M must be finite")
-    if p < 0 or Mval <= 0:
-        raise EvaluationError("p must be non-negative and M positive")
+    if not (p > 0 and Mval > 0):
+        raise EvaluationError("p and M must be positive")
     if special is None:
         _load()
     omega = sphere_area(n).evalf()
 
-    if p == 0.0:
-        if isinstance(f, PositionFunction):
-            raise EvaluationError(
-                "p = 0 is only supported for decaying callable profiles"
-            )
-        val, err = _quad_panels(f, p, n, Mval, _panel_points(lo, 50.0, math.inf))
-        return omega * val, omega * err
-
-    # a truncation radius beyond tail_radius_factor / p leaves only the tail
-    R = max(cfg.tail_radius_factor / p, lo)
-    half = math.pi / p
-    main_val, main_err = _quad_panels(f, p, n, Mval, _panel_points(lo, R, half))
-
-    tail_val, tail_err = _tail(f, p, n, Mval, R, cfg)
-    if cfg.tail_cross_check and isinstance(f, PositionFunction):
-        other_val, _ = _tail_damping(_vector_integrand(f, p, n, Mval), p, R, cfg)
+    # the real axis up to b, the contour from b
+    b = max(lo, math.pi / p)
+    main_val = main_err = 0.0
+    if lo < b:
+        main_val, main_err = _quad_panels(f, p, n, Mval, _panel_points(lo, b))
+    tail_val, tail_err = _tail(f, p, n, Mval, b)
+    if cfg.tail_cross_check:
+        other_val, _ = _tail_damping(_vector_integrand(f, p, n, Mval), p, b, cfg)
         scale_ref = abs(main_val + tail_val) + cfg.abs_tol
         if abs(other_val - tail_val) > cfg.tail_cross_tol * scale_ref:
             raise ConvergenceError(
@@ -196,9 +203,9 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     value = omega * (main_val + tail_val)
     err = omega * (main_err + tail_err)
     budget = cfg.rel_tol * abs(value) + cfg.abs_tol
-    # the tail extrapolation estimate is conservative; only a gross failure
-    # of the budget is treated as non-convergence
-    if err > 100.0 * budget and err > 1e-6 * abs(value):
+    # only a gross failure of the budget is treated as non-convergence;
+    # written so that a nan estimate fails too
+    if not (err <= 100.0 * budget or err <= 1e-6 * abs(value)):
         raise ConvergenceError(
             f"error estimate {err:.3e} exceeds tolerance budget {budget:.3e}",
             partial=value,
@@ -207,25 +214,16 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     return value, err
 
 
-_GRID_START = 1e-6  # the geometric breakpoints start here when lo = 0
-
-
-def _panel_points(lo: float, hi: float, half: float) -> List[float]:
-    """Deterministic breakpoints: geometric refinement near the lower end
-    (steep power-law behaviour) plus oscillation half-periods."""
+def _panel_points(lo: float, hi: float) -> List[float]:
+    """Breakpoints of [lo, hi]: a single panel from r = 0, which is closed
+    form, or a geometric grid from a truncation radius, where the power
+    law is steep."""
     pts = [lo]
-    x = (lo or _GRID_START) * 4.0
-    while x < min(half, hi):
+    x = lo * 4.0
+    while 0.0 < x < hi:
         pts.append(x)
         x *= 4.0
-    # the first half-period past the last point; half = inf (p = 0) adds none
-    k = max(1, int(pts[-1] // half))
-    while k * half < hi:
-        if k * half > pts[-1]:
-            pts.append(k * half)
-        k += 1
-    if pts[-1] < hi:
-        pts.append(hi)
+    pts.append(hi)
     return pts
 
 
@@ -233,29 +231,24 @@ def _panel_points(lo: float, hi: float, half: float) -> List[float]:
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
-def _quad_panels(f: Profile, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
-    """Integral of f A_n(pr) r^(n-1) over the panels between pts: fixed
+def _quad_panels(f: PositionFunction, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
+    """Integral of f A_n(pr) r^(n-1) over the panels between pts, which end
+    at b <= pi/p.  The panel from r = 0, where f is singular, is integrated
+    in closed form.  From a truncation radius every panel gets fixed
     24-point Gauss-Legendre nodes, all in one array evaluation, with the
-    estimate |GL24 - GL12| plus the roundoff floor per panel.  Only a
-    PositionFunction's first panel, if it starts at r = 0 (where the
-    profile is singular), is integrated in closed form."""
-    vals, errs = [], []
-    if isinstance(f, PositionFunction) and pts[0] == 0.0:
-        v, e = _origin_panel(f, p, n, Mval, pts[1])
-        vals, errs, pts = [v], [e], pts[1:]
-    if len(pts) > 1:
-        edges = np.asarray(pts, dtype=float)
-        a = edges[:-1]
-        scale = 0.5 * (edges[1:] - a)
-        r = a[:, None] + (_PANEL_NODES[None, :] + 1.0) * scale[:, None]
-        g = _array_integrand(f, p, n, Mval)(r.ravel()).reshape(r.shape)
-        g24, g12 = g[:, : len(_GL_NODES)], g[:, len(_GL_NODES):]
-        fine = scale * (g24 @ _GL_WEIGHTS)
-        coarse = scale * (g12 @ _GL12_WEIGHTS)
-        floor = _ROUNDOFF * scale * (np.abs(g24) @ _GL_WEIGHTS)
-        vals.extend(fine.tolist())
-        errs.extend((np.abs(fine - coarse) + floor).tolist())
-    return math.fsum(vals), math.fsum(errs)
+    estimate |GL24 - GL12| plus the roundoff floor per panel."""
+    if pts[0] == 0.0:
+        return _origin_panel(f, p, n, Mval, pts[1])
+    edges = np.asarray(pts, dtype=float)
+    a = edges[:-1]
+    scale = 0.5 * (edges[1:] - a)
+    r = a[:, None] + (_PANEL_NODES[None, :] + 1.0) * scale[:, None]
+    g = _array_integrand(f, p, n, Mval)(r.ravel()).reshape(r.shape)
+    g24, g12 = g[:, : len(_GL_NODES)], g[:, len(_GL_NODES):]
+    fine = scale * (g24 @ _GL_WEIGHTS)
+    coarse = scale * (g12 @ _GL12_WEIGHTS)
+    floor = _ROUNDOFF * scale * (np.abs(g24) @ _GL_WEIGHTS)
+    return math.fsum(fine.tolist()), math.fsum((np.abs(fine - coarse) + floor).tolist())
 
 
 def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
@@ -264,10 +257,10 @@ def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     c r^s L^k, L = log(r^2 M^2), integrates by parts: int_0^b r^sig L^k dr =
     b^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i k!/(k-i)! L(b)^(k-i), where
     sig = s+n-1+2j > -1 because f is integrable at the origin.  The panel
-    ends at the first half-period or before, so p b <= pi and the sum stops
-    once a j-block is below roundoff; the estimate is that block plus the
-    roundoff floor on the sum of the moduli."""
-    L = math.log(b * b * Mval * Mval)
+    ends at b = pi/p, so the sum stops once a j-block is below roundoff;
+    the estimate is that block plus the roundoff floor on the sum of the
+    moduli."""
+    L = 2.0 * math.log(b * Mval)  # log(b^2 M^2); b^2 overflows for p below 1e-154
     # s + n summed exactly: float(s) + n would lose digits where it nears 0
     terms = [(t.coeff.evalf() * b ** float(t.rpow + n), float(t.rpow + n), t.logpow)
              for t in f.radial]
@@ -290,49 +283,67 @@ def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     return math.fsum(parts), last + _ROUNDOFF * size
 
 
-def _tail(f, p, n, Mval, R, cfg) -> Tuple[float, float]:
-    if isinstance(f, PositionFunction):
-        return _tail_asymptotic(f, p, n, Mval, R, cfg)
-    return _tail_damping(_vector_integrand(f, p, n, Mval), p, R, cfg)
+def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
+    """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
+    J_nu = Re H1_nu it is the real part of (i/p) int_0^inf h(u) du, h = f
+    Gamma(n/2) (2/z)^nu H1_nu(z) r^(n-1) at z = p r; the scaled hankel1e =
+    H1 e^{-iz} takes the factor e^{ipb} e^{-u} out exactly, which leaves a
+    smooth, non-oscillating integrand for Gauss-Laguerre nodes.  The
+    estimate is |Q60 - Q40| plus a floor on sum w |h|: the roundoff floor,
+    and the rounding of the phase p b, which moves the lower end by up to
+    eps b."""
+    nu = 0.5 * n - 1.0
+    z = p * b + 1j * _CONTOUR_NODES
+    r = z / p
+    h = _profile(f, Mval)(r) * (2.0 / z) ** nu * special.hankel1e(nu, z) * r ** (n - 1)
+    h *= 1j / p * cmath.exp(1j * p * b) * math.gamma(0.5 * n)
+    fine = h[:_LAG_N] @ _LAG_WEIGHTS
+    coarse = h[_LAG_N:] @ _LAG40_WEIGHTS
+    floor = (_ROUNDOFF + sys.float_info.epsilon * p * b) * (np.abs(h[:_LAG_N]) @ _LAG_WEIGHTS)
+    return float(fine.real), float(abs(fine - coarse) + floor)
 
 
-def _vector_integrand(f: Profile, p: float, n: int, Mval: float):
-    """Array integrand of the damped tail.  A separate function from the
-    main panels' _array_integrand, so the benchmark tracer counts tail
-    evaluations apart."""
+def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float):
+    """Array integrand of the damped cross-check tail.  A separate function
+    from the panels' _array_integrand, so the benchmark tracer counts
+    cross-check evaluations apart."""
     return _array_integrand(f, p, n, Mval)
 
 
-def _array_integrand(f: Profile, p: float, n: int, Mval: float):
-    """f A_n(pr) r^(n-1) on an array of radii (r > 0 only); the kernel is 1
-    at p = 0."""
+def _profile(f: PositionFunction, Mval: float):
+    """f on an array of radii, real or on the contour (Re r > 0, principal
+    branches)."""
+    data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
+
+    def profile(r):
+        lg = 2.0 * np.log(r * Mval)  # log(r^2 M^2) for Re r > 0; r^2 may overflow
+        fr = np.zeros_like(r)
+        for c, a, k in data:
+            fr += c * r ** a * lg ** k
+        return fr
+
+    return profile
+
+
+def _array_integrand(f: PositionFunction, p: float, n: int, Mval: float):
+    """f A_n(pr) r^(n-1) on an array of real radii r > 0."""
     nu = 0.5 * n - 1.0
     gfac = math.gamma(0.5 * n)
-    if isinstance(f, PositionFunction):
-        data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
-
-        def profile(r):
-            lg = np.log(r * r * (Mval * Mval))
-            fr = np.zeros_like(r)
-            for c, a, k in data:
-                fr += c * r ** a * lg ** k
-            return fr
-    else:
-        profile = np.vectorize(f, otypes=[float])
+    profile = _profile(f, Mval)
 
     def vec(r):
         z = p * r
-        kern = gfac * (2.0 / z) ** nu * special.jv(nu, z) if p else 1.0
-        return profile(r) * kern * r ** (n - 1)
+        return profile(r) * (gfac * (2.0 / z) ** nu * special.jv(nu, z)) * r ** (n - 1)
 
     return vec
 
 
-def _tail_damping(vintegrand, p, R, cfg) -> Tuple[float, float]:
-    """Integrate the tail with an exponential regulator e^{-d p (r-R)} for
-    each damping d, then extrapolate polynomially to d = 0.  Fixed-order
-    Gauss-Legendre per half-period: the damped integrand is smooth there,
-    and fixed nodes keep the result bit-deterministic."""
+def _tail_damping(vintegrand, p, b, cfg) -> Tuple[float, float]:
+    """Integrate the tail on the real axis with an exponential regulator
+    e^{-d p (r-b)} for each damping d, then extrapolate polynomially to
+    d = 0.  Fixed-order Gauss-Legendre per half-period: the damped
+    integrand is smooth there, and fixed nodes keep the result
+    bit-deterministic."""
     half = math.pi / p
     scale = half * 0.5
     samples = []
@@ -343,10 +354,10 @@ def _tail_damping(vintegrand, p, R, cfg) -> Tuple[float, float]:
         k0 = 0
         while True:
             ks = np.arange(k0, k0 + chunk, dtype=float)
-            a = R + ks * half
+            a = b + ks * half
             r = a[:, None] + (_GL_NODES[None, :] + 1.0) * scale
             g = vintegrand(r.ravel()).reshape(r.shape)
-            g *= np.exp(-d * p * (r - R))
+            g *= np.exp(-d * p * (r - b))
             panel = scale * (g @ _GL_WEIGHTS)
             vals.extend(panel.tolist())
             abs_mass += float(np.sum(np.abs(panel)))
@@ -379,81 +390,3 @@ def _neville_at_zero(samples: Sequence[Tuple[float, float]]) -> float:
                 xs[i + level] - xs[i]
             )
     return ys[0]
-
-
-def _hankel_asymptotic_coeffs(nu: float, mmax: int) -> List[float]:
-    """a_m(nu) of the large-argument expansion
-    H1_nu(z) ~ sqrt(2/(pi z)) e^{i(z - nu pi/2 - pi/4)} sum_m i^m a_m z^-m."""
-    out = [1.0]
-    for m in range(1, mmax + 1):
-        out.append(out[-1] * (4.0 * nu * nu - (2 * m - 1) ** 2) / (m * 8.0))
-    return out
-
-
-def _tail_asymptotic(f: PositionFunction, p, n, Mval, R, cfg) -> Tuple[float, float]:
-    """Tail of int_R^inf f A_n(pr) r^(n-1) dr by repeated integration by
-    parts of Re[e^{ipr} G(r)] with G a finite sum of complex power-log
-    terms from the Hankel expansion."""
-    nu = 0.5 * n - 1.0
-    mmax = 8
-    am = _hankel_asymptotic_coeffs(nu, mmax)
-    phase = cmath.exp(-1j * (nu * math.pi / 2.0 + math.pi / 4.0))
-    front = math.gamma(0.5 * n) * (2.0 / p) ** nu * math.sqrt(2.0 / (math.pi * p))
-    lnM2 = math.log(Mval * Mval)
-
-    # G(r) = sum of gamma * r^rho * ln(r)^t, keyed by (rho, t) so that
-    # like terms merge instead of multiplying under repeated derivatives
-    terms: Dict[Tuple[float, int], complex] = defaultdict(complex)
-    trunc = 0.0
-    for t in f.radial:
-        a = float(t.rpow)
-        cv = t.coeff.evalf()
-        for tt in range(t.logpow + 1):
-            # log(r^2 M^2)^k expanded in ln r
-            binom = math.comb(t.logpow, tt)
-            cfac = cv * binom * lnM2 ** (t.logpow - tt) * 2.0 ** tt
-            for m in range(mmax + 1):
-                gam = (
-                    cfac
-                    * front
-                    * phase
-                    * (1j ** m)
-                    * am[m]
-                    * p ** (-m)
-                )
-                rho = a + (n - 1) - nu - 0.5 - m
-                terms[rho, tt] += gam
-            trunc += abs(cfac * front * am[mmax] * p ** (-mmax) * R ** (a + (n - 1) - nu - 0.5 - mmax)) * (
-                1.0 + abs(math.log(R)) ** tt
-            )
-
-    def eval_terms(ts, r):
-        # the value and the sum of the moduli; the moduli measure the size
-        # of a term where the value cancels (log(r^2 M^2) vanishes at
-        # r M = 1), so the series does not stop on a vanishing term
-        lr = math.log(r)
-        parts = [g * r ** rho * lr ** tt for (rho, tt), g in ts.items()]
-        return sum(parts), sum(abs(x) for x in parts)
-
-    def derive(ts):
-        out: Dict[Tuple[float, int], complex] = defaultdict(complex)
-        for (rho, tt), g in ts.items():
-            out[rho - 1.0, tt] += g * rho
-            if tt:
-                out[rho - 1.0, tt - 1] += g * tt
-        return out
-
-    total = 0.0 + 0.0j
-    eipr = cmath.exp(1j * p * R)
-    cur = terms
-    fac = 1.0 + 0.0j
-    last = 0.0
-    for j in range(12):
-        fac *= -1.0 / (1j * p)
-        value, size = eval_terms(cur, R)
-        total += fac * value * eipr
-        last = abs(fac) * size
-        if last < cfg.abs_tol * 1e-3:
-            break
-        cur = derive(cur)
-    return total.real, last + trunc

@@ -442,14 +442,14 @@ class TestCli:
             (["surface", "--target", "r^-4", "--eps", "0.1", "--tol-defect", "inf"], None),
             (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"], None),
             (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = nan\n"),
-            (["oracle", "--fn", "r^-2", "--p", "1"], "tail_radius_factor = inf\n"),
+            (["oracle", "--fn", "r^-2", "--p", "1"], "tail_cross_tol = inf\n"),
             (["oracle", "--fn", "r^-2", "--p", "1", "--dim", "3"],
              "dampings = 0.02,0.02\ntail_cross_check = yes\n"),
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
              "tol_defect_inf", "eps_grid_nan", "config_rel_tol_nan",
-             "config_tail_radius_inf", "config_dampings_repeated"],
+             "config_tail_cross_tol_inf", "config_dampings_repeated"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
         if config is not None:
@@ -542,9 +542,9 @@ class TestConfig:
 
     def test_env_var(self, tmp_path, monkeypatch):
         path = tmp_path / "numeric.cfg"
-        path.write_text("tail_radius_factor = 150\n")
+        path.write_text("abs_tol = 1e-13\n")
         monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_config().tail_radius_factor == 150.0
+        assert load_config().abs_tol == 1e-13
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "numeric.cfg"
@@ -554,11 +554,12 @@ class TestConfig:
         with pytest.raises(DiffRegError):
             load_config(str(path))
 
-    @pytest.mark.parametrize("line", ["tail_method = asymptotic-series", "max_depth = 40"],
-                             ids=["tail_method", "max_depth"])
+    @pytest.mark.parametrize("line", ["tail_method = asymptotic-series", "max_depth = 40",
+                                      "tail_radius_factor = 200"],
+                             ids=["tail_method", "max_depth", "tail_radius_factor"])
     def test_removed_tail_method_key(self, capsys, tmp_path, line):
-        # removed keys are unknown: the tail regulator follows the input
-        # type, and no panel is integrated adaptively
+        # removed keys are unknown: the tail is always the contour, no panel
+        # is integrated adaptively, and no radius splits the range
         path = tmp_path / "numeric.cfg"
         path.write_text(line + "\n")
         code, doc = run_json(
