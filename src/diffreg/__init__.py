@@ -33,7 +33,6 @@ from .fourier import (
     inverse_fourier_base,
 )
 from .numeric import (
-    QuadratureConfig,
     finite_diff_lnM,
     gauss_flux_numeric,
     hankel_numeric,

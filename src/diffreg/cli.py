@@ -8,11 +8,9 @@ Exit codes: 0 ok, 1 numeric check failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -20,21 +18,13 @@ from . import __version__
 from .algebra import eval_momentum, scale
 from .errors import ConvergenceError, DiffRegError, ParseError
 from .fourier import cs_derivative, fourier_base, fourier_formal
-from .numeric import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    finite_diff_lnM,
-    hankel_numeric,
-    truncated_ft_numeric,
-)
+from .numeric import finite_diff_lnM, hankel_numeric, truncated_ft_numeric
 from .operators import apply_operator
 from .parser import parse_operator, parse_position
 from .printer import format_momentum, format_operator, format_position
 from .quotient import Character, IdealElement, diagram_audit
 from .regulate import find_representation
 from .surface import leading_divergence, surface_expansion
-
-CONFIG_ENV_VAR = "DIFFREG_CONFIG"
 
 
 def _fmt(x: Optional[float]) -> Optional[str]:
@@ -59,39 +49,6 @@ def _check_finite(name: str, value):
     if isinstance(value, _NonFinite):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
-
-
-# config value parsers, keyed by the type of the QuadratureConfig default
-_VALUE_PARSERS = {
-    float: float,
-    bool: lambda v: v.lower() in ("1", "true", "yes"),
-    tuple: lambda v: tuple(float(s) for s in v.split(",")),
-}
-
-
-def load_config(path: Optional[str] = None) -> QuadratureConfig:
-    """Numeric defaults, overridable by a plain key = value file named by
-    the DIFFREG_CONFIG environment variable (or an explicit path)."""
-    path = path or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return DEFAULT_CONFIG
-    parsers = {
-        fld.name: _VALUE_PARSERS[type(fld.default)]
-        for fld in dataclasses.fields(QuadratureConfig)
-    }
-    kwargs = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DiffRegError(f"bad config line: {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in parsers:
-                raise DiffRegError(f"unknown config key {key!r}")
-            kwargs[key] = parsers[key](val)
-    return QuadratureConfig(**kwargs)
 
 
 class _Report:
@@ -193,7 +150,7 @@ def _position_terms(f) -> list:
 # -- subcommand handlers -----------------------------------------------
 
 
-def _cmd_apply(args, cfg, report):
+def _cmd_apply(args, report):
     op = parse_operator(args.op, args.dim)
     fn = parse_position(args.fn, args.dim)
     result = apply_operator(op, fn)
@@ -201,7 +158,7 @@ def _cmd_apply(args, cfg, report):
     report.flags.extend(result.flags)
 
 
-def _cmd_regulate(args, cfg, report):
+def _cmd_regulate(args, report):
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
     report.set_symbolic(
@@ -218,7 +175,7 @@ def _cmd_regulate(args, cfg, report):
     report.check("round_trip_exact", 1.0, 1.0 if exact else 0.0, 0.0)
 
 
-def _cmd_transform(args, cfg, report):
+def _cmd_transform(args, report):
     if args.rep_target:
         target = parse_position(args.rep_target, args.dim)
         F = fourier_formal(find_representation(target, args.max_box))
@@ -231,13 +188,13 @@ def _cmd_transform(args, cfg, report):
     if args.at is not None:
         sym_val = eval_momentum(F, args.at, args.mass)
         if fn is not None and not fn.local:
-            num_val, _ = hankel_numeric(fn, args.at, args.dim, args.mass, cfg)
+            num_val, _ = hankel_numeric(fn, args.at, args.dim, args.mass)
             report.check(f"oracle_at_p={args.at}", num_val, sym_val, args.tol)
         else:
             report.check(f"value_at_p={args.at}", None, sym_val, args.tol)
 
 
-def _cmd_surface(args, cfg, report):
+def _cmd_surface(args, report):
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
     se = surface_expansion(rep.L, rep.g, order=args.order)
@@ -258,14 +215,14 @@ def _cmd_surface(args, cfg, report):
         {"entries": entries, "leading": lead_txt},
     )
     p = args.p
-    trunc, _ = truncated_ft_numeric(target, p, args.dim, args.mass, args.eps, cfg)
+    trunc, _ = truncated_ft_numeric(target, p, args.dim, args.mass, args.eps)
     model = eval_momentum(fourier_formal(rep), p, args.mass) + se.eval_at(
         args.eps, p, args.mass
     )
     report.defect_check(f"defect_at_eps={args.eps}", model, trunc, args.tol_defect)
 
 
-def _cmd_verify(args, cfg, report):
+def _cmd_verify(args, report):
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
     se = surface_expansion(rep.L, rep.g, order=args.order)
@@ -280,12 +237,12 @@ def _cmd_verify(args, cfg, report):
     )
     prev = None
     for eps in eps_grid:
-        trunc, _ = truncated_ft_numeric(target, args.p, args.dim, args.mass, eps, cfg)
+        trunc, _ = truncated_ft_numeric(target, args.p, args.dim, args.mass, eps)
         model = formal + se.eval_at(eps, args.p, args.mass)
         prev = report.defect_check(f"defect_eps={eps}", model, trunc, args.tol_defect, prev)
 
 
-def _cmd_cs(args, cfg, report):
+def _cmd_cs(args, report):
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
     F = fourier_formal(rep)
@@ -298,11 +255,11 @@ def _cmd_cs(args, cfg, report):
     report.check("finite_difference", sym_val, num_val, args.tol)
 
 
-def _cmd_audit(args, cfg, report):
+def _cmd_audit(args, report):
     a = parse_position(args.a, args.dim)
     b = parse_position(args.b, args.dim)
     ch = Character(args.p0, args.dim, args.mass)
-    rep = diagram_audit(IdealElement(a, b), ch, cfg)
+    rep = diagram_audit(IdealElement(a, b), ch)
     report.set_symbolic(
         f"residual |F[a*b](p0) - eps(b)*F[a](p0)| = {rep.residual!r} "
         f"(route: {rep.route_ab})",
@@ -317,12 +274,12 @@ def _cmd_audit(args, cfg, report):
     report.flags.append("kernel-claim residual reported, not asserted")
 
 
-def _cmd_oracle(args, cfg, report):
+def _cmd_oracle(args, report):
     fn = parse_position(args.fn, args.dim)
     if args.eps is not None:
-        val, err = truncated_ft_numeric(fn, args.p, args.dim, args.mass, args.eps, cfg)
+        val, err = truncated_ft_numeric(fn, args.p, args.dim, args.mass, args.eps)
     else:
-        val, err = hankel_numeric(fn, args.p, args.dim, args.mass, cfg)
+        val, err = hankel_numeric(fn, args.p, args.dim, args.mass)
     report.set_symbolic(
         f"numeric transform at p={args.p}: {val!r}",
         {"value": _fmt(val), "err_estimate": _fmt(err)},
@@ -346,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true")
         fmt.add_argument("--text", action="store_true")
-        sp.add_argument("--config", default=None, help="numeric config file")
 
     sp = sub.add_parser("apply", help="apply an operator to a function")
     sp.add_argument("--op", required=True)
@@ -426,15 +382,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     inputs = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("json", "text", "config") and v is not None
+        if k not in ("json", "text") and v is not None
     }
     report = _Report(args.command, inputs)
     code = 0
     try:
         for key, value in inputs.items():
             _check_finite("--" + key.replace("_", "-"), value)
-        cfg = load_config(args.config)
-        _HANDLERS[args.command](args, cfg, report)
+        _HANDLERS[args.command](args, report)
         if not all(c["pass"] for c in report.checks):
             code = 1
     except ParseError as exc:

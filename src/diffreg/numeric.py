@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .algebra import PositionFunction, radial_derivative
@@ -35,32 +34,12 @@ from .coeffs import sphere_area
 from .errors import ConvergenceError, EvaluationError, NonIntegrableError
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    # damping rates of the cross-check in units of p (its regulator is
-    # e^{-d p (r-b)}, so the decay per oscillation is the same at every p);
-    # geometric ladder, five levels so the Richardson table reaches quartic
-    # order (three levels leave the extrapolant short of the 1e-6
-    # cross-regulator agreement)
-    dampings: Tuple[float, ...] = (0.02, 0.01, 0.005, 0.0025, 0.00125)
-    tail_cross_check: bool = False
-    tail_cross_tol: float = 1e-6
-
-    def __post_init__(self):
-        values = (self.rel_tol, self.abs_tol, self.tail_cross_tol, *self.dampings)
-        # "not x > 0" rather than "x <= 0", so that nan is rejected too
-        if not all(x > 0 and math.isfinite(x) for x in values):
-            raise ValueError("tolerances and dampings must be finite and positive")
-        d = self.dampings
-        if len(d) < 2 or any(a <= b for a, b in zip(d, d[1:])):
-            raise ValueError(
-                "damping list needs at least two entries, strictly decreasing"
-            )
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# damping rates of the cross-check in units of p (its regulator is
+# e^{-d p (r-b)}, so the decay per oscillation is the same at every p);
+# geometric ladder, five levels so the Richardson table reaches quartic
+# order (three levels leave the extrapolant short of the 1e-6
+# cross-regulator agreement)
+DAMPINGS = (0.02, 0.01, 0.005, 0.0025, 0.00125)
 
 
 # numpy, scipy.special and the Gauss-Legendre and Gauss-Laguerre tables,
@@ -119,9 +98,12 @@ def hankel_numeric(
     p: float,
     n: int,
     Mval: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    *,
+    tail_cross_check: bool = False,
 ) -> Tuple[float, float]:
-    """Radial Fourier transform at momentum p; returns (value, errEstimate)."""
+    """Radial Fourier transform at momentum p; returns (value, errEstimate).
+    tail_cross_check also integrates the tail with the damping ladder and
+    raises ConvergenceError when the two tails disagree."""
     if not isinstance(f, PositionFunction):
         raise EvaluationError("the oracle transforms power-log functions only")
     if f.local:
@@ -133,7 +115,7 @@ def hankel_numeric(
                 f"term r^{t.rpow} is not integrable at the origin in "
                 f"dim {n}; use truncated_ft_numeric"
             )
-    return _radial_transform(f, p, n, Mval, 0.0, cfg)
+    return _radial_transform(f, p, n, Mval, 0.0, tail_cross_check)
 
 
 def truncated_ft_numeric(
@@ -142,14 +124,16 @@ def truncated_ft_numeric(
     n: int,
     Mval: float,
     epsilon: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    *,
+    tail_cross_check: bool = False,
 ) -> Tuple[float, float]:
-    """Transform restricted to the region r > epsilon."""
+    """Transform restricted to the region r > epsilon; tail_cross_check as
+    for hankel_numeric."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise EvaluationError("epsilon must be finite and positive")
     if not isinstance(f, PositionFunction) or f.local:
         raise EvaluationError("truncated transform needs a radial-only function")
-    return _radial_transform(f, p, n, Mval, epsilon, cfg)
+    return _radial_transform(f, p, n, Mval, epsilon, tail_cross_check)
 
 
 def gauss_flux_numeric(
@@ -176,7 +160,7 @@ def finite_diff_lnM(
 # -- internals ---------------------------------------------------------
 
 
-def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
+def _radial_transform(f, p, n, Mval, lo, tail_cross_check) -> Tuple[float, float]:
     if not (math.isfinite(p) and math.isfinite(Mval)):
         raise EvaluationError("p and M must be finite")
     if not (p > 0 and Mval > 0):
@@ -191,21 +175,26 @@ def _radial_transform(f, p, n, Mval, lo, cfg) -> Tuple[float, float]:
     if lo < b:
         main_val, main_err = _quad_panels(f, p, n, Mval, _panel_points(lo, b))
     tail_val, tail_err = _tail(f, p, n, Mval, b)
-    if cfg.tail_cross_check:
-        other_val, _ = _tail_damping(_vector_integrand(f, p, n, Mval), p, b, cfg)
-        scale_ref = abs(main_val + tail_val) + cfg.abs_tol
-        if abs(other_val - tail_val) > cfg.tail_cross_tol * scale_ref:
-            raise ConvergenceError(
-                f"tail regulators disagree: {tail_val!r} vs {other_val!r}",
-                partial=omega * (main_val + tail_val),
-            )
-
     value = omega * (main_val + tail_val)
     err = omega * (main_err + tail_err)
-    budget = cfg.rel_tol * abs(value) + cfg.abs_tol
-    # only a gross failure of the budget is treated as non-convergence;
-    # written so that a nan estimate fails too
-    if not (err <= 100.0 * budget or err <= 1e-6 * abs(value)):
+    if not (math.isfinite(value) and math.isfinite(err)):
+        # far outside the documented p range the nodes over- or underflow
+        raise EvaluationError(
+            f"no finite transform at p={p!r}, M={Mval!r}, truncation radius "
+            f"{lo!r}: outside the oracle's range"
+        )
+    if tail_cross_check:
+        other_val, _ = _tail_damping(_vector_integrand(f, p, n, Mval), p, b)
+        if abs(other_val - tail_val) > 1e-6 * (abs(main_val + tail_val) + 1e-12):
+            raise ConvergenceError(
+                f"tail regulators disagree: {tail_val!r} vs {other_val!r}",
+                partial=value,
+            )
+
+    # a hundred times the accuracy aimed at, 1e-8 |value| + 1e-12: only a
+    # gross failure of the estimate is treated as non-convergence
+    budget = 1e-6 * abs(value) + 1e-10
+    if err > budget:
         raise ConvergenceError(
             f"error estimate {err:.3e} exceeds tolerance budget {budget:.3e}",
             partial=value,
@@ -338,7 +327,7 @@ def _array_integrand(f: PositionFunction, p: float, n: int, Mval: float):
     return vec
 
 
-def _tail_damping(vintegrand, p, b, cfg) -> Tuple[float, float]:
+def _tail_damping(vintegrand, p, b) -> Tuple[float, float]:
     """Integrate the tail on the real axis with an exponential regulator
     e^{-d p (r-b)} for each damping d, then extrapolate polynomially to
     d = 0.  Fixed-order Gauss-Legendre per half-period: the damped
@@ -349,7 +338,7 @@ def _tail_damping(vintegrand, p, b, cfg) -> Tuple[float, float]:
     samples = []
     abs_mass = 0.0
     chunk = 256
-    for d in cfg.dampings:
+    for d in DAMPINGS:
         vals: List[float] = []
         k0 = 0
         while True:
@@ -362,18 +351,15 @@ def _tail_damping(vintegrand, p, b, cfg) -> Tuple[float, float]:
             vals.extend(panel.tolist())
             abs_mass += float(np.sum(np.abs(panel)))
             k0 += chunk
-            if float(np.max(np.abs(panel))) < cfg.abs_tol * 1e-3:
+            if float(np.max(np.abs(panel))) < 1e-15:
                 break
             if k0 > 400000:
                 raise ConvergenceError("damped tail failed to decay")
         samples.append((d, math.fsum(vals)))
     value = _neville_at_zero(samples)
-    if len(samples) > 2:
-        # dropping the largest damping lowers the extrapolation order by
-        # one; the difference bounds the leading extrapolation error
-        probe = _neville_at_zero(samples[1:])
-    else:
-        probe = samples[-1][1]
+    # dropping the largest damping lowers the extrapolation order by one;
+    # the difference bounds the leading extrapolation error
+    probe = _neville_at_zero(samples[1:])
     err = abs(value - probe) + 1e-15 * abs_mass
     return value, err
 

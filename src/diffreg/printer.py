@@ -28,16 +28,8 @@ def _format_monomial(mono, q: Fraction) -> str:
 
 
 def format_coefficient(c: Coefficient) -> str:
-    if c.is_zero():
-        return "0"
-    out = ""
-    for i, (mono, q) in enumerate(c.terms):
-        body = _format_monomial(mono, q)
-        if i == 0:
-            out = ("-" if q < 0 else "") + body
-        else:
-            out += (" - " if q < 0 else " + ") + body
-    return out
+    return _join_terms([("-" if q < 0 else "+", _format_monomial(mono, q))
+                        for mono, q in c.terms])
 
 
 def _coeff_factor(c: Coefficient) -> tuple:
@@ -82,24 +74,29 @@ def _product(sign: str, factors: List[str], divisors: List[str]) -> tuple:
     return sign, body
 
 
+def _power_log_term(coeff: Coefficient, pw: Fraction, logpow: int, var: str,
+                    log: str) -> tuple:
+    """c var^pw log^logpow as a (sign, body) product; an integer negative
+    power is written as a divisor."""
+    sign, cfac = _coeff_factor(coeff)
+    factors = [cfac] if cfac else []
+    if logpow == 1:
+        factors.append(log)
+    elif logpow > 1:
+        factors.append(f"{log}^{logpow}")
+    divisors = []
+    if pw > 0:
+        factors += _power_suffix(var, pw)
+    elif pw < 0:
+        if pw.denominator == 1:
+            divisors.append(f"{var}^{-int(pw)}")
+        else:
+            factors += _power_suffix(var, pw)
+    return _product(sign, factors, divisors)
+
+
 def format_position(f: PositionFunction) -> str:
-    rendered = []
-    for t in f.radial:
-        sign, cfac = _coeff_factor(t.coeff)
-        factors = [cfac] if cfac else []
-        if t.logpow == 1:
-            factors.append(_LOG_R)
-        elif t.logpow > 1:
-            factors.append(f"{_LOG_R}^{t.logpow}")
-        divisors = []
-        if t.rpow > 0:
-            factors += _power_suffix("r", t.rpow)
-        elif t.rpow < 0:
-            if t.rpow.denominator == 1:
-                divisors.append(f"r^{-int(t.rpow)}")
-            else:
-                factors += _power_suffix("r", t.rpow)
-        rendered.append(_product(sign, factors, divisors))
+    rendered = [_power_log_term(t.coeff, t.rpow, t.logpow, "r", _LOG_R) for t in f.radial]
     for t in f.local:
         sign, cfac = _coeff_factor(t.coeff)
         factors = [cfac] if cfac else []
@@ -113,23 +110,7 @@ def format_position(f: PositionFunction) -> str:
 
 
 def format_momentum(F: MomentumFunction) -> str:
-    rendered = []
-    for t in F.terms:
-        sign, cfac = _coeff_factor(t.coeff)
-        factors = [cfac] if cfac else []
-        if t.logpow == 1:
-            factors.append(_LOG_P)
-        elif t.logpow > 1:
-            factors.append(f"{_LOG_P}^{t.logpow}")
-        divisors = []
-        if t.ppow > 0:
-            factors += _power_suffix("p", t.ppow)
-        elif t.ppow < 0:
-            if t.ppow.denominator == 1:
-                divisors.append(f"p^{-int(t.ppow)}")
-            else:
-                factors += _power_suffix("p", t.ppow)
-        rendered.append(_product(sign, factors, divisors))
+    rendered = [_power_log_term(t.coeff, t.ppow, t.logpow, "p", _LOG_P) for t in F.terms]
     for c, j in F.local_poly:
         coeff = c if j % 2 == 0 else -1 * c
         sign, cfac = _coeff_factor(coeff)

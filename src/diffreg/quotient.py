@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .errors import DiffRegError, EvaluationError
 from .fourier import fourier_base, fourier_formal, fourier_safe, term_fourier_safe
-from .numeric import DEFAULT_CONFIG, QuadratureConfig, hankel_numeric
+from .numeric import hankel_numeric
 from .regulate import find_representation
 
 
@@ -69,9 +69,7 @@ class AuditReport:
     character: Character
 
 
-def character_eval(
-    b: PositionFunction, ch: Character, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def character_eval(b: PositionFunction, ch: Character) -> float:
     """Value of the transform of b at the character momentum, by the route
     :func:`transform_value` picks: exact for integer exponents, numeric for
     fractional ones, whose exact transform leaves the symbol set."""
@@ -79,7 +77,7 @@ def character_eval(
         raise DiffRegError("dimension mismatch with character")
     if not fourier_safe(b):
         raise EvaluationError("character is defined on Fourier-safe functions only")
-    return transform_value(b, ch.p0, ch.Mval, cfg)[0]
+    return transform_value(b, ch.p0, ch.Mval)[0]
 
 
 def reduce_mod_ideal(elem: IdealElement, ch: Character) -> PositionFunction:
@@ -98,12 +96,7 @@ def _scale_float(f: PositionFunction, x: float) -> PositionFunction:
     return scale(Fraction(x).limit_denominator(10 ** 17), f)
 
 
-def transform_value(
-    f: PositionFunction,
-    p0: float,
-    Mval: float = 1.0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
     """Evaluate a transform of f at p0 by the best available route:
     exact for Fourier-safe terms with an integer exponent, regulated formal
     transform for integer power-log targets at or below the window, numeric
@@ -138,28 +131,24 @@ def transform_value(
                 "no exact, regulated, or numeric transform available for "
                 f"terms {rest}"
             )
-        val, _ = hankel_numeric(rest_fn, p0, n, Mval, cfg)
+        val, _ = hankel_numeric(rest_fn, p0, n, Mval)
         total += val
         routes.append("numeric")
     return total, "+".join(routes) if routes else "zero"
 
 
-def diagram_audit(
-    elem: IdealElement,
-    ch: Character,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> AuditReport:
+def diagram_audit(elem: IdealElement, ch: Character) -> AuditReport:
     """Residual of the kernel claim for a single ideal element."""
     ab = mul(elem.a, elem.b)
-    eps_b = character_eval(elem.b, ch, cfg)
+    eps_b = character_eval(elem.b, ch)
     if ab.is_zero():
         value_ab, route = 0.0, "zero"
     else:
-        value_ab, route = transform_value(ab, ch.p0, ch.Mval, cfg)
+        value_ab, route = transform_value(ab, ch.p0, ch.Mval)
     if elem.a.is_zero():
         value_a = 0.0
     else:
-        value_a, _ = transform_value(elem.a, ch.p0, ch.Mval, cfg)
+        value_a, _ = transform_value(elem.a, ch.p0, ch.Mval)
     residual = abs(value_ab - eps_b * value_a)
     return AuditReport(
         residual=residual,

@@ -21,7 +21,7 @@ from diffreg.algebra import (
     position_term,
 )
 from diffreg import cli
-from diffreg.cli import CONFIG_ENV_VAR, build_parser, load_config, main
+from diffreg.cli import build_parser, main
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
 from diffreg.errors import ConvergenceError, ParseError
 from diffreg.operators import DiffOperator
@@ -424,38 +424,30 @@ class TestCli:
         assert doc["error"]["code"] == "domain"
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv",
         [
-            (["regulate", "--target", "r^-4", "--dim", "0"], None),
-            (["regulate", "--target", "r^-4", "--max-box", "0"], None),
-            (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,abc"], None),
-            (["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "0"], None),
-            (["oracle", "--fn", "r^-2", "--p", "nan"], None),
-            (["oracle", "--fn", "r^-2", "--p", "inf"], None),
-            (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = tight\n"),
-            (["transform", "--rep-target", "r^-4", "--at", "nan"], None),
-            (["oracle", "--fn", "r^-2", "--p", "1", "--tol", "nan"], None),
-            (["oracle", "--fn", "r^-2", "--p", "1", "--eps=-inf"], None),
-            (["cs", "--target", "r^-4", "--p", "1", "--mass", "inf"], None),
-            (["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "nan"], None),
-            (["surface", "--target", "r^-4", "--eps", "nan"], None),
-            (["surface", "--target", "r^-4", "--eps", "0.1", "--tol-defect", "inf"], None),
-            (["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"], None),
-            (["oracle", "--fn", "r^-2", "--p", "1"], "rel_tol = nan\n"),
-            (["oracle", "--fn", "r^-2", "--p", "1"], "tail_cross_tol = inf\n"),
-            (["oracle", "--fn", "r^-2", "--p", "1", "--dim", "3"],
-             "dampings = 0.02,0.02\ntail_cross_check = yes\n"),
+            ["regulate", "--target", "r^-4", "--dim", "0"],
+            ["regulate", "--target", "r^-4", "--max-box", "0"],
+            ["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,abc"],
+            ["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "0"],
+            ["oracle", "--fn", "r^-2", "--p", "nan"],
+            ["oracle", "--fn", "r^-2", "--p", "inf"],
+            ["transform", "--rep-target", "r^-4", "--at", "nan"],
+            ["oracle", "--fn", "r^-2", "--p", "1", "--tol", "nan"],
+            ["oracle", "--fn", "r^-2", "--p", "1", "--eps=-inf"],
+            ["cs", "--target", "r^-4", "--p", "1", "--mass", "inf"],
+            ["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "nan"],
+            ["surface", "--target", "r^-4", "--eps", "nan"],
+            ["surface", "--target", "r^-4", "--eps", "0.1", "--tol-defect", "inf"],
+            ["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"],
+            # far outside the documented p range the quadrature is not finite
+            ["oracle", "--fn", "r^-2", "--p", "1e10", "--eps", "1e7"],
         ],
-        ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf", "config_value",
+        ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
-             "tol_defect_inf", "eps_grid_nan", "config_rel_tol_nan",
-             "config_tail_cross_tol_inf", "config_dampings_repeated"],
+             "tol_defect_inf", "eps_grid_nan", "p_out_of_range"],
     )
-    def test_bad_input_gives_domain_envelope(self, capsys, tmp_path, argv, config):
-        if config is not None:
-            path = tmp_path / "numeric.cfg"
-            path.write_text(config)
-            argv = argv + ["--config", str(path)]
+    def test_bad_input_gives_domain_envelope(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 2
         assert doc["status"] == "error"
@@ -515,71 +507,17 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["regulate"]) == 2
 
+    def test_config_flag_is_usage_error(self, capsys):
+        # the oracle's settings are constants: there is no config file
+        assert main(["oracle", "--fn", "r^-2", "--p", "1", "--config", "numeric.cfg"]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_resonance_flag_surfaces(self, capsys):
         code, doc = run_json(
             capsys, "apply", "--op", "box", "--fn", "log(r^2*M^2)/r^2", "--dim", "4"
         )
         assert code == 0
         assert any("distributional" in fl for fl in doc["flags"])
-
-
-class TestConfig:
-    def test_default(self):
-        cfg = load_config(None)
-        assert cfg.rel_tol == 1e-8
-
-    def test_file_overrides(self, tmp_path):
-        path = tmp_path / "numeric.cfg"
-        path.write_text(
-            "rel_tol = 1e-6\n"
-            "tail_cross_check = yes  # check the series tail\n"
-            "dampings = 0.02,0.01,0.005\n"
-        )
-        cfg = load_config(str(path))
-        assert cfg.rel_tol == 1e-6
-        assert cfg.tail_cross_check is True
-        assert cfg.dampings == (0.02, 0.01, 0.005)
-
-    def test_env_var(self, tmp_path, monkeypatch):
-        path = tmp_path / "numeric.cfg"
-        path.write_text("abs_tol = 1e-13\n")
-        monkeypatch.setenv(CONFIG_ENV_VAR, str(path))
-        assert load_config().abs_tol == 1e-13
-
-    def test_unknown_key(self, tmp_path):
-        path = tmp_path / "numeric.cfg"
-        path.write_text("wibble = 3\n")
-        from diffreg.errors import DiffRegError
-
-        with pytest.raises(DiffRegError):
-            load_config(str(path))
-
-    @pytest.mark.parametrize("line", ["tail_method = asymptotic-series", "max_depth = 40",
-                                      "tail_radius_factor = 200"],
-                             ids=["tail_method", "max_depth", "tail_radius_factor"])
-    def test_removed_tail_method_key(self, capsys, tmp_path, line):
-        # removed keys are unknown: the tail is always the contour, no panel
-        # is integrated adaptively, and no radius splits the range
-        path = tmp_path / "numeric.cfg"
-        path.write_text(line + "\n")
-        code, doc = run_json(
-            capsys, "oracle", "--fn", "r^-2", "--p", "1", "--config", str(path)
-        )
-        assert code == 2
-        assert doc["error"]["code"] == "domain"
-        assert "unknown config key" in doc["error"]["message"]
-
-    def test_cli_uses_config(self, capsys, tmp_path):
-        path = tmp_path / "numeric.cfg"
-        path.write_text("tail_cross_check = yes\n")
-        code, out = run_cli(
-            capsys, "oracle", "--fn", "r^-2", "--p", "1", "--config", str(path), "--json"
-        )
-        doc = json.loads(out)
-        assert code == 0
-        assert float(doc["symbolic"]["terms"]["value"]) == pytest.approx(
-            4 * math.pi ** 2, rel=1e-9
-        )
 
 
 # run in a fresh interpreter: reports which of numpy, scipy and
@@ -622,7 +560,6 @@ class TestDeferredLoad:
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env.pop(CONFIG_ENV_VAR, None)
         proc = subprocess.run(
             [sys.executable, "-c", _LOAD_PROBE, json.dumps(self.EXACT_RUNS)],
             env=env, capture_output=True, text=True, check=True,

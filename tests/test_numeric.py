@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,8 +10,9 @@ from scipy.special import jv
 from diffreg.algebra import add, delta_term, eval_momentum, position_term
 from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
 from diffreg.fourier import fourier_base
+from diffreg import numeric
+from diffreg.coeffs import sphere_area
 from diffreg.numeric import (
-    QuadratureConfig,
     _load,
     _panel_points,
     _quad_panels,
@@ -299,13 +301,12 @@ class TestScan:
     # every integer window exponent r^a of dims 2-6, log powers 0-3,
     # M = 0.5, 1, 2 and 21 log-spaced p over the documented range [1e-3,
     # 1e2]: the true error must lie within the estimate, and the estimate
-    # within the oracle's budget (100 (rel_tol |value| + abs_tol)).  The
+    # within the oracle's budget (1e-6 |value| + 1e-10).  The
     # range includes three cases where the origin panel and the contour
     # cancel to near zero (dim 5 r^-1 log^3 at p = 3, dim 2 r^-1 log^2 at
     # M = 2 and dim 4 r^-2 log^2 at M = 0.5, both at p = 10^-0.25)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_true_error_within_estimate_within_budget(self, n):
-        cfg = QuadratureConfig()
         ps = [10.0 ** (-3 + 5 * i / 20) for i in range(21)] + [3.0]
         for a in range(1 - n, 0):
             for k in range(4):
@@ -316,7 +317,7 @@ class TestScan:
                         val, err = hankel_numeric(f, p, n, M)
                         true_err = abs(val - eval_momentum(F, p, M))
                         assert true_err <= err, (a, k, M, p)
-                        assert err <= 100.0 * (cfg.rel_tol * abs(val) + cfg.abs_tol), (a, k, M, p)
+                        assert err <= 1e-6 * abs(val) + 1e-10, (a, k, M, p)
 
 
 class TestContract:
@@ -343,7 +344,7 @@ class TestContract:
             position_term(4, 1, Fraction(-2)),
             position_term(4, Fraction(-1, 4), Fraction(-2), 1),
         )
-        val, _ = hankel_numeric(f, p, 4, cfg=QuadratureConfig(tail_cross_check=True))
+        val, _ = hankel_numeric(f, p, 4, tail_cross_check=True)
         assert val == pytest.approx(eval_momentum(fourier_base(f), p, 1.0), rel=1e-6)
 
     @pytest.mark.parametrize("n", [2, 4])
@@ -360,8 +361,7 @@ class TestContract:
 
     def test_cross_check_mode(self):
         f = position_term(4, 1, Fraction(-2))
-        cfg = QuadratureConfig(tail_cross_check=True)
-        val, _ = hankel_numeric(f, 1.0, 4, cfg=cfg)
+        val, _ = hankel_numeric(f, 1.0, 4, tail_cross_check=True)
         assert val == pytest.approx(4.0 * math.pi ** 2, rel=1e-6)
 
     def test_rejects_divergent_input(self):
@@ -401,28 +401,44 @@ class TestContract:
         with pytest.raises(EvaluationError):
             hankel_numeric(position_term(4, 1, Fraction(-2)), 0.0, 4)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(dampings=(0.01, 0.02))
-        # the zero-damping extrapolation needs two distinct dampings
-        for dampings in [(), (0.02,), (0.02, 0.02), (0.02, 0.01, 0.01)]:
-            with pytest.raises(ValueError, match="at least two entries"):
-                QuadratureConfig(dampings=dampings)
-
     def test_two_dampings_extrapolate(self):
-        # two dampings extrapolate linearly to zero damping; the estimate
-        # (the step from the smaller damping) must cover the distance to
-        # the contour tail from the same radius
+        # the damping ladder extrapolates to zero damping; the estimate (the
+        # step from dropping the largest damping) must cover the distance
+        # to the contour tail from the same radius
         _load()  # the tails are called directly, not through an entry point
         f = position_term(4, 1, Fraction(-2), 1)
         p, b = 1.0, math.pi
-        cfg = QuadratureConfig(dampings=(0.02, 0.01))
-        val, err = _tail_damping(_vector_integrand(f, p, 4, 1.0), p, b, cfg)
+        val, err = _tail_damping(_vector_integrand(f, p, 4, 1.0), p, b)
         want, want_err = _tail(f, p, 4, 1.0, b)
         assert math.isfinite(err)
         assert abs(val - want) <= err + want_err
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001], ids=["below", "above"])
+    @pytest.mark.parametrize("tail_val", [0.0, 1.0], ids=["absolute", "relative"])
+    def test_budget_bound(self, monkeypatch, tail_val, factor):
+        # the oracle fails exactly when its estimate exceeds 1e-6 |value| +
+        # 1e-10: with the panels at zero the value and the estimate are the
+        # contour's, times the sphere area
+        omega = sphere_area(4).evalf()
+        bound = 1e-6 * abs(omega * tail_val) + 1e-10
+        f = position_term(4, 1, Fraction(-2))
+        monkeypatch.setattr(numeric, "_quad_panels", lambda *args: (0.0, 0.0))
+        monkeypatch.setattr(numeric, "_tail", lambda *args: (tail_val, factor * bound / omega))
+        if factor < 1:
+            val, err = hankel_numeric(f, 1.0, 4)
+            assert (val, err) == (omega * tail_val, pytest.approx(factor * bound))
+        else:
+            with pytest.raises(ConvergenceError, match="exceeds tolerance budget"):
+                hankel_numeric(f, 1.0, 4)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e300])
+    def test_out_of_range_momentum_is_domain_error(self, p):
+        # far outside the documented range the contour nodes over- or
+        # underflow; the oracle names the input instead of a nan budget
+        f = position_term(2, 1, Fraction(-1), 3)
+        where = re.escape(f"p={p!r}, M=1.0, truncation radius 0.0")
+        with pytest.raises(EvaluationError, match=where):
+            hankel_numeric(f, p, 2)
 
 
 class TestFiniteDifference:
