@@ -5,11 +5,9 @@ A_n(p r) r^(n-1) dr with A_n(z) = Gamma(n/2) (2/z)^(n/2-1) J_{n/2-1}(z),
 for a power-log function f, a sum of c r^a log^k(r^2 M^2).  The range
 splits at b = max(lo, pi/p), where lo is 0 or the truncation radius:
 
-- [0, b] is one panel, integrated in closed form over the Taylor series of
-  A_n, which converges fast because p b = pi;
-- [lo, b] from a truncation radius gets fixed Gauss-Legendre nodes on a
-  geometric grid, all panels in one array evaluation; there is no such
-  piece when lo >= pi/p;
+- [lo, b] is one panel on the real axis, integrated in closed form over the
+  Taylor series of A_n, which converges fast because p b <= pi; there is no
+  such piece when lo >= pi/p;
 - [b, inf) is rotated onto the contour r = b + iu/p (numerical steepest
   descent).  f is analytic for Re r > 0 and J_nu = Re H1_nu, so the tail is
   the real part of a contour integral whose integrand decays like e^{-u}
@@ -42,24 +40,22 @@ from .errors import ConvergenceError, EvaluationError, NonIntegrableError
 DAMPINGS = (0.02, 0.01, 0.005, 0.0025, 0.00125)
 
 
-# numpy, scipy.special and the Gauss-Legendre and Gauss-Laguerre tables,
-# bound by _load on the first quadrature or Bessel call; special doubles as
-# the loaded flag
+# numpy, scipy.special, the Gauss-Laguerre tables of the contour and the
+# Gauss-Legendre ones of the cross-check, bound by _load on the first
+# quadrature or Bessel call; special doubles as the loaded flag
 np = special = None
-_GL_NODES = _GL_WEIGHTS = _GL12_NODES = _GL12_WEIGHTS = _PANEL_NODES = None
+_GL_NODES = _GL_WEIGHTS = None
 _LAG_WEIGHTS = _LAG40_WEIGHTS = _CONTOUR_NODES = None
 _LAG_N = 60  # contour nodes; the estimate compares them with 40
 
 
 def _load() -> None:
     global np, special
-    global _GL_NODES, _GL_WEIGHTS, _GL12_NODES, _GL12_WEIGHTS, _PANEL_NODES
+    global _GL_NODES, _GL_WEIGHTS
     global _LAG_WEIGHTS, _LAG40_WEIGHTS, _CONTOUR_NODES
     import numpy as np
 
     _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-    _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
-    _PANEL_NODES = np.concatenate([_GL_NODES, _GL12_NODES])
     lag_nodes, _LAG_WEIGHTS = _laguerre_rule(_LAG_N)
     lag40_nodes, _LAG40_WEIGHTS = _laguerre_rule(40)
     _CONTOUR_NODES = np.concatenate([lag_nodes, lag40_nodes])
@@ -169,16 +165,22 @@ def _radial_transform(f, p, n, Mval, lo, tail_cross_check) -> Tuple[float, float
         _load()
     omega = sphere_area(n).evalf()
 
-    # the real axis up to b, the contour from b
-    b = max(lo, math.pi / p)
+    # the real axis up to b, the contour from b; far outside the documented
+    # p range the closed form's powers of b overflow, or the contour nodes
+    # do, which the value and the estimate then show as inf or nan
+    pts = _panel_points(lo, p)
+    b = pts[-1]
     main_val = main_err = 0.0
-    if lo < b:
-        main_val, main_err = _quad_panels(f, p, n, Mval, _panel_points(lo, b))
-    tail_val, tail_err = _tail(f, p, n, Mval, b)
-    value = omega * (main_val + tail_val)
-    err = omega * (main_err + tail_err)
+    try:
+        if lo < b:
+            main_val, main_err = _quad_panels(f, p, n, Mval, pts)
+        with np.errstate(all="ignore"):
+            tail_val, tail_err = _tail(f, p, n, Mval, b)
+        value = omega * (main_val + tail_val)
+        err = omega * (main_err + tail_err)
+    except OverflowError:
+        value = err = math.inf
     if not (math.isfinite(value) and math.isfinite(err)):
-        # far outside the documented p range the nodes over- or underflow
         raise EvaluationError(
             f"no finite transform at p={p!r}, M={Mval!r}, truncation radius "
             f"{lo!r}: outside the oracle's range"
@@ -203,17 +205,10 @@ def _radial_transform(f, p, n, Mval, lo, tail_cross_check) -> Tuple[float, float
     return value, err
 
 
-def _panel_points(lo: float, hi: float) -> List[float]:
-    """Breakpoints of [lo, hi]: a single panel from r = 0, which is closed
-    form, or a geometric grid from a truncation radius, where the power
-    law is steep."""
-    pts = [lo]
-    x = lo * 4.0
-    while 0.0 < x < hi:
-        pts.append(x)
-        x *= 4.0
-    pts.append(hi)
-    return pts
+def _panel_points(lo: float, p: float) -> List[float]:
+    """The real-axis piece [lo, b], b = max(lo, pi/p), where the contour
+    takes over; it is empty when lo >= pi/p."""
+    return [lo, max(lo, math.pi / p)]
 
 
 # QUADPACK's roundoff floor: no panel estimate is below 50 eps int |g|
@@ -221,38 +216,26 @@ _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 
 def _quad_panels(f: PositionFunction, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
-    """Integral of f A_n(pr) r^(n-1) over the panels between pts, which end
-    at b <= pi/p.  The panel from r = 0, where f is singular, is integrated
-    in closed form.  From a truncation radius every panel gets fixed
-    24-point Gauss-Legendre nodes, all in one array evaluation, with the
-    estimate |GL24 - GL12| plus the roundoff floor per panel."""
-    if pts[0] == 0.0:
-        return _origin_panel(f, p, n, Mval, pts[1])
-    edges = np.asarray(pts, dtype=float)
-    a = edges[:-1]
-    scale = 0.5 * (edges[1:] - a)
-    r = a[:, None] + (_PANEL_NODES[None, :] + 1.0) * scale[:, None]
-    g = _array_integrand(f, p, n, Mval)(r.ravel()).reshape(r.shape)
-    g24, g12 = g[:, : len(_GL_NODES)], g[:, len(_GL_NODES):]
-    fine = scale * (g24 @ _GL_WEIGHTS)
-    coarse = scale * (g12 @ _GL12_WEIGHTS)
-    floor = _ROUNDOFF * scale * (np.abs(g24) @ _GL_WEIGHTS)
-    return math.fsum(fine.tolist()), math.fsum((np.abs(fine - coarse) + floor).tolist())
-
-
-def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
-    """int_0^b f A_n(pr) r^(n-1) dr in closed form.  With A_n(z) =
-    sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), each term
-    c r^s L^k, L = log(r^2 M^2), integrates by parts: int_0^b r^sig L^k dr =
-    b^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i k!/(k-i)! L(b)^(k-i), where
-    sig = s+n-1+2j > -1 because f is integrable at the origin.  The panel
-    ends at b = pi/p, so the sum stops once a j-block is below roundoff;
-    the estimate is that block plus the roundoff floor on the sum of the
-    moduli."""
-    L = 2.0 * math.log(b * Mval)  # log(b^2 M^2); b^2 overflows for p below 1e-154
+    """int_lo^b f A_n(pr) r^(n-1) dr over pts = [lo, b], b <= pi/p, in
+    closed form.  With A_n(z) = sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1}
+    / (2j (n+2j-2)), a term c r^s L^k, L = log(r^2 M^2), leaves int r^sig
+    L^k dr, sig = s+n-1+2j, whose antiderivative r^(sig+1)/(sig+1) sum_i
+    (-2/(sig+1))^i k!/(k-i)! L^(k-i), or L^(k+1)/(2(k+1)) at sig = -1, is
+    taken at both ends; at r = 0 it vanishes, since sig > -1 where f is
+    integrable.  An end x carries x^(s+n) alpha_j (p b)^(2j) (x/b)^(2j),
+    which does not overflow for small x.  As p b <= pi the sum stops once
+    a j-block is below roundoff; the estimate is that block plus the
+    roundoff floor on the sum of the moduli, which covers the cancellation
+    between the ends."""
+    lo, b = pts
+    # (sign, radius x, log(x^2 M^2)): x^2 overflows for p below 1e-154
+    ends = [(1.0, b, 2.0 * math.log(b * Mval))]
+    if lo:
+        ends.append((-1.0, lo, 2.0 * math.log(lo * Mval)))
     # s + n summed exactly: float(s) + n would lose digits where it nears 0
-    terms = [(t.coeff.evalf() * b ** float(t.rpow + n), float(t.rpow + n), t.logpow)
-             for t in f.radial]
+    terms = [(sign * t.coeff.evalf() * x ** float(t.rpow + n), float(t.rpow + n),
+              t.logpow, (x / b) ** 2, L)
+             for sign, x, L in ends for t in f.radial]
     parts = []
     size = 0.0
     w = 1.0  # alpha_j (p b)^(2j)
@@ -260,10 +243,14 @@ def _origin_panel(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
         if j:
             w *= -(p * b) ** 2 / (2 * j * (n + 2 * j - 2))
         block = []
-        for c, e, k in terms:
+        for c, e, k, x2, L in terms:
             e2 = e + 2 * j  # sig + 1
-            block.extend(c * w / e2 * (-2.0 / e2) ** i * math.perm(k, i)
-                         * L ** (k - i) for i in range(k + 1))
+            cw = c * w * x2 ** j
+            if e2 == 0.0:
+                block.append(cw * L ** (k + 1) / (2 * k + 2))
+            else:
+                block.extend(cw / e2 * (-2.0 / e2) ** i * math.perm(k, i)
+                             * L ** (k - i) for i in range(k + 1))
         parts.extend(block)
         last = math.fsum(abs(v) for v in block)
         size += last
@@ -292,13 +279,6 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     return float(fine.real), float(abs(fine - coarse) + floor)
 
 
-def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float):
-    """Array integrand of the damped cross-check tail.  A separate function
-    from the panels' _array_integrand, so the benchmark tracer counts
-    cross-check evaluations apart."""
-    return _array_integrand(f, p, n, Mval)
-
-
 def _profile(f: PositionFunction, Mval: float):
     """f on an array of radii, real or on the contour (Re r > 0, principal
     branches)."""
@@ -314,8 +294,9 @@ def _profile(f: PositionFunction, Mval: float):
     return profile
 
 
-def _array_integrand(f: PositionFunction, p: float, n: int, Mval: float):
-    """f A_n(pr) r^(n-1) on an array of real radii r > 0."""
+def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float):
+    """f A_n(pr) r^(n-1) on an array of real radii r > 0, the integrand of
+    the damped cross-check tail."""
     nu = 0.5 * n - 1.0
     gfac = math.gamma(0.5 * n)
     profile = _profile(f, Mval)

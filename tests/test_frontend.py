@@ -380,6 +380,15 @@ class TestCli:
             math.pi ** 2, rel=1e-6
         )
 
+    def test_oracle_truncated_steep_log_power(self, capsys):
+        # fixed-node panels from eps = 1 overran the budget here (exit 3);
+        # the reference is mpmath's -1.74508958774490360
+        code, doc = run_json(capsys, "oracle", "--fn", "r^-6*log(r^2*M^2)^3", "--p", "0.01",
+                             "--eps", "1", "--dim", "2", "--mass", "0.5")
+        assert code == 0
+        terms = doc["symbolic"]["terms"]
+        assert abs(float(terms["value"]) + 1.74508958774490360) <= float(terms["err_estimate"])
+
     def test_json_deterministic(self, capsys):
         _, out1 = run_cli(capsys, "transform", "--fn", "r^-2", "--at", "1", "--json")
         _, out2 = run_cli(capsys, "transform", "--fn", "r^-2", "--at", "1", "--json")
@@ -442,10 +451,12 @@ class TestCli:
             ["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,nan"],
             # far outside the documented p range the quadrature is not finite
             ["oracle", "--fn", "r^-2", "--p", "1e10", "--eps", "1e7"],
+            # the closed form's (pi / p)^5 overflows a float
+            ["oracle", "--fn", "r^-1", "--p", "1e-100", "--dim", "6"],
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
-             "tol_defect_inf", "eps_grid_nan", "p_out_of_range"],
+             "tol_defect_inf", "eps_grid_nan", "p_out_of_range", "p_overflow"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, argv):
         code, doc = run_json(capsys, *argv)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -145,6 +146,29 @@ class TestTruncated:
         full, _ = hankel_numeric(f, p, n)
         assert trunc + omega * ball == pytest.approx(full, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.316])
+    def test_steep_log_power_from_unit_radius(self, n, p):
+        # r^-(n+4) log^3(r^2 M^2) from eps = 1 is steep on [eps, pi/p],
+        # which fixed-node panels did not resolve within the budget; the
+        # reference integrates the real axis up to pi / p and sums the
+        # oscillation beyond it
+        f = position_term(n, 1, Fraction(-n - 4), 3)
+        M = 0.5
+        with mp.workdps(20):
+            nu = mp.mpf(n) / 2 - 1
+
+            def g(r):
+                z = p * r
+                return r ** -5 * mp.log(r * r * M * M) ** 3 * (2 / z) ** nu * mp.besselj(nu, z)
+
+            b = mp.pi / p
+            ref = mp.quad(g, [1, 2, b]) + mp.quadosc(g, [b, mp.inf], omega=p)
+            ref *= 2 * mp.pi ** (mp.mpf(n) / 2)  # Omega_{n-1} Gamma(n/2)
+        val, err = truncated_ft_numeric(f, p, n, M, 1.0)
+        assert abs(float(ref) - val) <= err
+        assert err <= 1e-6 * abs(val) + 1e-10
+
 
 class TestAccuracyGrid:
     # every power r^a in the Fourier window -n < a < 0, log powers 0-2,
@@ -163,54 +187,66 @@ class TestAccuracyGrid:
 
 
 class TestOriginPanel:
-    # the first panel, for r^s log^k(r^2 M^2) with s just above -n: from
-    # r = 0 it is all of [0, pi/p], in closed form; from a truncation radius
-    # it is the first panel of the geometric grid, with fixed nodes
+    # the real-axis piece [lo, b], b = pi/p, of r^s log^k(r^2 M^2), in
+    # closed form: from r = 0 for s just above -n, and from truncation
+    # radii for s down to -n-4 (at s = -n, -n-2 and -n-4 one term of the
+    # Taylor series integrates to a power of the log)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("e", [Fraction(1, 10), Fraction(1, 2), Fraction(1)],
-                             ids=["s=-n+1/10", "s=-n+1/2", "s=-n+1"])
+    @pytest.mark.parametrize(
+        "e", [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(0), Fraction(-2),
+              Fraction(-4)],
+        ids=["s=-n+1/10", "s=-n+1/2", "s=-n+1", "s=-n", "s=-n-2", "s=-n-4"])
     def test_matches_mpmath_within_estimate(self, n, e):
-        # with r = b t^(1/e) the panel is b^e / e int L^k A_n(p r) dt over
-        # [(a/b)^e, 1], smooth but for log t at t = 0; the kernel is mpmath's
-        # Bessel function, cached over k and M at each node
+        # from r = 0, r = b t^(1/e) makes the piece b^e / e int L^k A_n dt
+        # over [0, 1], smooth but for log t at t = 0; from lo > 0, r = e^t
+        # makes it int r^e L^k A_n dt.  The kernel is mpmath's Bessel
+        # function, cached over k and M at each node
         _load()  # the panels are called directly, not through an entry point
         with mp.workdps(20):
             em = mp.mpf(e.numerator) / e.denominator
+            nu = mp.mpf(n) / 2 - 1
+            # the antiderivative's terms reach k! (2/m)^(k+1) times the
+            # integrand, m the smallest nonzero |s+n+2j|
+            m = min(abs(e + 2 * j) for j in range(3) if e + 2 * j)
             for p in (1e-3, 1.0, 1e2, 1e6):
-                for lo in (0.0, 1e-7):
-                    a, b = _panel_points(lo, math.pi / p)[:2]
+                b = _panel_points(0.0, p)[1]
+                # 0.999 b: the two ends cancel to 1e-3 of themselves
+                los = [lo for lo in (1e-7, 1e-3, 0.2, 1.0) if lo < b] + [0.999 * b]
+                for lo in ([0.0] if e > 0 else []) + los:
+                    a = _panel_points(lo, p)[0]
                     kern = {}
 
                     def node(t):
                         if t not in kern:
-                            r = b * t ** (1 / em)
+                            r = mp.exp(t) if a else b * t ** (1 / em)
+                            jac = r ** em if a else b ** em / em
                             z = p * r
-                            nu = mp.mpf(n) / 2 - 1
-                            kern[t] = r, mp.gamma(nu + 1) * (2 / z) ** nu * mp.besselj(nu, z)
+                            A = mp.gamma(nu + 1) * (2 / z) ** nu * mp.besselj(nu, z)
+                            kern[t] = 2 * mp.log(r), jac * A
                         return kern[t]
 
+                    span = [mp.log(a), mp.log(b)] if a else [0, 1]
+                    # the integrand changes sign (at r M = 1, and at the
+                    # first zero of J_0 in dim 2), so the estimate is
+                    # measured against int |g|: over the piece from r = 0,
+                    # and amplified by the antiderivative's growth over
+                    # [min(lo, b/2), b] from a truncation radius
+                    span_abs = [min(span[0], mp.log(b / 2)), span[1]] if a else span
                     for k in range(4):
+                        tol = 1e-11 * math.factorial(k) * max(1, 2 / m) ** (k + 1) if a else 1e-12
                         for M in (0.5, 1.0, 2.0):
                             f = position_term(n, 1, e - n, k)
                             val, err = _quad_panels(f, p, n, M, [a, b])
+                            logm = 2 * mp.log(M)
 
                             def g(t):
-                                r, A = node(t)
-                                return mp.log(r * r * M * M) ** k * A
+                                logr, A = node(t)
+                                return (logr + logm) ** k * A
 
-                            span = [(mp.mpf(a) / b) ** em, 1]
-                            ref = mp.quad(g, span) * mp.mpf(b) ** em / em
+                            ref = mp.quad(g, span)
+                            size = mp.quad(lambda t: abs(g(t)), span_abs, maxdegree=4)
                             assert abs(float(ref - val)) <= err, (p, lo, k, M)
-                            if lo:  # GL24 against GL12
-                                assert err <= 1e-10 * abs(val), (p, lo, k, M)
-                            else:
-                                # the closed form over [0, pi/p], where the
-                                # integrand changes sign (at r M = 1, and at
-                                # the first zero of J_0 in dim 2): its
-                                # roundoff is measured against int |g|
-                                size = mp.quad(lambda t: abs(g(t)), span)
-                                size *= mp.mpf(b) ** em / em
-                                assert err <= 1e-12 * float(size), (p, lo, k, M)
+                            assert err <= tol * float(size), (p, lo, k, M)
 
     @pytest.mark.parametrize("p, near, far", [(1e10, 1e-7, 1.2e-7), (1e9, 1e-7, 4e-7)])
     def test_truncation_radius_below_grid(self, p, near, far):
@@ -431,14 +467,19 @@ class TestContract:
             with pytest.raises(ConvergenceError, match="exceeds tolerance budget"):
                 hankel_numeric(f, 1.0, 4)
 
-    @pytest.mark.parametrize("p", [1e-300, 1e300])
-    def test_out_of_range_momentum_is_domain_error(self, p):
+    @pytest.mark.parametrize("p, n, a", [(1e-300, 2, -1), (1e300, 2, -1), (1e-100, 6, -1),
+                                         (1e300, 4, -2)],
+                             ids=["1e-300", "1e+300", "1e-100-dim6", "1e+300-dim4"])
+    def test_out_of_range_momentum_is_domain_error(self, p, n, a):
         # far outside the documented range the contour nodes over- or
-        # underflow; the oracle names the input instead of a nan budget
-        f = position_term(2, 1, Fraction(-1), 3)
+        # underflow, or the closed form's powers of pi / p overflow; the
+        # oracle names the input, without a nan budget or a warning
+        f = position_term(n, 1, Fraction(a), 3)
         where = re.escape(f"p={p!r}, M=1.0, truncation radius 0.0")
-        with pytest.raises(EvaluationError, match=where):
-            hankel_numeric(f, p, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=where):
+                hankel_numeric(f, p, n)
 
 
 class TestFiniteDifference:
