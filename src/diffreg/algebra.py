@@ -13,20 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .coeffs import Coefficient
+from .coeffs import Coefficient, as_fraction
 from .errors import (
     DimensionMismatchError,
     DistributionProductError,
     EvaluationError,
 )
-
-
-def _as_exponent(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exponent must be exact (int/Fraction), got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,7 @@ class RadialTerm:
     logpow: int = 0  # log(r^2 M^2)^logpow
 
     def __post_init__(self):
-        object.__setattr__(self, "rpow", _as_exponent(self.rpow))
+        object.__setattr__(self, "rpow", as_fraction(self.rpow))
         if self.logpow < 0:
             raise ValueError("logpow must be non-negative")
 
@@ -58,7 +50,7 @@ class MomentumTerm:
     logpow: int = 0  # log(p^2/M^2)^logpow
 
     def __post_init__(self):
-        object.__setattr__(self, "ppow", _as_exponent(self.ppow))
+        object.__setattr__(self, "ppow", as_fraction(self.ppow))
         if self.logpow < 0:
             raise ValueError("logpow must be non-negative")
 

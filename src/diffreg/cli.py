@@ -388,7 +388,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     code = 0
     try:
         for key, value in inputs.items():
-            _check_finite("--" + key.replace("_", "-"), value)
+            name = "--" + key.replace("_", "-")
+            _check_finite(name, value)
+            if key in ("tol", "tol_defect") and value < 0:
+                raise ValueError(f"{name} must not be negative, got {value!r}")
         _HANDLERS[args.command](args, report)
         if not all(c["pass"] for c in report.checks):
             code = 1

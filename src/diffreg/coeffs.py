@@ -36,7 +36,7 @@ SYMBOL_NAMES = ("pi", "gammaE", "ln2", "zeta3")
 _ONE_MONO: Monomial = (0, 0, 0, 0)
 
 
-def _as_fraction(x) -> Fraction:
+def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -60,14 +60,14 @@ class Coefficient:
 
     @classmethod
     def rational(cls, q) -> "Coefficient":
-        q = _as_fraction(q)
+        q = as_fraction(q)
         if q == 0:
             return cls()
         return cls(((_ONE_MONO, q),))
 
     @classmethod
     def monomial(cls, q, pi=0, gammaE=0, ln2=0, zeta3=0) -> "Coefficient":
-        q = _as_fraction(q)
+        q = as_fraction(q)
         if q == 0:
             return cls()
         if min(pi, gammaE, ln2, zeta3) < 0:
@@ -199,61 +199,52 @@ ZETA3 = Coefficient.monomial(1, zeta3=1)
 # -- exact special values ---------------------------------------------
 
 
+def _lattice(x) -> Tuple[int, bool]:
+    """(m, half) with x = m + half/2, for x on the positive (half-)integer
+    lattice, the one set where the exact layer's constants stay inside
+    the symbol set."""
+    x = as_fraction(x)
+    if x <= 0 or (2 * x).denominator != 1:
+        raise SymbolSetError(
+            f"argument {x} is not a positive integer or half-integer; "
+            "its value leaves the exact symbol set"
+        )
+    return int(x), x.denominator == 2
+
+
 def gamma_exact(x: Fraction) -> Tuple[Fraction, int]:
     """Gamma(x) for positive integer or half-integer x, as
     (rational, h) meaning rational * pi**(h/2) with h in {0, 1}."""
-    x = _as_fraction(x)
-    if x <= 0 or (2 * x).denominator != 1:
-        raise DiffRegError(f"gamma_exact needs positive (half-)integer, got {x}")
-    if x.denominator == 1:
-        return Fraction(math.factorial(int(x) - 1)), 0
-    m = int(x - Fraction(1, 2))
+    m, half = _lattice(x)
+    if not half:
+        return Fraction(math.factorial(m - 1)), 0
     # Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi)
-    val = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-    return val, 1
+    return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
 
 
-def _check_half_arg(x: Fraction) -> Fraction:
-    x = _as_fraction(x)
-    if x <= 0 or (2 * x).denominator != 1:
-        raise SymbolSetError(
-            f"polygamma argument {x} is not a positive integer or half-integer; "
-            "value leaves the exact symbol set"
-        )
-    return x
+# psi^(k)(1) and psi^(k)(1/2) by (k, half), sign and k! included, so that
+# polygamma makes one ring operation
+_POLYGAMMA_BASE = {
+    (0, False): -GAMMA_E,
+    (0, True): -GAMMA_E - 2 * LN2,
+    (1, False): Coefficient.monomial(Fraction(1, 6), pi=2),
+    (1, True): Coefficient.monomial(Fraction(1, 2), pi=2),
+    (2, False): -2 * ZETA3,
+    (2, True): -14 * ZETA3,
+}
 
 
-def psi0(x: Fraction) -> Coefficient:
-    """digamma at positive integer or half-integer argument."""
-    x = _check_half_arg(x)
-    if x.denominator == 1:
-        h = sum((Fraction(1, i) for i in range(1, int(x))), Fraction(0))
-        return Coefficient.rational(h) - GAMMA_E
-    m = int(x - Fraction(1, 2))
-    h = sum((Fraction(2, 2 * i - 1) for i in range(1, m + 1)), Fraction(0))
-    return Coefficient.rational(h) - GAMMA_E - 2 * LN2
-
-
-def psi1(x: Fraction) -> Coefficient:
-    """trigamma at positive integer or half-integer argument."""
-    x = _check_half_arg(x)
-    if x.denominator == 1:
-        s = sum((Fraction(1, i * i) for i in range(1, int(x))), Fraction(0))
-        return Coefficient.monomial(Fraction(1, 6), pi=2) - Coefficient.rational(s)
-    m = int(x - Fraction(1, 2))
-    s = sum((Fraction(4, (2 * i - 1) ** 2) for i in range(1, m + 1)), Fraction(0))
-    return Coefficient.monomial(Fraction(1, 2), pi=2) - Coefficient.rational(s)
-
-
-def psi2(x: Fraction) -> Coefficient:
-    """tetragamma (second derivative of digamma) at (half-)integer argument."""
-    x = _check_half_arg(x)
-    if x.denominator == 1:
-        s = sum((Fraction(2, i ** 3) for i in range(1, int(x))), Fraction(0))
-        return Coefficient.rational(s) - 2 * ZETA3
-    m = int(x - Fraction(1, 2))
-    s = sum((Fraction(16, (2 * i - 1) ** 3) for i in range(1, m + 1)), Fraction(0))
-    return Coefficient.rational(s) - 14 * ZETA3
+def polygamma(k: int, x: Fraction) -> Coefficient:
+    """psi^(k)(x), k <= 2, at a positive integer or half-integer x:
+    psi^(k)(x) = psi^(k)(x0) + (-1)^k k! S, with x0 = 1 or 1/2 and S the
+    lattice sum below x, sum_{i<m} i^-(k+1) for x = m or
+    sum_{i<=m} (2/(2i-1))^(k+1) for x = m + 1/2."""
+    m, half = _lattice(x)
+    if half:
+        s = sum((Fraction(2, 2 * i - 1) ** (k + 1) for i in range(1, m + 1)), Fraction(0))
+    else:
+        s = sum((Fraction(1, i ** (k + 1)) for i in range(1, m)), Fraction(0))
+    return _POLYGAMMA_BASE[k, half] + Coefficient.rational((-1) ** k * math.factorial(k) * s)
 
 
 def sphere_area(n: int) -> Coefficient:

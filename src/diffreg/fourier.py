@@ -26,19 +26,16 @@ from .algebra import (
     PositionFunction,
     RadialTerm,
 )
-from .coeffs import ZERO, Coefficient, gamma_exact, psi0, psi1, psi2
+from .coeffs import ZERO, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
 
 MAX_EXACT_LOGPOW = 3
 
 
-def in_window(rpow: Fraction, n: int) -> bool:
-    """Open convergence window: r^{-2a'} with 0 < a' < n/2."""
-    return -n < rpow < 0
-
-
 def term_fourier_safe(t: RadialTerm, n: int) -> bool:
-    return in_window(t.rpow, n) and t.logpow <= MAX_EXACT_LOGPOW
+    """Open convergence window r^{-2a'}, 0 < a' < n/2, with a supported
+    log power."""
+    return -n < t.rpow < 0 and t.logpow <= MAX_EXACT_LOGPOW
 
 
 def fourier_safe(f: PositionFunction) -> bool:
@@ -47,52 +44,39 @@ def fourier_safe(f: PositionFunction) -> bool:
     return all(term_fourier_safe(t, f.dim) for t in f.radial)
 
 
-def assert_fourier_safe(f: PositionFunction) -> None:
-    n = f.dim
-    for t in f.radial:
-        if not in_window(t.rpow, n):
-            raise FourierWindowError(
-                f"term r^{t.rpow} log^{t.logpow} outside the open window "
-                f"-{n} < rpow < 0 for dim {n}"
-            )
-        if t.logpow > MAX_EXACT_LOGPOW:
-            raise SymbolSetError(
-                f"log power {t.logpow} exceeds exact symbol set "
-                f"(max {MAX_EXACT_LOGPOW}); use the numeric oracle"
-            )
-
-
 def master_coefficients(aprime: Fraction, n: int, depth: int) -> List[Coefficient]:
     """[C, C', ..., C^(depth)] where C(a') is the master-formula constant
-    pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  Needs 2a' integer."""
+    pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  The one gate of the exact
+    transform: the term r^{-2a'} log^depth must lie in the open window
+    0 < a' < n/2, with 2a' an integer and depth <= MAX_EXACT_LOGPOW."""
     if not (0 < aprime < Fraction(n, 2)):
-        raise FourierWindowError(f"a'={aprime} outside (0, {n}/2)")
-    if (2 * aprime).denominator != 1:
-        raise SymbolSetError(
-            f"exponent r^{-2 * aprime} needs polygamma values outside the "
-            "exact symbol set; use the numeric oracle"
+        raise FourierWindowError(
+            f"term r^{-2 * aprime} log^{depth} (p^{2 * aprime - n} in momentum) "
+            f"outside the open window -{n} < rpow < 0 for dim {n}"
         )
+    if depth > MAX_EXACT_LOGPOW:
+        raise SymbolSetError(
+            f"log power {depth} exceeds exact symbol set "
+            f"(max {MAX_EXACT_LOGPOW}); use the numeric oracle"
+        )
+    gden, hden = gamma_exact(aprime)  # the lattice check for a' and n/2 - a'
     b = Fraction(n, 2) - aprime
     gnum, hnum = gamma_exact(b)
-    gden, hden = gamma_exact(aprime)
     pi_exp = Fraction(n, 2) + Fraction(hnum, 2) - Fraction(hden, 2)
     if pi_exp.denominator != 1:
         raise DiffRegError("internal: non-integer pi exponent in master formula")
-    two_exp = n - 2 * aprime  # integer by the check above
-    rat = Fraction(2) ** int(two_exp) * gnum / gden
+    rat = Fraction(2) ** (n - int(2 * aprime)) * gnum / gden
     C = Coefficient.monomial(rat, pi=int(pi_exp))
     out = [C]
     if depth >= 1:
-        L1 = -2 * Coefficient.monomial(1, ln2=1) - psi0(b) - psi0(aprime)
+        L1 = -2 * Coefficient.monomial(1, ln2=1) - polygamma(0, b) - polygamma(0, aprime)
         out.append(C * L1)
     if depth >= 2:
-        L2 = psi1(b) - psi1(aprime)
+        L2 = polygamma(1, b) - polygamma(1, aprime)
         out.append(C * (L1 * L1 + L2))
     if depth >= 3:
-        L3 = -psi2(b) - psi2(aprime)
+        L3 = -polygamma(2, b) - polygamma(2, aprime)
         out.append(C * (L1 * L1 * L1 + 3 * L1 * L2 + L3))
-    if depth > 3:
-        raise SymbolSetError("log powers above 3 exceed the exact symbol set")
     return out
 
 
@@ -100,7 +84,6 @@ def fourier_base(g: PositionFunction) -> MomentumFunction:
     """Exact transform of a Fourier-safe function.  Radial terms map through
     the master formula and its a'-derivatives; local terms map to the
     polynomial part, coeff * box^j delta -> coeff * (-p^2)^j."""
-    assert_fourier_safe(g)
     n = g.dim
     terms = []
     for t in g.radial:
@@ -129,12 +112,6 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
     n = F.dim
     groups: dict = {}
     for t in F.terms:
-        if not (-n < t.ppow < 0):
-            raise FourierWindowError(
-                f"momentum term p^{t.ppow} outside the open window for dim {n}"
-            )
-        if t.logpow > MAX_EXACT_LOGPOW:
-            raise SymbolSetError("log power exceeds exact symbol set")
         groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
     radial = []
     for ppow, levels in groups.items():

@@ -14,9 +14,7 @@ from diffreg.coeffs import (
     ZETA3,
     Coefficient,
     gamma_exact,
-    psi0,
-    psi1,
-    psi2,
+    polygamma,
     sphere_area,
 )
 from diffreg.errors import DiffRegError, SymbolSetError
@@ -201,17 +199,20 @@ class TestSpecialValues:
         assert gamma_exact(Fraction(3, 2)) == (Fraction(1, 2), 1)
         assert gamma_exact(Fraction(7, 2)) == (Fraction(15, 8), 1)
 
-    @pytest.mark.parametrize("x", [Fraction(k, 2) for k in range(1, 12)])
+    @pytest.mark.parametrize("x", [Fraction(k, 2) for k in range(1, 41)])
     def test_polygamma_against_scipy(self, x):
         xf = float(x)
-        assert psi0(x).evalf() == pytest.approx(special.polygamma(0, xf), rel=1e-12)
-        assert psi1(x).evalf() == pytest.approx(special.polygamma(1, xf), rel=1e-12)
-        assert psi2(x).evalf() == pytest.approx(special.polygamma(2, xf), rel=1e-12)
+        for k in range(3):
+            assert polygamma(k, x).evalf() == pytest.approx(special.polygamma(k, xf), rel=1e-12)
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(-1), Fraction(0)])
     def test_polygamma_rejects_off_lattice(self, x):
+        # gamma_exact and polygamma share one lattice check
         with pytest.raises(SymbolSetError):
-            psi0(x)
+            gamma_exact(x)
+        for k in range(3):
+            with pytest.raises(SymbolSetError):
+                polygamma(k, x)
 
     def test_sphere_area_exact(self):
         assert sphere_area(2) == 2 * PI

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,10 +99,28 @@ class TestWindow:
         with pytest.raises(SymbolSetError):
             master_coefficients(Fraction(1), 4, 4)
 
+    def test_window_message_names_term_and_dim(self):
+        with pytest.raises(FourierWindowError, match=r"r\^-4 log\^1 .* for dim 4"):
+            fourier_base(position_term(4, 1, Fraction(-4), 1))
+
     def test_fourier_safe_predicate(self):
         assert fourier_safe(position_term(4, 1, Fraction(-2), 3))
         assert not fourier_safe(position_term(4, 1, Fraction(-4)))
         assert fourier_safe(delta_term(4, 1))
+
+
+@pytest.mark.parametrize(
+    "n, m, j", [(n, m, j) for n in range(1, 9) for m in range(1, n) for j in range(4)]
+)
+def test_master_coefficients_against_mpmath(n, m, j):
+    # C^(j)(a') against mpmath's derivative of the master constant at a' = m/2
+    def master(a):
+        return mp.pi ** (mp.mpf(n) / 2) * 2 ** (n - 2 * a) * mp.gamma(mp.mpf(n) / 2 - a) / mp.gamma(a)
+
+    with mp.workdps(40):
+        ref = float(mp.diff(master, mp.mpf(m) / 2, j))
+    got = master_coefficients(Fraction(m, 2), n, j)[j].evalf()
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 ORACLE_CASES = [
@@ -177,6 +196,10 @@ class TestInverse:
     def test_rejects_outside_window(self):
         with pytest.raises(FourierWindowError):
             inverse_fourier_base(momentum_term(4, 1, Fraction(-6)))
+
+    def test_rejects_deep_logs(self):
+        with pytest.raises(SymbolSetError):
+            inverse_fourier_base(momentum_term(4, 1, Fraction(-2), MAX_EXACT_LOGPOW + 1))
 
 
 class TestCallanSymanzik:

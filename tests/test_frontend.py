@@ -453,10 +453,14 @@ class TestCli:
             ["oracle", "--fn", "r^-2", "--p", "1e10", "--eps", "1e7"],
             # the closed form's (pi / p)^5 overflows a float
             ["oracle", "--fn", "r^-1", "--p", "1e-100", "--dim", "6"],
+            # a negative tolerance gives a check that can never pass, or none
+            ["surface", "--target", "r^-4", "--eps", "0.05", "--tol-defect", "-1"],
+            ["transform", "--fn", "r^-2", "--at", "1", "--tol", "-1"],
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
-             "tol_defect_inf", "eps_grid_nan", "p_out_of_range", "p_overflow"],
+             "tol_defect_inf", "eps_grid_nan", "p_out_of_range", "p_overflow",
+             "tol_defect_negative", "tol_negative"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
