@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Tuple
 
 from .errors import DiffRegError, SymbolSetError
@@ -247,8 +248,10 @@ def polygamma(k: int, x: Fraction) -> Coefficient:
     return _POLYGAMMA_BASE[k, half] + Coefficient.rational((-1) ** k * math.factorial(k) * s)
 
 
+@lru_cache(maxsize=256, typed=True)
 def sphere_area(n: int) -> Coefficient:
-    """Surface area of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2)."""
+    """Surface area of the unit (n-1)-sphere, 2 pi^(n/2) / Gamma(n/2),
+    memoised per dimension (keyed by exact type, so 4.0 is not 4)."""
     if n < 1:
         raise DiffRegError("dimension must be positive")
     gval, ghalf = gamma_exact(Fraction(n, 2))

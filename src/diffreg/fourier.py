@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from functools import lru_cache
+from typing import Tuple
 
 from .algebra import (
     LocalTerm,
@@ -26,7 +27,7 @@ from .algebra import (
     PositionFunction,
     RadialTerm,
 )
-from .coeffs import ZERO, Coefficient, gamma_exact, polygamma
+from .coeffs import LN2, ZERO, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
 
 MAX_EXACT_LOGPOW = 3
@@ -44,11 +45,16 @@ def fourier_safe(f: PositionFunction) -> bool:
     return all(term_fourier_safe(t, f.dim) for t in f.radial)
 
 
-def master_coefficients(aprime: Fraction, n: int, depth: int) -> List[Coefficient]:
-    """[C, C', ..., C^(depth)] where C(a') is the master-formula constant
-    pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  The one gate of the exact
-    transform: the term r^{-2a'} log^depth must lie in the open window
-    0 < a' < n/2, with 2a' an integer and depth <= MAX_EXACT_LOGPOW."""
+@lru_cache(maxsize=256, typed=True)
+def master_coefficients(aprime: Fraction, n: int, depth: int) -> Tuple[Coefficient, ...]:
+    """The tuple (C, C', ..., C^(depth)) where C(a') is the master-formula
+    constant pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  The one gate of
+    the exact transform: the term r^{-2a'} log^depth must lie in the open
+    window 0 < a' < n/2, with 2a' an integer and depth <= MAX_EXACT_LOGPOW.
+
+    A bounded table keyed by exact type: 0.5 and Fraction(1, 2) are
+    different keys, so a float still raises on every call, and a call that
+    raises is never stored."""
     if not (0 < aprime < Fraction(n, 2)):
         raise FourierWindowError(
             f"term r^{-2 * aprime} log^{depth} (p^{2 * aprime - n} in momentum) "
@@ -69,7 +75,7 @@ def master_coefficients(aprime: Fraction, n: int, depth: int) -> List[Coefficien
     C = Coefficient.monomial(rat, pi=int(pi_exp))
     out = [C]
     if depth >= 1:
-        L1 = -2 * Coefficient.monomial(1, ln2=1) - polygamma(0, b) - polygamma(0, aprime)
+        L1 = -2 * LN2 - polygamma(0, b) - polygamma(0, aprime)
         out.append(C * L1)
     if depth >= 2:
         L2 = polygamma(1, b) - polygamma(1, aprime)
@@ -77,7 +83,7 @@ def master_coefficients(aprime: Fraction, n: int, depth: int) -> List[Coefficien
     if depth >= 3:
         L3 = -polygamma(2, b) - polygamma(2, aprime)
         out.append(C * (L1 * L1 * L1 + 3 * L1 * L2 + L3))
-    return out
+    return tuple(out)
 
 
 def fourier_base(g: PositionFunction) -> MomentumFunction:

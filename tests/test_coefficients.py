@@ -223,3 +223,27 @@ class TestSpecialValues:
     def test_sphere_area_numeric(self, n):
         expected = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         assert sphere_area(n).evalf() == pytest.approx(expected, rel=1e-14)
+
+    def test_sphere_area_table_keys_by_type(self):
+        # 4.0 is a different key from 4 and Fraction(4), so it still raises
+        # as Fraction(4.0, 2) does
+        assert sphere_area(4) == 2 * PI * PI
+        assert sphere_area(Fraction(4)) == 2 * PI * PI
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                sphere_area(4.0)
+        assert sphere_area(4) is sphere_area(4)
+
+    def test_sphere_area_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DiffRegError):
+                sphere_area(0)
+
+    def test_float_arguments_raise_after_exact_calls(self):
+        gamma_exact(Fraction(1, 2))
+        polygamma(0, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            gamma_exact(0.5)
+        for k in range(3):
+            with pytest.raises(TypeError):
+                polygamma(k, 0.5)

@@ -123,6 +123,47 @@ def test_master_coefficients_against_mpmath(n, m, j):
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+class TestTable:
+    """master_coefficients is a bounded table keyed by exact type; a miss
+    runs the gate, and a call that raises stores nothing."""
+
+    def test_float_still_raises_after_exact_call(self):
+        master_coefficients(Fraction(1, 2), 3, 0)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                master_coefficients(0.5, 3, 0)
+
+    @pytest.mark.parametrize(
+        "args, exc",
+        [
+            ((Fraction(3), 4, 0), FourierWindowError),
+            ((Fraction(-1, 2), 4, 1), FourierWindowError),
+            ((Fraction(1), 4, MAX_EXACT_LOGPOW + 1), SymbolSetError),
+            ((Fraction(3, 4), 4, 0), SymbolSetError),
+        ],
+    )
+    def test_errors_are_not_cached(self, args, exc):
+        for _ in range(2):
+            with pytest.raises(exc):
+                master_coefficients(*args)
+
+    def test_table_matches_uncached(self):
+        for n in range(1, 12):
+            for m in range(1, n):
+                for depth in range(MAX_EXACT_LOGPOW + 1):
+                    a = Fraction(m, 2)
+                    got = master_coefficients(a, n, depth)
+                    assert isinstance(got, tuple)
+                    assert repr(got) == repr(master_coefficients.__wrapped__(a, n, depth))
+
+    def test_second_transform_is_a_hit(self):
+        g = position_term(5, 1, Fraction(-3), 2)
+        first = fourier_base(g)
+        hits = master_coefficients.cache_info().hits
+        assert fourier_base(g) == first
+        assert master_coefficients.cache_info().hits == hits + 1
+
+
 ORACLE_CASES = [
     (4, Fraction(-2), 0),
     (4, Fraction(-2), 1),
