@@ -4,6 +4,10 @@ space and their momentum-space images.
 Position side: sums of c * r^a * log(r^2 M^2)^k plus delta-type local terms
 c * box^j delta^n(x).  Momentum side: sums of c * p^b * log(p^2/M^2)^k plus
 an exact polynomial part stored as c * (-p^2)^j.  One global mass symbol M.
+
+Exponents (``rpow``, ``ppow``) are kept in one normal form: an ``int`` when
+integral, else a ``Fraction`` with denominator > 1.  Integral exponents, the
+common case, then hash, sort and shift as plain ints.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .coeffs import Coefficient, as_fraction
+from .coeffs import Coefficient, as_exponent
 from .errors import (
     DimensionMismatchError,
     DistributionProductError,
@@ -24,11 +28,11 @@ from .errors import (
 @dataclass(frozen=True)
 class RadialTerm:
     coeff: Coefficient
-    rpow: Fraction  # r^rpow
+    rpow: int | Fraction  # r^rpow; an int when integral
     logpow: int = 0  # log(r^2 M^2)^logpow
 
     def __post_init__(self):
-        object.__setattr__(self, "rpow", as_fraction(self.rpow))
+        object.__setattr__(self, "rpow", as_exponent(self.rpow))
         if self.logpow < 0:
             raise ValueError("logpow must be non-negative")
 
@@ -46,11 +50,11 @@ class LocalTerm:
 @dataclass(frozen=True)
 class MomentumTerm:
     coeff: Coefficient
-    ppow: Fraction  # p^ppow
+    ppow: int | Fraction  # p^ppow; an int when integral
     logpow: int = 0  # log(p^2/M^2)^logpow
 
     def __post_init__(self):
-        object.__setattr__(self, "ppow", as_fraction(self.ppow))
+        object.__setattr__(self, "ppow", as_exponent(self.ppow))
         if self.logpow < 0:
             raise ValueError("logpow must be non-negative")
 
@@ -110,11 +114,11 @@ class MomentumFunction:
         for t in terms:
             if (
                 t.logpow == 0
-                and t.ppow.denominator == 1
+                and type(t.ppow) is int
                 and t.ppow >= 0
                 and t.ppow % 2 == 0
             ):
-                j = int(t.ppow) // 2
+                j = t.ppow // 2
                 sign = 1 if j % 2 == 0 else -1
                 c = sign * t.coeff
                 poly[j] = poly[j] + c if j in poly else c

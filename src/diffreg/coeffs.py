@@ -45,6 +45,19 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
+def as_exponent(x) -> int | Fraction:
+    """An exponent in normal form: an ``int`` when integral, else a
+    ``Fraction`` with denominator > 1.  Integral exponents, the common case,
+    then hash, compare and shift as plain ints."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected exact rational, got {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """Normalized sum of monomials: tuple of (exponents, rational) pairs,

@@ -93,13 +93,14 @@ def fourier_base(g: PositionFunction) -> MomentumFunction:
     n = g.dim
     terms = []
     for t in g.radial:
-        aprime = -t.rpow / 2
+        # a' stays an exact rational, the table's key; p^(2a'-n) = p^(-rpow-n)
         k = t.logpow
-        C = master_coefficients(aprime, n, k)
+        C = master_coefficients(Fraction(-t.rpow, 2), n, k)
+        ppow = -t.rpow - n
         sign = Fraction(-1) ** k
         for j in range(k + 1):
             coeff = t.coeff * sign * Fraction(math.comb(k, j)) * C[j]
-            terms.append(MomentumTerm(coeff, 2 * aprime - n, k - j))
+            terms.append(MomentumTerm(coeff, ppow, k - j))
     poly = [(t.coeff, t.boxpow) for t in g.local]
     return MomentumFunction.build(n, terms, poly, g.flags)
 
@@ -121,9 +122,8 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
         groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
     radial = []
     for ppow, levels in groups.items():
-        aprime = (ppow + n) / 2
         top = max(levels)
-        C = master_coefficients(aprime, n, top)
+        C = master_coefficients(Fraction(ppow + n, 2), n, top)
         c: dict = {}
         for i in range(top, -1, -1):
             rest = levels.get(i, ZERO)
@@ -131,7 +131,7 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
                 rest = rest + ck * C[k - i] * ((-1) ** (k + 1) * math.comb(k, i))
             if rest.terms:
                 c[i] = rest.divide(C[0]) * (-1) ** i
-                radial.append(RadialTerm(c[i], -2 * aprime, i))
+                radial.append(RadialTerm(c[i], -ppow - n, i))
     local = [LocalTerm(c, j) for c, j in F.local_poly]
     return PositionFunction.build(n, radial, local, F.flags)
 

@@ -111,7 +111,7 @@ def apply_laplacian(f: PositionFunction) -> PositionFunction:
     radial = laplacian_radial(n, f.radial)
     local = [LocalTerm(t.coeff, t.boxpow + 1) for t in f.local]
     flags = list(f.flags)
-    resonance = Fraction(2 - n)
+    resonance = 2 - n
     for t in f.radial:
         if t.rpow == resonance:
             if t.logpow == 0:

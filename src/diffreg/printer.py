@@ -55,11 +55,9 @@ def _join_terms(rendered: List[tuple]) -> str:
     return out
 
 
-def _power_suffix(var: str, pw: Fraction) -> List[str]:
+def _power_suffix(var: str, pw: int | Fraction) -> List[str]:
     if pw == 0:
         return []
-    if pw.denominator == 1:
-        pw = int(pw)
     return [f"{var}^{pw}"]
 
 
@@ -74,7 +72,7 @@ def _product(sign: str, factors: List[str], divisors: List[str]) -> tuple:
     return sign, body
 
 
-def _power_log_term(coeff: Coefficient, pw: Fraction, logpow: int, var: str,
+def _power_log_term(coeff: Coefficient, pw: int | Fraction, logpow: int, var: str,
                     log: str) -> tuple:
     """c var^pw log^logpow as a (sign, body) product; an integer negative
     power is written as a divisor."""
@@ -89,7 +87,7 @@ def _power_log_term(coeff: Coefficient, pw: Fraction, logpow: int, var: str,
         factors += _power_suffix(var, pw)
     elif pw < 0:
         if pw.denominator == 1:
-            divisors.append(f"{var}^{-int(pw)}")
+            divisors.append(f"{var}^{-pw}")
         else:
             factors += _power_suffix(var, pw)
     return _product(sign, factors, divisors)
@@ -116,7 +114,7 @@ def format_momentum(F: MomentumFunction) -> str:
         sign, cfac = _coeff_factor(coeff)
         factors = [cfac] if cfac else []
         if j > 0:
-            factors += _power_suffix("p", Fraction(2 * j))
+            factors += _power_suffix("p", 2 * j)
         if not factors:
             factors = ["1"]
         rendered.append(_product(sign, factors, []))

@@ -94,7 +94,7 @@ def find_representation(
                 f"target term r^{t.rpow} is not genuinely divergent "
                 f"(needs rpow <= -{n})"
             )
-        blocks.setdefault(int(t.rpow), {})[t.logpow] = t.coeff
+        blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
     max_logpow = max(t.logpow for t in target.radial)
 
     last_error: Optional[str] = None

@@ -53,8 +53,8 @@ class SurfaceExpansion:
     O(eps^remainder_eps_pow * log^remainder_log_pow(eps M))."""
 
     dim: int
-    entries: Tuple[Tuple[Tuple[Fraction, int], MomentumFunction], ...] = ()
-    remainder_eps_pow: Fraction = Fraction(2)
+    entries: Tuple[Tuple[Tuple[int | Fraction, int], MomentumFunction], ...] = ()
+    remainder_eps_pow: int | Fraction = 2
     remainder_log_pow: int = 1
 
     def entry(self, eps_pow, log_pow) -> Optional[MomentumFunction]:
@@ -88,8 +88,8 @@ def surface_expansion(
         raise DiffRegError("seed must be radial-only")
     omega = sphere_area(n)
     alphas = angular_series(n, order)
-    acc: Dict[Tuple[Fraction, int], List[MomentumTerm]] = {}
-    dropped: List[Tuple[Fraction, int]] = []  # first dropped order per term
+    acc: Dict[Tuple[int | Fraction, int], List[MomentumTerm]] = {}
+    dropped: List[Tuple[int | Fraction, int]] = []  # first dropped order per term
 
     for m, cm in L.coeffs:
         if m == 0:
@@ -97,13 +97,15 @@ def surface_expansion(
         omega_cm = omega * cm
         v = list(g.radial)
         for j in range(m):
+            if j:
+                v = laplacian_radial(n, v)
             # the remaining Laplacians give the symbol factor (-p^2)^q
             q = m - 1 - j
             # bracket of v_j against the angular kernel at r = eps
             for t in v:
                 a, k = t.rpow, t.logpow
                 # series order must reach past eps^0 for this exponent
-                need = (2 - n - a) / 2
+                need = Fraction(2 - n - a, 2)
                 if order - 1 < need:
                     raise SurfaceOrderError(
                         f"series order {order} cannot reach eps^0 for a term "
@@ -121,7 +123,7 @@ def surface_expansion(
                 for i in range(top + 1):
                     pref = alphas[i] * shared
                     key = (x + 2 * i, k)
-                    ppow = Fraction(2 * i + 2 * q)
+                    ppow = 2 * i + 2 * q
                     if a != 2 * i:  # multiplies log^k(eps M)
                         acc.setdefault(key, []).append(
                             MomentumTerm(base * (pref * (a - 2 * i)), ppow)
@@ -130,7 +132,6 @@ def surface_expansion(
                         acc.setdefault((key[0], k - 1), []).append(
                             MomentumTerm(base * (pref * k), ppow)
                         )
-            v = laplacian_radial(n, v)
 
     entries = []
     for key in sorted(acc):

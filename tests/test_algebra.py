@@ -96,6 +96,29 @@ class TestNormalization:
             PositionFunction.build(0)
 
 
+class TestExponentNormalForm:
+    """An exponent is an int when integral, else a Fraction with
+    denominator > 1; a float is rejected."""
+
+    @pytest.mark.parametrize("cls, x", [(RadialTerm, 2.0), (MomentumTerm, 0.5)])
+    def test_float_exponent_raises(self, cls, x):
+        with pytest.raises(TypeError):
+            cls(ONE, x)
+
+    @pytest.mark.parametrize("x, want", [
+        (Fraction(-4), -4), (Fraction(6, 3), 2), (3, 3), (True, 1),
+        (Fraction(-5, 2), Fraction(-5, 2)),
+    ])
+    def test_integral_exponents_become_int(self, x, want):
+        for t in (RadialTerm(ONE, x).rpow, MomentumTerm(ONE, x).ppow):
+            assert t == want and type(t) is type(want)
+
+    def test_sum_of_halves_is_int(self):
+        f = position_term(4, 1, Fraction(-3, 2))
+        (t,) = mul(f, f).radial
+        assert t.rpow == -3 and type(t.rpow) is int
+
+
 def _one_by_one(pairs):
     """Like terms merged by adding their coefficients one by one from
     Coefficient(), zeros dropped, sorted by key."""

@@ -163,6 +163,14 @@ class TestTable:
         assert fourier_base(g) == first
         assert master_coefficients.cache_info().hits == hits + 1
 
+    def test_int_and_fraction_exponents_share_an_entry(self):
+        # both exponents normalize to the int -2, and a' = 1 is keyed as
+        # the same Fraction either way
+        misses = master_coefficients.cache_info().misses
+        F = fourier_base(position_term(4, 1, -2))
+        assert fourier_base(position_term(4, 1, Fraction(-2))) == F
+        assert master_coefficients.cache_info().misses <= misses + 1
+
 
 ORACLE_CASES = [
     (4, Fraction(-2), 0),

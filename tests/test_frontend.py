@@ -24,9 +24,12 @@ from diffreg import cli
 from diffreg.cli import build_parser, main
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
 from diffreg.errors import ConvergenceError, ParseError
+from diffreg.fourier import fourier_base, fourier_formal, inverse_fourier_base
 from diffreg.operators import DiffOperator
 from diffreg.parser import parse_momentum, parse_operator, parse_position
 from diffreg.printer import format_momentum, format_operator, format_position
+from diffreg.regulate import find_representation
+from diffreg.surface import surface_expansion
 
 from conftest import coefficients
 
@@ -118,18 +121,18 @@ _PARSERS = {
 PARSE_GOLDEN = [
     ("position", "1440*ln2/r^10",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 1, 0), "
-     "Fraction(1440, 1)),)), rpow=Fraction(-10, 1), logpow=0),), local=(), flags=())"),
+     "Fraction(1440, 1)),)), rpow=-10, logpow=0),), local=(), flags=())"),
     ("position", "3/r^2",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(3, 1)),)), rpow=Fraction(-2, 1), logpow=0),), local=(), flags=())"),
+     "Fraction(3, 1)),)), rpow=-2, logpow=0),), local=(), flags=())"),
     ("position", "-(r^-2 - 2*r^-4)",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(2, 1)),)), rpow=Fraction(-4, 1), logpow=0), RadialTerm(coeff=Coefficient("
-     "terms=(((0, 0, 0, 0), Fraction(-1, 1)),)), rpow=Fraction(-2, 1), logpow=0)), local=(), "
+     "Fraction(2, 1)),)), rpow=-4, logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-1, 1)),)), rpow=-2, logpow=0)), local=(), "
      "flags=())"),
     ("position", "(box + 2)*r^-2",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(2, 1)),)), rpow=Fraction(-2, 1), logpow=0),), local=(LocalTerm(coeff="
+     "Fraction(2, 1)),)), rpow=-2, logpow=0),), local=(LocalTerm(coeff="
      "Coefficient(terms=(((2, 0, 0, 0), Fraction(-4, 1)),)), boxpow=0),), flags=())"),
     ("position", "box^2*r^2",
      "PositionFunction(dim=4, radial=(), local=(), flags=())"),
@@ -140,23 +143,23 @@ PARSE_GOLDEN = [
      "DiffOperator(coeffs=((0, Coefficient(terms=(((0, 0, 0, 0), Fraction(4, 1)),))),))"),
     ("position", "r^-2/(2*r^-2)",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(1, 2)),)), rpow=Fraction(0, 1), logpow=0),), local=(), flags=())"),
+     "Fraction(1, 2)),)), rpow=0, logpow=0),), local=(), flags=())"),
     ("momentum", "-4*pi^2*log(p^2/M^2)/p^2",
      "MomentumFunction(dim=4, terms=(MomentumTerm(coeff=Coefficient(terms=(((2, 0, 0, 0), "
-     "Fraction(-4, 1)),)), ppow=Fraction(-2, 1), logpow=1),), local_poly=(), flags=())"),
+     "Fraction(-4, 1)),)), ppow=-2, logpow=1),), local_poly=(), flags=())"),
     ("position", "r^-4\n  - 1/4*log(r^2*M^2)/r^2",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(1, 1)),)), rpow=Fraction(-4, 1), logpow=0), RadialTerm(coeff=Coefficient("
-     "terms=(((0, 0, 0, 0), Fraction(-1, 4)),)), rpow=Fraction(-2, 1), logpow=1)), local=(), "
+     "Fraction(1, 1)),)), rpow=-4, logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-1, 4)),)), rpow=-2, logpow=1)), local=(), "
      "flags=())"),
     ("position", "-box*(r^-2*log(r^2*M^2))",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(4, 1)),)), rpow=Fraction(-4, 1), logpow=0),), local=(), "
+     "Fraction(4, 1)),)), rpow=-4, logpow=0),), local=(), "
      "flags=('distributional part undetermined',))"),
     ("position", "r^-6 + box*(r^-2*log(r^2*M^2))",
      "PositionFunction(dim=4, radial=(RadialTerm(coeff=Coefficient(terms=(((0, 0, 0, 0), "
-     "Fraction(1, 1)),)), rpow=Fraction(-6, 1), logpow=0), RadialTerm(coeff=Coefficient("
-     "terms=(((0, 0, 0, 0), Fraction(-4, 1)),)), rpow=Fraction(-4, 1), logpow=0)), local=(), "
+     "Fraction(1, 1)),)), rpow=-6, logpow=0), RadialTerm(coeff=Coefficient("
+     "terms=(((0, 0, 0, 0), Fraction(-4, 1)),)), rpow=-4, logpow=0)), local=(), "
      "flags=('distributional part undetermined',))"),
     ("operator", "(box + 2)*(box - 1/2)",
      "DiffOperator(coeffs=((0, Coefficient(terms=(((0, 0, 0, 0), Fraction(-1, 1)),))), "
@@ -263,6 +266,55 @@ class TestRoundTrip:
         f = delta_term(4, Fraction(3, 2), boxpow=1)
         assert format_position(f) == "3/2*box*delta"
         assert parse_position("3/2*box*delta", 4) == f
+
+
+def _normal_exponent(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+@st.composite
+def split_power_targets(draw):
+    """(n, text) of a representable target, r^e times a log polynomial,
+    with each power written as r^(h/2)*r^((2e-h)/2), h odd, so the parser
+    sums two Fractions to an integral one."""
+    n = draw(st.integers(3, 6))
+    e = -n - draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(st.integers(-9, 9).filter(lambda v: v % 2))
+        c = draw(st.sampled_from(["1", "-3/2", "2*pi"]))
+        k = draw(st.integers(0, 2))
+        terms.append(f"{c}*r^{h}/2*r^{2 * e - h}/2*log(r^2*M^2)^{k}")
+    return n, " + ".join(terms)
+
+
+class TestExponentNormalForm:
+    """Every exponent the exact layers produce is an int, or a Fraction with
+    denominator > 1: never a float, never an integral Fraction."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_power_targets(), st.integers(-9, 9).filter(lambda v: v % 2),
+           st.integers(1, 3))
+    def test_pipeline(self, case, h, m):
+        n, text = case
+        target = parse_position(text, n)
+        rep = find_representation(target)
+        F = fourier_formal(rep)
+        se = surface_expansion(rep.L, rep.g)
+        back = inverse_fourier_base(fourier_base(rep.g))
+        assert back == rep.g
+        # a half-integer seed carries Fraction exponents into the surface terms
+        half = surface_expansion(DiffOperator.box(m), parse_position(f"r^{h}/2", n))
+        exps = [t.rpow for f in (target, rep.g, back) for t in f.radial]
+        exps += [t.ppow for t in F.terms]
+        for s in (se, half):
+            exps.append(s.remainder_eps_pow)
+            for (eps_pow, _), v in s.entries:
+                exps.append(eps_pow)
+                exps += [t.ppow for t in v.terms]
+        assert any(type(x) is Fraction for x in exps)
+        bad = [x for x in exps if not _normal_exponent(x)]
+        assert not bad, bad
 
 
 SCHEMA = json.loads(

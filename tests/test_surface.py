@@ -8,7 +8,8 @@ from diffreg.coeffs import PI, gamma_exact
 from diffreg.errors import SurfaceOrderError
 from diffreg.fourier import fourier_formal
 from diffreg.numeric import angular_kernel, truncated_ft_numeric
-from diffreg.operators import DiffOperator
+from diffreg import surface
+from diffreg.operators import DiffOperator, laplacian_radial
 from diffreg.regulate import find_representation, shift_mass
 from diffreg.regulate import log_of_ratio
 from diffreg.surface import (
@@ -118,6 +119,19 @@ class TestHigherOrder:
             assert eval_momentum(v2, p, M) == pytest.approx(
                 3.0 * eval_momentum(v1, p, M), rel=1e-14
             )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_last_laplacian_is_not_computed(self, m, monkeypatch):
+        # box^m reads v_0 .. v_(m-1), which takes m - 1 Laplacians
+        calls = []
+
+        def counted(dim, terms):
+            calls.append(dim)
+            return laplacian_radial(dim, terms)
+
+        monkeypatch.setattr(surface, "laplacian_radial", counted)
+        surface_expansion(DiffOperator.box(m), position_term(4, 1, -2, 1))
+        assert len(calls) == m - 1
 
     def test_remainder_declaration(self):
         rep = find_representation(position_term(4, 1, Fraction(-4)))
