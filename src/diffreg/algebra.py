@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .coeffs import Coefficient, as_exponent
+from .coeffs import ZERO, Coefficient, as_exponent
 from .errors import (
     DimensionMismatchError,
     DistributionProductError,
@@ -221,6 +221,49 @@ def mul(f: PositionFunction, g: PositionFunction) -> PositionFunction:
                 RadialTerm(s.coeff * t.coeff, s.rpow + t.rpow, s.logpow + t.logpow)
             )
     return PositionFunction.build(f.dim, out, flags=f.flags + g.flags)
+
+
+# -- the log-power identity --------------------------------------------
+
+
+def _nonzero(x) -> bool:
+    return not x.is_zero() if isinstance(x, Coefficient) else x != 0
+
+
+def _times(q: int, x):
+    """q * x, with no ring product when q is 1."""
+    return x if q == 1 else q * x
+
+
+def log_power_map(c: Coefficient, k: int, d: Sequence) -> List[Tuple[int, Coefficient]]:
+    """c L^k -> sum_i C(k, i) d_i c L^(k-i) as (log power, coefficient) pairs,
+    none for a zero d_i.  A log power is a derivative in the exponent, so this
+    is how a map that multiplies a power by f(s) acts on log powers, with d_i
+    the scaled derivatives of f: box^m, the master formula, L -> L + l,
+    d/d log M^2 and the surface bracket.  A rational C(k, i) d_i folds into
+    one factor before the one product by c."""
+    return [
+        (k - i, c * _times(math.comb(k, i), di))
+        for i, di in enumerate(d[: k + 1])
+        if _nonzero(di)
+    ]
+
+
+def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> Dict[int, Coefficient]:
+    """The nonzero x[k] with sum_k log_power_map(x[k], k, d) = sum_j y[j] L^j,
+    by back-substitution from the top log power.  With nu the index of the
+    first nonzero d_i, the L^j equation fixes x[j + nu]; the components below
+    nu span the map's kernel and are pinned to zero."""
+    nu = next(i for i, di in enumerate(d) if _nonzero(di))
+    x: Dict[int, Coefficient] = {}
+    for j in range(max(y, default=-1), -1, -1):
+        rhs = y.get(j, ZERO)
+        for i in range(nu + 1, len(d)):
+            if j + i in x and _nonzero(d[i]):
+                rhs = rhs - x[j + i] * _times(math.comb(j + i, i), d[i])
+        if not rhs.is_zero():
+            x[j + nu] = rhs.divide(_times(math.comb(j + nu, nu), d[nu]))
+    return x
 
 
 # -- numeric evaluation ------------------------------------------------

@@ -155,9 +155,11 @@ class Coefficient:
             raise DiffRegError("only rational coefficients are invertible")
         return Coefficient.rational(1 / self.rational_value())
 
-    def divide(self, other: "Coefficient") -> "Coefficient":
-        """Divide by a single-monomial coefficient whose monomial divides
-        every monomial of self."""
+    def divide(self, other) -> "Coefficient":
+        """Divide by a nonzero rational, or by a single-monomial coefficient
+        whose monomial divides every monomial of self."""
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)  # ZeroDivisionError at 0
         if len(other.terms) != 1:
             raise DiffRegError("division only by a single monomial")
         (mono, q) = other.terms[0]

@@ -8,14 +8,13 @@ The workhorse is the radial master formula
     F_n[r^{-2a'}](p) = pi^{n/2} 2^{n-2a'} Gamma(n/2 - a')/Gamma(a') p^{2a'-n}
 
 valid on the open window 0 < a' < n/2.  Log powers follow by differentiating
-both sides in a', which brings in digamma/trigamma/tetragamma values; these
-stay inside the symbol set {pi, gammaE, ln2, zeta3} exactly when 2a' is an
-integer, which bounds the exact layer at log powers k <= 3.
+in a' (the log-power map with d = C, C', ...), which brings in polygamma
+values; these stay inside the symbol set {pi, gammaE, ln2, zeta3} exactly
+when 2a' is an integer, which bounds the exact layer at log powers k <= 3.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
@@ -26,8 +25,10 @@ from .algebra import (
     MomentumTerm,
     PositionFunction,
     RadialTerm,
+    log_power_map,
+    log_power_solve,
 )
-from .coeffs import LN2, ZERO, Coefficient, gamma_exact, polygamma
+from .coeffs import LN2, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
 
 MAX_EXACT_LOGPOW = 3
@@ -87,51 +88,34 @@ def master_coefficients(aprime: Fraction, n: int, depth: int) -> Tuple[Coefficie
 
 
 def fourier_base(g: PositionFunction) -> MomentumFunction:
-    """Exact transform of a Fourier-safe function.  Radial terms map through
-    the master formula and its a'-derivatives; local terms map to the
-    polynomial part, coeff * box^j delta -> coeff * (-p^2)^j."""
+    """Exact transform of a Fourier-safe function: c r^(-2a') log^k maps to
+    the log-power map of (-1)^k c with d = (C, C', ...) at p^(2a'-n); local
+    terms to the polynomial part, coeff * box^j delta -> coeff * (-p^2)^j."""
     n = g.dim
     terms = []
     for t in g.radial:
         # a' stays an exact rational, the table's key; p^(2a'-n) = p^(-rpow-n)
         k = t.logpow
         C = master_coefficients(Fraction(-t.rpow, 2), n, k)
-        ppow = -t.rpow - n
-        sign = Fraction(-1) ** k
-        for j in range(k + 1):
-            coeff = t.coeff * sign * Fraction(math.comb(k, j)) * C[j]
-            terms.append(MomentumTerm(coeff, ppow, k - j))
+        c = -t.coeff if k % 2 else t.coeff
+        terms += [MomentumTerm(cj, -t.rpow - n, j) for j, cj in log_power_map(c, k, C)]
     poly = [(t.coeff, t.boxpow) for t in g.local]
     return MomentumFunction.build(n, terms, poly, g.flags)
 
 
 def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
-    """Inverse transform on the image class, by back-substitution per
-    momentum exponent.  The seed terms c_k r^{-2a'} log^k(r^2 M^2) at one
-    exponent map to the log powers i of p^{2a'-n} as
-
-        F_i = sum_{k >= i} c_k (-1)^k C(k, i) C^{(k-i)}
-
-    with C^{(j)} the a'-derivatives of the master constant, so from the top
-    log power K down
-
-        c_i = (-1)^i (F_i - sum_{k > i} c_k (-1)^k C(k, i) C^{(k-i)}) / C."""
+    """Inverse transform on the image class: per momentum exponent, the
+    inverse log-power map (``algebra.log_power_solve``) with fourier_base's
+    d = (C, C', ...), then the sign (-1)^k of each seed log power k."""
     n = F.dim
     groups: dict = {}
     for t in F.terms:
         groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
     radial = []
     for ppow, levels in groups.items():
-        top = max(levels)
-        C = master_coefficients(Fraction(ppow + n, 2), n, top)
-        c: dict = {}
-        for i in range(top, -1, -1):
-            rest = levels.get(i, ZERO)
-            for k, ck in c.items():
-                rest = rest + ck * C[k - i] * ((-1) ** (k + 1) * math.comb(k, i))
-            if rest.terms:
-                c[i] = rest.divide(C[0]) * (-1) ** i
-                radial.append(RadialTerm(c[i], -ppow - n, i))
+        C = master_coefficients(Fraction(ppow + n, 2), n, max(levels))
+        for k, x in log_power_solve(levels, C).items():
+            radial.append(RadialTerm(-x if k % 2 else x, -ppow - n, k))
     local = [LocalTerm(c, j) for c, j in F.local_poly]
     return PositionFunction.build(n, radial, local, F.flags)
 
@@ -146,22 +130,22 @@ def fourier_formal(rep) -> MomentumFunction:
 
 
 def cs_derivative(F: MomentumFunction) -> MomentumFunction:
-    """d/d log(M^2) on the momentum side: log^k(p^2/M^2) -> -k log^(k-1);
+    """d/d log(M^2) on the momentum side, the log-power map with d = (0, -1);
     the M-independent polynomial part drops.  M d/dM is twice this."""
     terms = [
-        MomentumTerm(t.coeff * Fraction(-t.logpow), t.ppow, t.logpow - 1)
+        MomentumTerm(c, t.ppow, j)
         for t in F.terms
-        if t.logpow >= 1
+        for j, c in log_power_map(t.coeff, t.logpow, (0, -1))
     ]
     return MomentumFunction.build(F.dim, terms, flags=F.flags)
 
 
 def cs_derivative_position(f: PositionFunction) -> PositionFunction:
-    """d/d log(M^2) on the position side: log^k(r^2 M^2) -> +k log^(k-1);
+    """d/d log(M^2) on the position side, the log-power map with d = (0, 1);
     delta-type terms drop."""
     terms = [
-        RadialTerm(t.coeff * Fraction(t.logpow), t.rpow, t.logpow - 1)
+        RadialTerm(c, t.rpow, j)
         for t in f.radial
-        if t.logpow >= 1
+        for j, c in log_power_map(t.coeff, t.logpow, (0, 1))
     ]
     return PositionFunction.build(f.dim, terms, flags=f.flags)

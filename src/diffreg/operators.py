@@ -1,30 +1,31 @@
 """Constant-coefficient rotationally invariant differential operators:
 polynomials in the Laplacian, acting exactly on radial power-log functions.
 
-For r != 0 the Laplacian of a single term obeys the closed recurrence
-
-    box(r^a log^k) = a(a+n-2) r^(a-2) log^k
-                     + 2k(2a+n-2) r^(a-2) log^(k-1)
-                     + 4k(k-1) r^(a-2) log^(k-2)
-
-with log = log(r^2 M^2).  At the resonance exponent a = 2-n the k = 0 term
-additionally produces -(n-2) Omega_{n-1} delta^n(x) (Gauss theorem); for
-k >= 1 at the resonance the at-origin content is not determined here and
-the result carries a flag instead.
+For r != 0, box^m r^s = c_m(s) r^(s-2m) with c_m(s) = prod_{i<m}
+(s-2i)(s-2i+n-2), so box^m acts on log powers by the log-power map of
+``algebra`` with d = :func:`box_derivatives`.  At the resonance exponent
+a = 2-n the k = 0 term of the Laplacian additionally produces
+-(n-2) Omega_{n-1} delta^n(x) (Gauss theorem); for k >= 1 at the resonance
+the at-origin content is not determined here and the result carries a flag
+instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .algebra import (
     LocalTerm,
     MomentumFunction,
+    MomentumTerm,
     PositionFunction,
     RadialTerm,
     add,
+    log_power_map,
     scale,
 )
 from .coeffs import Coefficient, sphere_area
@@ -79,28 +80,27 @@ class DiffOperator:
                 acc[k1 + k2] = acc.get(k1 + k2, Coefficient()) + c1 * c2
         return DiffOperator.build(acc)
 
-    def scaled(self, c) -> "DiffOperator":
-        if isinstance(c, (int, Fraction)):
-            c = Coefficient.rational(c)
-        return DiffOperator.build({k: c * ck for k, ck in self.coeffs})
+
+@lru_cache(maxsize=256)
+def box_derivatives(s: int | Fraction, m: int, n: int) -> Tuple[int | Fraction, ...]:
+    """d_i = 2^i c_m^(i)(s), i = 0..2m: the log-power map's d for box^m on
+    r^s in n dimensions, as a bounded table."""
+    # Taylor coefficients a_i = c_m^(i)(s) / i! of c_m at s
+    a = [1]
+    for i in range(m):
+        for root in (2 * i, 2 * i + 2 - n):
+            a = [(s - root) * x + y for x, y in zip(a + [0], [0] + a)]
+    return tuple(2 ** i * math.factorial(i) * ai for i, ai in enumerate(a))
 
 
 def laplacian_radial(dim: int, terms: Iterable[RadialTerm]) -> List[RadialTerm]:
-    """Away-from-origin Laplacian of radial terms via the recurrence."""
-    out: List[RadialTerm] = []
-    for t in terms:
-        a = t.rpow
-        k = t.logpow
-        c0 = a * (a + dim - 2)
-        if c0 != 0:
-            out.append(RadialTerm(t.coeff * c0, a - 2, k))
-        if k >= 1:
-            c1 = 2 * k * (2 * a + dim - 2)
-            if c1 != 0:
-                out.append(RadialTerm(t.coeff * c1, a - 2, k - 1))
-        if k >= 2:
-            out.append(RadialTerm(t.coeff * Fraction(4 * k * (k - 1)), a - 2, k - 2))
-    return out
+    """Away-from-origin Laplacian of radial terms: the log-power map with
+    d = box_derivatives(a, 1, dim) = (a(a+dim-2), 2(2a+dim-2), 8)."""
+    return [
+        RadialTerm(c, t.rpow - 2, j)
+        for t in terms
+        for j, c in log_power_map(t.coeff, t.logpow, box_derivatives(t.rpow, 1, dim))
+    ]
 
 
 def apply_laplacian(f: PositionFunction) -> PositionFunction:
@@ -151,11 +151,7 @@ def multiply_by_symbol(F: MomentumFunction, sym: MomentumFunction) -> MomentumFu
     terms = []
     poly = []
     for c, j in sym.local_poly:
-        sign = Fraction(-1) ** j
-        for t in F.terms:
-            terms.append(
-                type(t)(t.coeff * c * sign, t.ppow + 2 * j, t.logpow)
-            )
-        for pc, pj in F.local_poly:
-            poly.append((pc * c, pj + j))
+        cp = -c if j % 2 else c  # c (-p^2)^j = cp p^(2j)
+        terms += [MomentumTerm(t.coeff * cp, t.ppow + 2 * j, t.logpow) for t in F.terms]
+        poly += [(pc * c, pj + j) for pc, pj in F.local_poly]
     return MomentumFunction.build(F.dim, terms, poly, F.flags + sym.flags)

@@ -8,31 +8,33 @@ Differentiating in the exponent gives, away from the origin,
     box^m [r^s L^j] = sum_i C(j,i) 2^i c_m^(i)(s) r^(s-2m) L^(j-i).
 
 So the seed system splits into one block per target exponent t, with seed
-exponent s = t + 2m, and each block is triangular in log power; it is
-solved by back-substitution from the top log power down, on exact
-rationals.  Where s is a root of c_m of order nu (a resonance) the seed's
-log power rises by nu, as in 1/x^4 = -1/4 box log(x^2 M^2)/x^2.  The seed
-log powers below nu span the kernel of box^m and are pinned to zero: the
-scheme's only free parameter is then the mass M itself.
+exponent s = t + 2m, and each block is solved by ``algebra.log_power_solve``
+with d = ``operators.box_derivatives``.  Where s is a root of c_m of order
+nu (a resonance) the seed's log power rises by nu, as in
+1/x^4 = -1/4 box log(x^2 M^2)/x^2.  The seed log powers below nu span the
+kernel of box^m and are pinned to zero: the scheme's only free parameter is
+then the mass M itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict
 
 from .algebra import (
     MomentumFunction,
     PositionFunction,
     RadialTerm,
+    log_power_map,
+    log_power_solve,
     sub,
 )
-from .coeffs import Coefficient, LN2, ONE, ZERO
+from .coeffs import Coefficient, LN2, ONE
 from .errors import DiffRegError, NotRepresentableError
 from .fourier import fourier_base, fourier_safe, term_fourier_safe
-from .operators import DiffOperator, apply_operator, multiply_by_symbol, operator_symbol
+from .operators import DiffOperator, apply_operator, box_derivatives
+from .operators import multiply_by_symbol, operator_symbol
 
 
 @dataclass(frozen=True)
@@ -46,34 +48,11 @@ class Representation:
     note: str = "equality holds for r != 0"
 
 
-def _solve_block(
-    block: Dict[int, Coefficient], s: int, m: int, n: int, top: int
-) -> Optional[List[RadialTerm]]:
-    """Seed terms r^s L^j with box^m seed = sum_k block[k] r^(s-2m) L^k and
-    no kernel component; None when that needs a log power above top."""
-    # Taylor coefficients a_i = c_m^(i)(s) / i! of c_m at s
-    a = [1]
-    for i in range(m):
-        for root in (2 * i, 2 * i + 2 - n):
-            a = [(s - root) * x + y for x, y in zip(a + [0], [0] + a)]
-    nu = next(i for i, ai in enumerate(a) if ai)
-    top_k = max(block)
-    if top_k + nu > top:
-        return None
-    # the L^k equation weighs x_(k+i) by C(k+i, i) 2^i c_m^(i)(s)
-    x: Dict[int, Coefficient] = {}
-    for k in range(top_k, -1, -1):
-        rhs = block.get(k, ZERO)
-        for i in range(nu + 1, min(len(a) - 1, top_k + nu - k) + 1):
-            rhs = rhs - x[k + i] * (2 ** i * math.perm(k + i, i) * a[i])
-        x[k + nu] = rhs * Fraction(1, 2 ** nu * math.perm(k + nu, nu) * a[nu])
-    return [RadialTerm(c, s, j) for j, c in x.items()]
-
-
 def find_representation(
     target: PositionFunction, max_box_power: int = 4
 ) -> Representation:
-    """Search L = box^m, m = 1..max_box_power, for a Fourier-safe seed."""
+    """Search L = box^m, m = 1..max_box_power, for a Fourier-safe seed; from
+    the first m with t_max + 2m >= 0 on, the top seed term is out of window."""
     n = target.dim
     if max_box_power < 1:
         raise ValueError("max_box_power must be >= 1")
@@ -95,30 +74,28 @@ def find_representation(
                 f"(needs rpow <= -{n})"
             )
         blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
-    max_logpow = max(t.logpow for t in target.radial)
+    t_max = max(blocks)
 
-    last_error: Optional[str] = None
+    last_error = ""  # set by every m tried, and m = 1 always is
     for m in range(1, max_box_power + 1):
-        solved = [
-            _solve_block(block, t + 2 * m, m, n, max_logpow + m)
-            for t, block in blocks.items()
-        ]
-        if None in solved:
-            last_error = f"inconsistent system at box^{m}"
-            continue
-        g = PositionFunction.build(n, [term for terms in solved for term in terms])
+        if t_max + 2 * m >= 0:
+            last_error = f"seed term r^{t_max + 2 * m} out of window from box^{m} on"
+            break
+        seed = []
+        for t, block in blocks.items():
+            s = t + 2 * m
+            x = log_power_solve(block, box_derivatives(s, m, n))
+            seed += [RadialTerm(c, s, j) for j, c in x.items()]
+        g = PositionFunction.build(n, seed)
         if not all(term_fourier_safe(t, n) for t in g.radial):
             last_error = f"solution at box^{m} is not Fourier-safe"
             continue
         L = DiffOperator.box(m)
-        rep = Representation(L, g, target)
-        check = apply_operator(L, g)
-        if check.radial != target.radial:
+        if apply_operator(L, g).radial != target.radial:
             raise DiffRegError("internal: representation round-trip failed")
-        return rep
+        return Representation(L, g, target)
     raise NotRepresentableError(
-        f"not representable in class box^m, m <= {max_box_power}"
-        + (f" ({last_error})" if last_error else "")
+        f"not representable in class box^m, m <= {max_box_power} ({last_error})"
     )
 
 
@@ -132,19 +109,16 @@ class MassShift:
 
 
 def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:
-    """Substitute log(r^2 M^2) -> log(r^2 M^2) + 2 ln(lambda) exactly."""
-    out = []
+    """Substitute log(r^2 M^2) -> log(r^2 M^2) + 2 ln(lambda) exactly: the
+    log-power map with d_i = (2 ln(lambda))^i."""
     two_l = 2 * ln_lambda
-    for t in f.radial:
-        k = t.logpow
-        for j in range(k + 1):
-            out.append(
-                RadialTerm(
-                    t.coeff * Fraction(math.comb(k, j)) * (two_l ** (k - j)),
-                    t.rpow,
-                    j,
-                )
-            )
+    top = max((t.logpow for t in f.radial), default=0)
+    d = [two_l ** i for i in range(top + 1)]
+    out = [
+        RadialTerm(c, t.rpow, j)
+        for t in f.radial
+        for j, c in log_power_map(t.coeff, t.logpow, d)
+    ]
     return PositionFunction.build(f.dim, out, f.local, f.flags)
 
 
@@ -178,8 +152,6 @@ def mass_shift(rep: Representation, ln_lambda: Coefficient) -> MassShift:
     """Exact difference of the representation under M -> lambda M.  The
     operator image of the seed shift must be purely local; the momentum-side
     change is then a polynomial in p^2 (here a constant)."""
-    if isinstance(ln_lambda, (int, Fraction)):
-        ln_lambda = Coefficient.rational(ln_lambda)
     seed_shift = sub(shift_mass(rep.g, ln_lambda), rep.g)
     image_shift = apply_operator(rep.L, seed_shift)
     if image_shift.radial:

@@ -27,6 +27,7 @@ from .algebra import (
     MomentumTerm,
     PositionFunction,
     eval_momentum,
+    log_power_map,
 )
 from .coeffs import sphere_area
 from .errors import DiffRegError, SurfaceOrderError
@@ -87,7 +88,10 @@ def surface_expansion(
     if g.local:
         raise DiffRegError("seed must be radial-only")
     omega = sphere_area(n)
-    alphas = angular_series(n, order)
+    # build the series only as far as the deepest bracket reads; order caps it
+    lowest = min((t.rpow for t in g.radial), default=0)
+    reach = math.floor(Fraction(2 - n - lowest, 2)) + L.degree
+    alphas = angular_series(n, min(order, reach))
     acc: Dict[Tuple[int | Fraction, int], List[MomentumTerm]] = {}
     dropped: List[Tuple[int | Fraction, int]] = []  # first dropped order per term
 
@@ -117,21 +121,15 @@ def surface_expansion(
                 dropped.append((x + 2 * max(0, top + 1), k))
                 base = omega_cm * t.coeff
                 shared = (-1) ** (q + 1) * 2 ** k
-                # each kept order carries p^(2i) from the kernel and p^(2q)
-                # from the symbol; its rational factors fold into one
-                # before the single coefficient product
+                # order i carries p^(2i) from the kernel and p^(2q) from the
+                # symbol; with l = log(eps M) its bracket is 2^k eps^(x+2i)
+                # ((a - 2i) l^k + k l^(k-1)), the log-power map with
+                # d = (a - 2i, 1), and its rational factors fold into d
                 for i in range(top + 1):
                     pref = alphas[i] * shared
-                    key = (x + 2 * i, k)
                     ppow = 2 * i + 2 * q
-                    if a != 2 * i:  # multiplies log^k(eps M)
-                        acc.setdefault(key, []).append(
-                            MomentumTerm(base * (pref * (a - 2 * i)), ppow)
-                        )
-                    if k >= 1:
-                        acc.setdefault((key[0], k - 1), []).append(
-                            MomentumTerm(base * (pref * k), ppow)
-                        )
+                    for kk, c in log_power_map(base, k, (pref * (a - 2 * i), pref)):
+                        acc.setdefault((x + 2 * i, kk), []).append(MomentumTerm(c, ppow))
 
     entries = []
     for key in sorted(acc):

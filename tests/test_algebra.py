@@ -14,6 +14,8 @@ from diffreg.algebra import (
     delta_term,
     eval_momentum,
     eval_position,
+    log_power_map,
+    log_power_solve,
     momentum_term,
     mul,
     normalize,
@@ -22,12 +24,13 @@ from diffreg.algebra import (
     scale,
     sub,
 )
-from diffreg.coeffs import GAMMA_E, LN2, ONE, PI, Coefficient
+from diffreg.coeffs import GAMMA_E, LN2, ONE, PI, ZERO, Coefficient
 from diffreg.errors import (
     DimensionMismatchError,
     DistributionProductError,
     EvaluationError,
 )
+from diffreg.fourier import master_coefficients
 
 from conftest import coefficients, small_rationals
 
@@ -274,3 +277,85 @@ class TestEvaluation:
         r, M, h = 1.9, 0.7, 1e-6
         fd = (eval_position(f, r + h, M) - eval_position(f, r - h, M)) / (2 * h)
         assert radial_derivative(f, r, M) == pytest.approx(fd, rel=1e-8)
+
+
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def rational_derivatives(draw):
+    """d with d_i = 0 below nu and d_nu != 0, for nu = 0, 1, 2."""
+    nu = draw(st.integers(0, 2))
+    rest = draw(st.lists(small_rationals, max_size=3))
+    return (0,) * nu + (draw(nonzero_rationals),) + tuple(rest), nu
+
+
+@st.composite
+def master_tuples(draw):
+    """(C, C', ..., C^(depth)) for r^(-2a') in the open window, 2a' integral."""
+    n = draw(st.integers(2, 6))
+    two_a = draw(st.integers(1, n - 1))
+    depth = draw(st.integers(0, 3))
+    return master_coefficients(Fraction(two_a, 2), n, depth)
+
+
+def _forward(x, d):
+    """sum_k log_power_map(x[k], k, d), collected by log power."""
+    y = {}
+    for k, c in x.items():
+        for j, cj in log_power_map(c, k, d):
+            y[j] = y.get(j, ZERO) + cj
+    return {j: c for j, c in y.items() if not c.is_zero()}
+
+
+def _nonzero_part(x):
+    return {k: c for k, c in x.items() if not c.is_zero()}
+
+
+class TestLogPowerIdentity:
+    @given(rational_derivatives(), st.lists(coefficients(), min_size=1, max_size=4))
+    def test_rational_round_trip(self, d_nu, cs):
+        # x lives on the log powers nu, nu + 1, ...: the map is a bijection
+        # from there onto all log powers, so both composites are identities
+        d, nu = d_nu
+        x = _nonzero_part({nu + i: c for i, c in enumerate(cs)})
+        y = _forward(x, d)
+        assert log_power_solve(y, d) == x
+        assert _forward(log_power_solve(y, d), d) == y
+
+    @given(master_tuples(), st.lists(coefficients(), min_size=1, max_size=4))
+    def test_master_tuple_round_trip(self, C, cs):
+        x = _nonzero_part(dict(enumerate(cs[: len(C)])))
+        y = _forward(x, C)
+        assert log_power_solve(y, C) == x
+        assert _forward(log_power_solve(y, C), C) == y
+
+    @given(rational_derivatives(), coefficients(), st.integers(0, 3))
+    def test_forward_is_the_binomial_sum(self, d_nu, c, k):
+        d, _ = d_nu
+        want = {}
+        for i in range(min(k, len(d) - 1) + 1):
+            want[k - i] = c * (math.comb(k, i) * d[i])
+        assert _forward({k: c}, d) == _nonzero_part(want)
+
+    def test_kernel_components_are_pinned_to_zero(self):
+        # d = (0, 0, 2, 3): nu = 2, so L^0 and L^1 span the kernel
+        d = (0, 0, 2, 3)
+        assert log_power_map(PI, 1, d) == []
+        # L: 6 x3 = 1; L^0: 3 x3 + 2 x2 = 0
+        assert log_power_solve({1: ONE}, d) == {
+            3: Coefficient.rational(Fraction(1, 6)),
+            2: Coefficient.rational(Fraction(-1, 4)),
+        }
+
+    def test_zero_is_solved_by_zero(self):
+        assert log_power_solve({}, (1,)) == {}
+
+    def test_rational_division(self):
+        c = PI + ONE
+        assert c.divide(Fraction(2, 3)) == c * Fraction(3, 2)
+        assert c.divide(-2) == c * Fraction(-1, 2)
+        with pytest.raises(ZeroDivisionError):
+            c.divide(0)
+        with pytest.raises(ZeroDivisionError):
+            ZERO.divide(Fraction(0))

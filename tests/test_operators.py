@@ -9,6 +9,7 @@ from diffreg.algebra import (
     PositionFunction,
     RadialTerm,
     delta_term,
+    log_power_map,
     position_term,
     add,
 )
@@ -19,6 +20,7 @@ from diffreg.operators import (
     DiffOperator,
     apply_laplacian,
     apply_operator,
+    box_derivatives,
     laplacian_radial,
     multiply_by_symbol,
     operator_symbol,
@@ -83,6 +85,48 @@ class TestOperatorAlgebra:
     def test_rejects_negative_power(self):
         with pytest.raises(ValueError):
             DiffOperator.build({-1: ONE})
+
+
+class TestBoxClosedForm:
+    """box^m [r^s L^k] = sum_i C(k,i) 2^i c_m^(i)(s) r^(s-2m) L^(k-i) with
+    c_m(s) = prod_{i<m} (s-2i)(s-2i+n-2), the identity behind the search."""
+
+    @staticmethod
+    def exponents(n, m):
+        # every integer from below the window to past the largest root of
+        # c_m (so every root), and half-integers on both sides of it
+        ints = range(-n - 2, 2 * m + 1)
+        return [Fraction(s) for s in ints] + [Fraction(2 * s + 1, 2) for s in (-n - 1, -2, 0, m)]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_derivatives_of_c_m(self, n, m):
+        # c_m expanded in powers of x, then differentiated term by term at s
+        poly = [1]
+        for i in range(m):
+            for root in (2 * i, 2 * i + 2 - n):
+                poly = [y - root * z for y, z in zip([0] + poly, poly + [0])]
+        for s in self.exponents(n, m):
+            want = tuple(
+                2 ** i * sum(a * math.perm(j, i) * s ** (j - i) for j, a in enumerate(poly) if j >= i)
+                for i in range(2 * m + 1)
+            )
+            assert box_derivatives(s, m, n) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_iterated_laplacian(self, n, m):
+        c = PI * Fraction(3, 7) + ONE
+        for s in self.exponents(n, m):
+            for k in range(4):
+                closed = PositionFunction.build(n, [
+                    RadialTerm(cj, s - 2 * m, j)
+                    for j, cj in log_power_map(c, k, box_derivatives(s, m, n))
+                ])
+                terms = [RadialTerm(c, s, k)]
+                for _ in range(m):
+                    terms = laplacian_radial(n, terms)
+                assert closed == PositionFunction.build(n, terms), (s, k)
 
 
 class TestApply:

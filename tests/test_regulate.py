@@ -15,6 +15,7 @@ from diffreg.coeffs import Coefficient, LN2, ONE, PI
 from diffreg.fourier import term_fourier_safe
 from diffreg.errors import DiffRegError, NotRepresentableError
 from diffreg.fourier import fourier_formal
+from diffreg import regulate
 from diffreg.operators import DiffOperator, apply_operator
 from diffreg.regulate import (
     find_representation,
@@ -182,19 +183,35 @@ class TestBlockSolver:
         assert rep.L == DiffOperator.box(1)
         assert _terms(rep.g) == seed
 
-    @pytest.mark.parametrize(
-        "max_box, reason",
-        [
-            # c_1(s) = s^2 in two dimensions: nu = 2 > m at s = 0
-            (1, "inconsistent system at box^1"),
-            # s = 2m - 2 >= 2 lies outside the window -2 < s < 0
-            (4, "solution at box^4 is not Fourier-safe"),
-        ],
-    )
-    def test_dim2_failure_messages(self, max_box, reason):
+    @pytest.mark.parametrize("max_box", [1, 4])
+    def test_dim2_failure_messages(self, max_box):
+        # s = 2m - 2 >= 0 lies outside the window -2 < s < 0 from m = 1 on
         with pytest.raises(NotRepresentableError) as exc:
             find_representation(position_term(2, 1, Fraction(-2)), max_box)
+        reason = "seed term r^0 out of window from box^1 on"
         assert str(exc.value).endswith(f"({reason})")
+
+    def test_search_stops_once_the_top_seed_leaves_the_window(self, monkeypatch):
+        # r^-4 + r^-9 in four dimensions: box^1 gives the seed r^-2 + r^-7,
+        # whose r^-7 is below the window; from box^2 on, r^-4 needs the seed
+        # r^(2m - 4) >= r^0, above it, so no larger m is tried
+        target = add(position_term(4, 1, -4), position_term(4, 1, -9))
+        tried = []
+
+        def spy(t, n):
+            tried.append(t.rpow)
+            return term_fourier_safe(t, n)
+
+        monkeypatch.setattr(regulate, "term_fourier_safe", spy)
+        with pytest.raises(NotRepresentableError) as exc:
+            find_representation(target, 50)
+        assert tried == [-7]
+        assert str(exc.value).endswith(
+            "(seed term r^0 out of window from box^2 on)"
+        )
+        with pytest.raises(NotRepresentableError) as exc:
+            find_representation(target, 1)
+        assert str(exc.value).endswith("(solution at box^1 is not Fourier-safe)")
 
 
 class TestMassShift:
@@ -231,6 +248,11 @@ class TestMassShift:
         assert ms.image_shift.radial == ()
         assert ms.momentum_shift.terms == ()
         assert ms.momentum_shift.local_poly == ((2 * PI * PI * ln_lambda, 0),)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), -2, 0])
+    def test_rational_ln_lambda(self, q):
+        rep = find_representation(position_term(4, 1, Fraction(-6)))
+        assert mass_shift(rep, q) == mass_shift(rep, Coefficient.rational(q))
 
     def test_momentum_shift_is_p_independent(self):
         rep = find_representation(position_term(4, 1, Fraction(-4)))

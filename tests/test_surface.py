@@ -133,6 +133,25 @@ class TestHigherOrder:
         surface_expansion(DiffOperator.box(m), position_term(4, 1, -2, 1))
         assert len(calls) == m - 1
 
+    @pytest.mark.parametrize(
+        "n, t, k", [(4, -4, 0), (4, -6, 1), (3, -5, 2), (6, -9, 0), (2, -3, 1)]
+    )
+    def test_series_is_built_only_to_the_order_kept(self, n, t, k, monkeypatch):
+        # a large order only caps the series; the entries are those of a
+        # small one, and the series is never built past the deepest bracket
+        rep = find_representation(position_term(n, 1, t, k))
+        want = surface_expansion(rep.L, rep.g, order=40)
+        lengths = []
+
+        def bounded(dim, order):
+            lengths.append(order)
+            assert order <= 40, f"series of {order} terms requested"
+            return angular_series(dim, order)
+
+        monkeypatch.setattr(surface, "angular_series", bounded)
+        assert surface_expansion(rep.L, rep.g, order=10**9) == want
+        assert lengths and max(lengths) <= 40
+
     def test_remainder_declaration(self):
         rep = find_representation(position_term(4, 1, Fraction(-4)))
         exp = surface_expansion(rep.L, rep.g)
