@@ -194,52 +194,42 @@ def _cmd_transform(args, report):
             report.check(f"value_at_p={args.at}", None, sym_val, args.tol)
 
 
-def _cmd_surface(args, report):
-    target = parse_position(args.target, args.dim)
-    rep = find_representation(target, args.max_box)
-    se = surface_expansion(rep.L, rep.g, order=args.order)
-    entries = [
-        {
-            "eps_pow": str(m),
-            "log_pow": k,
-            "value": format_momentum(v),
-        }
-        for (m, k), v in se.entries
-    ]
-    lead = leading_divergence(se)
-    lead_txt = (
-        f"log^{lead.log_pow}(eps*M) x {format_momentum(lead.value)}" if lead else "finite"
-    )
-    report.set_symbolic(
-        f"leading divergence: {lead_txt}",
-        {"entries": entries, "leading": lead_txt},
-    )
-    p = args.p
-    trunc, _ = truncated_ft_numeric(target, p, args.dim, args.mass, args.eps)
-    model = eval_momentum(fourier_formal(rep), p, args.mass) + se.eval_at(
-        args.eps, p, args.mass
-    )
-    report.defect_check(f"defect_at_eps={args.eps}", model, trunc, args.tol_defect)
-
-
-def _cmd_verify(args, report):
+def _defect_table(args, report, name, eps_grid, symbolic):
+    """The surface identity over a grid of eps: find the representation and
+    surface expansion of --target, take its formal transform at --p, set the
+    symbolic part to symbolic(se, formal), then check the defect of the
+    truncated transform at each eps of the grid, against the previous one."""
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
     se = surface_expansion(rep.L, rep.g, order=args.order)
     formal = eval_momentum(fourier_formal(rep), args.p, args.mass)
-    eps_grid = [
-        _check_finite("--eps-grid entry", _finite_float(s))
-        for s in args.eps_grid.split(",")
-    ]
-    report.set_symbolic(
-        f"formal transform at p={args.p}: {formal!r}",
-        {"formal": _fmt(formal)},
-    )
+    eps_grid = [_check_finite("--eps-grid entry", _finite_float(s)) for s in eps_grid]
+    report.set_symbolic(*symbolic(se, formal))
     prev = None
     for eps in eps_grid:
         trunc, _ = truncated_ft_numeric(target, args.p, args.dim, args.mass, eps)
         model = formal + se.eval_at(eps, args.p, args.mass)
-        prev = report.defect_check(f"defect_eps={eps}", model, trunc, args.tol_defect, prev)
+        prev = report.defect_check(f"{name}={eps}", model, trunc, args.tol_defect, prev)
+
+
+def _cmd_surface(args, report):
+    def symbolic(se, formal):
+        entries = [{"eps_pow": str(m), "log_pow": k, "value": format_momentum(v)}
+                   for (m, k), v in se.entries]
+        lead = leading_divergence(se)
+        lead_txt = (
+            f"log^{lead.log_pow}(eps*M) x {format_momentum(lead.value)}" if lead else "finite"
+        )
+        return f"leading divergence: {lead_txt}", {"entries": entries, "leading": lead_txt}
+
+    _defect_table(args, report, "defect_at_eps", [args.eps], symbolic)
+
+
+def _cmd_verify(args, report):
+    def symbolic(se, formal):
+        return f"formal transform at p={args.p}: {formal!r}", {"formal": _fmt(formal)}
+
+    _defect_table(args, report, "defect_eps", args.eps_grid.split(","), symbolic)
 
 
 def _cmd_cs(args, report):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     LocalTerm,
@@ -34,16 +34,27 @@ from .errors import DiffRegError, FourierWindowError, SymbolSetError
 MAX_EXACT_LOGPOW = 3
 
 
-def term_fourier_safe(t: RadialTerm, n: int) -> bool:
-    """Open convergence window r^{-2a'}, 0 < a' < n/2, with a supported
-    log power."""
-    return -n < t.rpow < 0 and t.logpow <= MAX_EXACT_LOGPOW
+def term_route(t: RadialTerm, n: int) -> Optional[str]:
+    """Which transform applies to one radial term in dimension n: "exact"
+    for an integral rpow in the open window -n < rpow < 0 with log power
+    <= MAX_EXACT_LOGPOW, exactly the terms master_coefficients accepts;
+    "regulated" for an integral rpow at or below -n, box^m of a window seed;
+    "numeric" for any other rpow above -n; None for a fractional rpow at or
+    below -n, which no route transforms."""
+    integral = isinstance(t.rpow, int)  # the as_exponent normal form
+    if not -n < t.rpow:
+        return "regulated" if integral else None
+    if integral and t.rpow < 0 and t.logpow <= MAX_EXACT_LOGPOW:
+        return "exact"
+    return "numeric"
 
 
 def fourier_safe(f: PositionFunction) -> bool:
-    """True iff every radial term sits strictly inside the window with a
-    supported log power (local terms always transform)."""
-    return all(term_fourier_safe(t, f.dim) for t in f.radial)
+    """The domain of the character: every radial term strictly inside the
+    window with a supported log power, fractional exponents included (local
+    terms always transform)."""
+    n = f.dim
+    return all(-n < t.rpow < 0 and t.logpow <= MAX_EXACT_LOGPOW for t in f.radial)
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -23,8 +23,9 @@ from .algebra import (
     scale,
 )
 from .errors import DiffRegError, EvaluationError
-from .fourier import fourier_base, fourier_formal, fourier_safe, term_fourier_safe
+from .fourier import fourier_base, fourier_formal, fourier_safe, term_route
 from .numeric import hankel_numeric
+from .printer import format_position
 from .regulate import find_representation
 
 
@@ -97,41 +98,33 @@ def _scale_float(f: PositionFunction, x: float) -> PositionFunction:
 
 
 def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
-    """Evaluate a transform of f at p0 by the best available route:
-    exact for Fourier-safe terms with an integer exponent, regulated formal
-    transform for integer power-log targets at or below the window, numeric
-    quadrature otherwise.  A fractional exponent in the window goes to the
-    numeric route: its exact transform needs polygamma values outside the
-    symbol set.  Returns (value, route)."""
+    """Evaluate a transform of f at p0, each radial term by the route
+    ``fourier.term_route`` gives it: exact (with the local terms), the
+    regulated formal transform, or numeric quadrature; a fractional exponent
+    in the window is numeric, since its exact transform needs polygamma
+    values outside the symbol set.  Raises before any work when a term has
+    no route.  Returns (value, route)."""
     n = f.dim
-    safe, divergent, rest = [], [], []
+    routed = {"exact": [], "regulated": [], "numeric": []}
     for t in f.radial:
-        if t.rpow.denominator != 1:
-            rest.append(t)
-        elif term_fourier_safe(t, n):
-            safe.append(t)
-        elif t.rpow <= -n:
-            divergent.append(t)
-        else:
-            rest.append(t)
+        routed.setdefault(term_route(t, n), []).append(t)
+    if None in routed:
+        raise DiffRegError(
+            "no exact, regulated, or numeric transform available for "
+            f"{format_position(PositionFunction.build(n, routed[None]))} in dim {n}"
+        )
     total = 0.0
     routes = []
-    safe_fn = PositionFunction.build(n, safe, f.local)
-    if not safe_fn.is_zero():
-        total += eval_momentum(fourier_base(safe_fn), p0, Mval)
+    exact = PositionFunction.build(n, routed["exact"], f.local)
+    if not exact.is_zero():
+        total += eval_momentum(fourier_base(exact), p0, Mval)
         routes.append("exact")
-    if divergent:
-        rep = find_representation(PositionFunction.build(n, divergent))
+    if routed["regulated"]:
+        rep = find_representation(PositionFunction.build(n, routed["regulated"]))
         total += eval_momentum(fourier_formal(rep), p0, Mval)
         routes.append("regulated")
-    if rest:
-        rest_fn = PositionFunction.build(n, rest)
-        if any(t.rpow <= -n for t in rest):
-            raise DiffRegError(
-                "no exact, regulated, or numeric transform available for "
-                f"terms {rest}"
-            )
-        val, _ = hankel_numeric(rest_fn, p0, n, Mval)
+    if routed["numeric"]:
+        val, _ = hankel_numeric(PositionFunction.build(n, routed["numeric"]), p0, n, Mval)
         total += val
         routes.append("numeric")
     return total, "+".join(routes) if routes else "zero"
@@ -141,14 +134,8 @@ def diagram_audit(elem: IdealElement, ch: Character) -> AuditReport:
     """Residual of the kernel claim for a single ideal element."""
     ab = mul(elem.a, elem.b)
     eps_b = character_eval(elem.b, ch)
-    if ab.is_zero():
-        value_ab, route = 0.0, "zero"
-    else:
-        value_ab, route = transform_value(ab, ch.p0, ch.Mval)
-    if elem.a.is_zero():
-        value_a = 0.0
-    else:
-        value_a, _ = transform_value(elem.a, ch.p0, ch.Mval)
+    value_ab, route = transform_value(ab, ch.p0, ch.Mval)
+    value_a, _ = transform_value(elem.a, ch.p0, ch.Mval)
     residual = abs(value_ab - eps_b * value_a)
     return AuditReport(
         residual=residual,

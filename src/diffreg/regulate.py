@@ -1,5 +1,5 @@
 """Finding a representation (L, g) with L g = target away from the origin
-and g Fourier-safe: the differential-renormalization move.
+and g exactly transformable: the differential-renormalization move.
 
 The search runs over pure powers L = box^m.  Write L = log(r^2 M^2) and
 c_m(s) = prod_{i<m} (s-2i)(s-2i+n-2), so that box^m r^s = c_m(s) r^(s-2m).
@@ -14,6 +14,13 @@ nu (a resonance) the seed's log power rises by nu, as in
 1/x^4 = -1/4 box log(x^2 M^2)/x^2.  The seed log powers below nu span the
 kernel of box^m and are pinned to zero: the scheme's only free parameter is
 then the mass M itself.
+
+``fourier.term_route`` gates both ends: every target term must route
+"regulated" (an integral rpow at or below -n) and every seed term
+"exact".  The search tries only the m that put every seed exponent in the
+window, -n < t + 2m < 0, that is floor((-n - t_min)/2) + 1 <= m <=
+min(max_box_power, floor((-1 - t_max)/2)); there a seed fails only when a
+resonance lifts its log power above 3.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .algebra import (
 )
 from .coeffs import Coefficient, LN2, ONE
 from .errors import DiffRegError, NotRepresentableError
-from .fourier import fourier_base, fourier_safe, term_fourier_safe
+from .fourier import fourier_base, term_route
 from .operators import DiffOperator, apply_operator, box_derivatives
 from .operators import multiply_by_symbol, operator_symbol
 
@@ -51,8 +58,8 @@ class Representation:
 def find_representation(
     target: PositionFunction, max_box_power: int = 4
 ) -> Representation:
-    """Search L = box^m, m = 1..max_box_power, for a Fourier-safe seed; from
-    the first m with t_max + 2m >= 0 on, the top seed term is out of window."""
+    """Search L = box^m, m <= max_box_power, for a seed with an exact
+    transform, over the m that put every seed exponent in the window."""
     n = target.dim
     if max_box_power < 1:
         raise ValueError("max_box_power must be >= 1")
@@ -60,42 +67,32 @@ def find_representation(
         raise NotRepresentableError("target must be radial-only")
     if not target.radial:
         raise NotRepresentableError("target is identically zero")
-    if fourier_safe(target):
-        raise NotRepresentableError("precondition violated: target is Fourier-safe")
     blocks: Dict[int, Dict[int, Coefficient]] = {}
     for t in target.radial:
-        if t.rpow.denominator != 1:
+        if term_route(t, n) != "regulated":
             raise NotRepresentableError(
-                f"target exponent r^{t.rpow} is not an integer; out of class"
-            )
-        if t.rpow > -n:
-            raise NotRepresentableError(
-                f"target term r^{t.rpow} is not genuinely divergent "
-                f"(needs rpow <= -{n})"
+                f"target term r^{t.rpow} is not regulated: needs an integral rpow <= -{n}"
             )
         blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
-    t_max = max(blocks)
-
-    last_error = ""  # set by every m tried, and m = 1 always is
-    for m in range(1, max_box_power + 1):
-        if t_max + 2 * m >= 0:
-            last_error = f"seed term r^{t_max + 2 * m} out of window from box^{m} on"
-            break
+    # -n < t + 2m < 0 for every t; t_min <= -n makes the lower end >= 1
+    m_lo = (-n - min(blocks)) // 2 + 1
+    m_hi = min(max_box_power, (-1 - max(blocks)) // 2)
+    for m in range(m_lo, m_hi + 1):
         seed = []
         for t, block in blocks.items():
             s = t + 2 * m
             x = log_power_solve(block, box_derivatives(s, m, n))
             seed += [RadialTerm(c, s, j) for j, c in x.items()]
         g = PositionFunction.build(n, seed)
-        if not all(term_fourier_safe(t, n) for t in g.radial):
-            last_error = f"solution at box^{m} is not Fourier-safe"
-            continue
+        if any(term_route(t, n) != "exact" for t in g.radial):
+            continue  # a resonance lifted a seed log power past the symbol set
         L = DiffOperator.box(m)
         if apply_operator(L, g).radial != target.radial:
             raise DiffRegError("internal: representation round-trip failed")
         return Representation(L, g, target)
     raise NotRepresentableError(
-        f"not representable in class box^m, m <= {max_box_power} ({last_error})"
+        f"not representable in class box^m, m <= {max_box_power} "
+        "(no m gives every seed an exact transform)"
     )
 
 

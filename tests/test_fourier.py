@@ -13,7 +13,7 @@ from diffreg.algebra import (
     position_term,
 )
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
-from diffreg.errors import FourierWindowError, SymbolSetError
+from diffreg.errors import DiffRegError, FourierWindowError, SymbolSetError
 from diffreg.fourier import (
     MAX_EXACT_LOGPOW,
     cs_derivative,
@@ -23,6 +23,7 @@ from diffreg.fourier import (
     fourier_safe,
     inverse_fourier_base,
     master_coefficients,
+    term_route,
 )
 from diffreg.numeric import finite_diff_lnM, hankel_numeric
 from diffreg.parser import parse_position
@@ -107,6 +108,29 @@ class TestWindow:
         assert fourier_safe(position_term(4, 1, Fraction(-2), 3))
         assert not fourier_safe(position_term(4, 1, Fraction(-4)))
         assert fourier_safe(delta_term(4, 1))
+
+
+class TestRoute:
+    """term_route is the one router of the transforms; its "exact" is the
+    gate of master_coefficients."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_router_agrees_with_the_gate(self, n):
+        lo, hi = -2 * n - 1, 2
+        rpows = {Fraction(k, q) for q in (1, 2, 3) for k in range(q * lo, q * hi + 1)}
+        for rpow in rpows:
+            for k in range(6):
+                t = RadialTerm(Coefficient.rational(1), rpow, k)
+                route = term_route(t, n)
+                try:
+                    master_coefficients(Fraction(-t.rpow, 2), n, t.logpow)
+                    gate = True
+                except DiffRegError:
+                    gate = False
+                assert (route == "exact") == gate, (rpow, k)
+                integral = rpow.denominator == 1
+                assert (route == "regulated") == (integral and rpow <= -n), (rpow, k)
+                assert (route is None) == (not integral and rpow <= -n), (rpow, k)
 
 
 @pytest.mark.parametrize(

@@ -425,6 +425,14 @@ class TestCli:
         got = float(doc["symbolic"]["terms"]["character_value"])
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_audit_with_no_route_names_the_term(self, capsys):
+        # r^-9/2 * r^-1 = r^-11/2: fractional and below the window
+        code, doc = run_json(capsys, "audit", "--a", "r^-9/2", "--b", "r^-1", "--p0", "1")
+        assert code == 2
+        message = doc["error"]["message"]
+        assert "r^-11/2 in dim 4" in message
+        assert "RadialTerm(" not in message
+
     def test_oracle(self, capsys):
         code, doc = run_json(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--dim", "4")
         assert code == 0

@@ -9,10 +9,11 @@ from diffreg.algebra import (
     add,
     delta_term,
     eval_momentum,
+    log_power_solve,
     position_term,
 )
 from diffreg.coeffs import Coefficient, LN2, ONE, PI
-from diffreg.fourier import term_fourier_safe
+from diffreg.fourier import term_route
 from diffreg.errors import DiffRegError, NotRepresentableError
 from diffreg.fourier import fourier_formal
 from diffreg import regulate
@@ -160,7 +161,7 @@ class TestBlockSolver:
                 for _ in range(power):
                     image = _box(n, image)
                 assert image == target
-                assert all(term_fourier_safe(t, n) for t in rep.g.radial)
+                assert all(term_route(t, n) == "exact" for t in rep.g.radial)
                 if t + 2 * (m - 1) <= -n:
                     # no smaller m has a window seed: box^m with the seed
                     # less its kernel part, the log powers below nu
@@ -188,30 +189,37 @@ class TestBlockSolver:
         # s = 2m - 2 >= 0 lies outside the window -2 < s < 0 from m = 1 on
         with pytest.raises(NotRepresentableError) as exc:
             find_representation(position_term(2, 1, Fraction(-2)), max_box)
-        reason = "seed term r^0 out of window from box^1 on"
+        reason = "no m gives every seed an exact transform"
         assert str(exc.value).endswith(f"({reason})")
 
-    def test_search_stops_once_the_top_seed_leaves_the_window(self, monkeypatch):
-        # r^-4 + r^-9 in four dimensions: box^1 gives the seed r^-2 + r^-7,
-        # whose r^-7 is below the window; from box^2 on, r^-4 needs the seed
-        # r^(2m - 4) >= r^0, above it, so no larger m is tried
-        target = add(position_term(4, 1, -4), position_term(4, 1, -9))
-        tried = []
+    @pytest.mark.parametrize(
+        "terms, max_box, solves, power",
+        [
+            # r^-9 needs m >= 3 and r^-4 needs m <= 1 to reach -4 < s < 0
+            ([-4, -9], 1, 0, None),
+            ([-4, -9], 50, 0, None),
+            # r^-7 reaches the window at m = 2 and m = 3; m = 2 succeeds
+            ([-7], 4, 1, 2),
+        ],
+        ids=["r^-4+r^-9-max_box1", "r^-4+r^-9-max_box50", "r^-7"],
+    )
+    def test_search_solves_only_inside_the_window(
+        self, monkeypatch, terms, max_box, solves, power
+    ):
+        calls = []
 
-        def spy(t, n):
-            tried.append(t.rpow)
-            return term_fourier_safe(t, n)
+        def spy(levels, d):
+            calls.append(d)
+            return log_power_solve(levels, d)
 
-        monkeypatch.setattr(regulate, "term_fourier_safe", spy)
-        with pytest.raises(NotRepresentableError) as exc:
-            find_representation(target, 50)
-        assert tried == [-7]
-        assert str(exc.value).endswith(
-            "(seed term r^0 out of window from box^2 on)"
-        )
-        with pytest.raises(NotRepresentableError) as exc:
-            find_representation(target, 1)
-        assert str(exc.value).endswith("(solution at box^1 is not Fourier-safe)")
+        monkeypatch.setattr(regulate, "log_power_solve", spy)
+        target = PositionFunction.build(4, [RadialTerm(ONE, t) for t in terms])
+        if power is None:
+            with pytest.raises(NotRepresentableError):
+                find_representation(target, max_box)
+        else:
+            assert find_representation(target, max_box).L == DiffOperator.box(power)
+        assert len(calls) == solves
 
 
 class TestMassShift:
