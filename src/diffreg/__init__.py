@@ -46,6 +46,6 @@ from .operators import (
 )
 from .parser import parse_momentum, parse_operator, parse_position
 from .printer import format_momentum, format_operator, format_position
-from .quotient import Character, IdealElement, character_eval, diagram_audit, reduce_mod_ideal
+from .quotient import Character, IdealElement, character_eval, diagram_audit
 from .regulate import Representation, find_representation, mass_shift
 from .surface import SurfaceExpansion, leading_divergence, surface_expansion

@@ -20,7 +20,6 @@ from .algebra import (
     PositionFunction,
     eval_momentum,
     mul,
-    scale,
 )
 from .errors import DiffRegError, EvaluationError
 from .fourier import fourier_base, fourier_formal, fourier_safe, term_route
@@ -79,22 +78,6 @@ def character_eval(b: PositionFunction, ch: Character) -> float:
     if not fourier_safe(b):
         raise EvaluationError("character is defined on Fourier-safe functions only")
     return transform_value(b, ch.p0, ch.Mval)[0]
-
-
-def reduce_mod_ideal(elem: IdealElement, ch: Character) -> PositionFunction:
-    """Canonical representative of a*b modulo the ideal: replace the
-    Fourier-safe factor by its character value, giving eps(b) * a."""
-    mul(elem.a, elem.b)  # raises when the product itself is undefined
-    eps_b = character_eval(elem.b, ch)
-    return _scale_float(elem.a, eps_b)
-
-
-def _scale_float(f: PositionFunction, x: float) -> PositionFunction:
-    # float scalars are outside the exact ring; fall back to an exact
-    # rational with full double precision
-    from fractions import Fraction
-
-    return scale(Fraction(x).limit_denominator(10 ** 17), f)
 
 
 def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):

@@ -513,6 +513,9 @@ class TestCli:
             ["oracle", "--fn", "r^-2", "--p", "1e10", "--eps", "1e7"],
             # the closed form's (pi / p)^5 overflows a float
             ["oracle", "--fn", "r^-1", "--p", "1e-100", "--dim", "6"],
+            # above the oracle's dims 2-10 (dim 12 exited 3 here, its
+            # estimate 4.4e-5 over a budget of 1.8e-5)
+            ["oracle", "--fn", "r^-10", "--p", "3", "--dim", "12"],
             # a negative tolerance gives a check that can never pass, or none
             ["surface", "--target", "r^-4", "--eps", "0.05", "--tol-defect", "-1"],
             ["transform", "--fn", "r^-2", "--at", "1", "--tol", "-1"],
@@ -520,7 +523,7 @@ class TestCli:
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
              "tol_defect_inf", "eps_grid_nan", "p_out_of_range", "p_overflow",
-             "tol_defect_negative", "tol_negative"],
+             "dim_above_range", "tol_defect_negative", "tol_negative"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, argv):
         code, doc = run_json(capsys, *argv)

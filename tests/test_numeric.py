@@ -18,8 +18,6 @@ from diffreg.numeric import (
     _panel_points,
     _quad_panels,
     _tail,
-    _tail_damping,
-    _vector_integrand,
     angular_kernel,
     finite_diff_lnM,
     hankel_numeric,
@@ -332,6 +330,25 @@ class TestContour:
                             # size next to the singularity at u = i pb
                             assert err <= 1e-9 * size, (pb, p, a, k, M)
 
+    def test_one_integrand_call_per_tail(self, monkeypatch):
+        # the tracer's numeric.tail.evals wraps _vector_integrand and counts
+        # the points it is called on: 100 contour nodes, 60 and 40, per tail
+        sizes = []
+        original = numeric._vector_integrand
+
+        def counting(*args):
+            vec = original(*args)
+
+            def counted(z):
+                sizes.append(z.size)
+                return vec(z)
+
+            return counted
+
+        monkeypatch.setattr(numeric, "_vector_integrand", counting)
+        hankel_numeric(position_term(4, 1, Fraction(-2), 1), 0.7, 4)
+        assert sizes == [100]
+
 
 class TestScan:
     # every integer window exponent r^a of dims 2-6, log powers 0-3,
@@ -355,6 +372,18 @@ class TestScan:
                         assert true_err <= err, (a, k, M, p)
                         assert err <= 1e-6 * abs(val) + 1e-10, (a, k, M, p)
 
+    # the rest of the oracle's dims at M = 1 and the 21 log-spaced p
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_high_dims_true_error_within_estimate_within_budget(self, n):
+        for a in range(1 - n, 0):
+            for k in range(4):
+                f = position_term(n, 1, Fraction(a), k)
+                F = fourier_base(f)
+                for p in (10.0 ** (-3 + 5 * i / 20) for i in range(21)):
+                    val, err = hankel_numeric(f, p, n)
+                    assert abs(val - eval_momentum(F, p, 1.0)) <= err, (a, k, p)
+                    assert err <= 1e-6 * abs(val) + 1e-10, (a, k, p)
+
 
 class TestContract:
     def test_deterministic(self):
@@ -373,15 +402,17 @@ class TestContract:
 
     @pytest.mark.parametrize("p", [1e-3, 1e-2, 1.0, 1e2])
     def test_tail_cross_check_matches_exact(self, p):
-        # the damping ladder on the real axis must agree with the contour
-        # across the documented momentum range, and the result with the
-        # exact value
-        f = add(
+        # the exact transform checks the contour tail across the documented
+        # momentum range: the true error lies within the estimate, for a
+        # mixed power-log input and for r^-2, whose transform is 4 pi^2 / p^2
+        mixed = add(
             position_term(4, 1, Fraction(-2)),
             position_term(4, Fraction(-1, 4), Fraction(-2), 1),
         )
-        val, _ = hankel_numeric(f, p, 4, tail_cross_check=True)
-        assert val == pytest.approx(eval_momentum(fourier_base(f), p, 1.0), rel=1e-6)
+        for f, want in ((mixed, eval_momentum(fourier_base(mixed), p, 1.0)),
+                        (position_term(4, 1, Fraction(-2)), 4.0 * math.pi ** 2 / p ** 2)):
+            val, err = hankel_numeric(f, p, 4)
+            assert abs(val - want) <= err
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_tail_starting_where_log_vanishes(self, n):
@@ -394,11 +425,6 @@ class TestContract:
         val, err = hankel_numeric(f, p, n, M)
         true_err = abs(val - eval_momentum(fourier_base(f), p, M))
         assert true_err <= min(err, 1e-8 * abs(val))
-
-    def test_cross_check_mode(self):
-        f = position_term(4, 1, Fraction(-2))
-        val, _ = hankel_numeric(f, 1.0, 4, tail_cross_check=True)
-        assert val == pytest.approx(4.0 * math.pi ** 2, rel=1e-6)
 
     def test_rejects_divergent_input(self):
         with pytest.raises(NonIntegrableError):
@@ -437,17 +463,18 @@ class TestContract:
         with pytest.raises(EvaluationError):
             hankel_numeric(position_term(4, 1, Fraction(-2)), 0.0, 4)
 
-    def test_two_dampings_extrapolate(self):
-        # the damping ladder extrapolates to zero damping; the estimate (the
-        # step from dropping the largest damping) must cover the distance
-        # to the contour tail from the same radius
-        _load()  # the tails are called directly, not through an entry point
-        f = position_term(4, 1, Fraction(-2), 1)
-        p, b = 1.0, math.pi
-        val, err = _tail_damping(_vector_integrand(f, p, 4, 1.0), p, b)
-        want, want_err = _tail(f, p, 4, 1.0, b)
-        assert math.isfinite(err)
-        assert abs(val - want) <= err + want_err
+    def test_dim_above_range_is_domain_error(self, monkeypatch):
+        # dims above 10 are refused before any quadrature
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(numeric, "_quad_panels", no_quadrature)
+        monkeypatch.setattr(numeric, "_tail", no_quadrature)
+        f = position_term(11, 1, Fraction(-8))
+        for call in (lambda: hankel_numeric(f, 3.0, 11),
+                     lambda: truncated_ft_numeric(f, 3.0, 11, 1.0, 0.1)):
+            with pytest.raises(EvaluationError, match="dims up to 10, not dim 11"):
+                call()
 
     @pytest.mark.parametrize("factor", [0.999, 1.001], ids=["below", "above"])
     @pytest.mark.parametrize("tail_val", [0.0, 1.0], ids=["absolute", "relative"])

@@ -7,7 +7,6 @@ from diffreg.algebra import (
     PositionFunction,
     add,
     eval_momentum,
-    eval_position,
     position_term,
     scale,
 )
@@ -19,7 +18,6 @@ from diffreg.quotient import (
     IdealElement,
     character_eval,
     diagram_audit,
-    reduce_mod_ideal,
     transform_value,
 )
 
@@ -84,18 +82,6 @@ class TestIdealElement:
             IdealElement(
                 position_term(3, 1, Fraction(-1)), position_term(4, 1, Fraction(-2))
             )
-
-    def test_reduce(self):
-        ch = Character(1.0, 4)
-        elem = IdealElement(
-            position_term(4, 1, Fraction(-1)), position_term(4, 1, Fraction(-2))
-        )
-        reduced = reduce_mod_ideal(elem, ch)
-        eps_b = 4.0 * math.pi ** 2
-        r = 1.7
-        assert eval_position(reduced, r, 1.0) == pytest.approx(
-            eps_b * eval_position(elem.a, r, 1.0), rel=1e-12
-        )
 
 
 class TestTransformValue:
