@@ -414,6 +414,13 @@ class TestContract:
             val, err = hankel_numeric(f, p, 4)
             assert abs(val - want) <= err
 
+    def test_cross_check_mode(self):
+        # r^-2 in dim 4 against its closed transform 4 pi^2 / p^2 at p = 1,
+        # through the one contour tail that remains
+        f = position_term(4, 1, Fraction(-2))
+        val, _ = hankel_numeric(f, 1.0, 4)
+        assert val == pytest.approx(4.0 * math.pi ** 2, rel=1e-6)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_tail_starting_where_log_vanishes(self, n):
         # the closed-form panel and the contour meet at b = pi / p; with
