@@ -192,6 +192,13 @@ PARSE_ERRORS = [
     ("(r^-2)/(r^-2+r^-4)", "can only divide by a single power term", 1, 19),
     ("r^-2 +\n  2*r^-4 +", "unexpected token ''", 2, 11),
     ("r^-2\n  * box", "cannot multiply position by operator", 2, 8),
+    ("r^-2 + p^2", "cannot mix r-space and p-space in one expression", 1, 11),
+    ("r^-2 + box", "cannot combine operator value here", 1, 11),
+    ("delta*delta", "undefined product of distributions", 1, 12),
+    ("(r^-2)/(2*pi)", "can only divide by a plain rational", 1, 14),
+    ("r^-2/box", "cannot divide by an operator", 1, 9),
+    ("r^-2/(pi*r^2)", "can only divide by a rational power of r", 1, 14),
+    ("p^-2", "expected a position-space expression, got momentum", 1, 1),
 ]
 
 
