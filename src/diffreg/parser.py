@@ -1,123 +1,103 @@
-"""Recursive-descent parser for the term language.
+"""One-pass reader for the term language.
 
 Grammar (whitespace-insensitive):
 
     expr     := ['-'] term (('+'|'-') term)*
     term     := factor ('*' factor | '/' factor)*
-    factor   := number | 'pi' | 'gammaE' | 'ln2' | 'zeta3'
+    factor   := '-'* (number | 'pi' | 'gammaE' | 'ln2' | 'zeta3'
               | 'r' ['^' exponent] | 'p' ['^' exponent]
               | 'log(r^2*M^2)' ['^' int] | 'log(p^2/M^2)' ['^' int]
-              | 'delta' | 'box' ['^' int] | '(' expr ')'
+              | 'delta' | 'box' ['^' int] | '(' expr ')')
     exponent := ['-'] int ['/' int]
     number   := int ['/' int]
 
-The log tokens are atomic.  A parsed value is a kind tag (scalar, position,
-momentum or operator) and its terms.  A scalar's terms are one
-``Coefficient``.  The other kinds map a term key to a nonzero
-``Coefficient``: (r power, log power) or a delta box power (an int) for
-position, (p power, log power) for momentum and a box power for an
-operator.  Products add keys and multiply coefficients, sums merge the dicts,
-and a sign is pushed into the first factor of its term.  The normal form is
-built once, when ``parse_*`` returns; only ``box * f`` builds ``f`` on the
-way, to apply the operator with its resonance deltas and flags.  Tokens keep
-their offset, and the line and column are worked out only for an error.
+One ``findall`` turns the text into plain string tokens (the log tokens
+are atomic); a token's line and column are found by scanning again, only
+for an error.  A value is a kind (scalar, position, momentum or operator),
+a dict ``{(key, monomial): Fraction}`` with no zero entry, and flags.  A key
+is (power, log power) of r or p, (box power, 0) for an operator, (0, 0) for
+a scalar, or an int, the box power on a delta.  One loop reads an expr, and
+recurses only at '('.  The plain leaves of a term fold into an int
+numerator and denominator (every sign included), a monomial over (pi,
+gammaE, ln2, zeta3) and a key; a parenthesised factor joins as a dict, and
+a divisor, a plain rational or a single rational power, folds into the
+leaves.  Each ``Coefficient`` is built once per key when ``parse_*``
+returns; only ``box * f`` builds ``f`` on the way, to apply the operator
+with its resonance deltas and flags.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Tuple
 
-from .algebra import (
-    LocalTerm,
-    MomentumFunction,
-    MomentumTerm,
-    PositionFunction,
-    RadialTerm,
-)
+from .algebra import LocalTerm, MomentumFunction, MomentumTerm, PositionFunction, RadialTerm
 from .coeffs import ONE, Coefficient
 from .errors import ParseError
 from .operators import DiffOperator, apply_operator
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<logr>log\(\s*r\s*\^\s*2\s*\*\s*M\s*\^\s*2\s*\))
-  | (?P<logp>log\(\s*p\s*\^\s*2\s*/\s*M\s*\^\s*2\s*\))
-  | (?P<number>\d+)
-  | (?P<name>pi|gammaE|ln2|zeta3|delta|box|r|p)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
+_SCAN = re.compile(
+    r"\s*(log\(\s*r\s*\^\s*2\s*\*\s*M\s*\^\s*2\s*\)"
+    r"|log\(\s*p\s*\^\s*2\s*/\s*M\s*\^\s*2\s*\)"
+    r"|\d+|pi|gammaE|ln2|zeta3|delta|box|\S)"
 )
+# the one-character tokens that are not a bad character, besides digits
+_CHARS = "+-*/^()rp"
+_SYMBOLS = {"pi": 0, "gammaE": 1, "ln2": 2, "zeta3": 3}
+_NO_MONO = (0, 0, 0, 0)
 
-MINUS_ONE = Coefficient.rational(-1)
-_SYMBOLS = ("pi", "gammaE", "ln2", "zeta3")
-
-# (kind, text, offset)
-_Token = Tuple[str, str, int]
-
-
-def _where(text: str, offset: int) -> Tuple[int, int]:
-    """1-based line and column of an offset into the text."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", *_where(text, m.start()))
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+# parentheses may nest this deep: the reader recurses once per level, and
+# deeper input would exhaust the Python stack
+_MAX_NESTING = 100
+# a longer literal is refused rather than handed to int(), whose cost grows
+# with the length and which some interpreters cap
+_MAX_DIGITS = 1000
 
 
-def _times(a: Coefficient, b: Coefficient) -> Coefficient:
-    # leaves carry the shared ONE, and a product by it needs no arithmetic
-    if a is ONE:
-        return b
-    if b is ONE:
-        return a
-    return a * b
-
-
-def _merge(acc: dict, key, c: Coefficient) -> None:
-    """acc[key] += c, dropping the key when the sum cancels."""
-    if key in acc:
-        c = acc[key] + c
-        if not c.terms:
-            del acc[key]
+def _merge(acc: dict, km, q: Fraction) -> None:
+    """acc[km] += q, dropping the entry when the sum cancels."""
+    if km in acc:
+        q += acc[km]
+        if not q:
+            del acc[km]
             return
-    acc[key] = c
+    acc[km] = q
 
 
-class _Value:
-    """A kind tag and its terms (see the module docstring)."""
-
-    __slots__ = ("kind", "terms", "flags")
-
-    def __init__(self, kind: str, terms, flags: Tuple[str, ...] = ()):
-        self.kind = kind
-        self.terms = terms
-        self.flags = flags
-
-
-def _promoted(target: str, c: Coefficient) -> dict:
-    """The terms of a scalar as a value of the target kind."""
-    if not c.terms:
-        return {}
-    return {0 if target == "operator" else (0, 0): c}
+def _key(a, b):
+    # a delta's box power times the unit key (0, 0); a delta times any
+    # other key is refused before it gets here, or the product is zero
+    if type(a) is int:
+        return a
+    if type(b) is int:
+        return b
+    return (a[0] + b[0], a[1] + b[1])
 
 
-def _position(dim: int, terms: dict, flags) -> PositionFunction:
+def _has_delta(terms: dict) -> bool:
+    return any(type(key) is int for key, _ in terms)
+
+
+def _product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (k1, m1), q1 in a.items():
+        for (k2, m2), q2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            _merge(out, (_key(k1, k2), m), q1 * q2)
+    return out
+
+
+def _coefficients(terms: dict) -> dict:
+    """key -> Coefficient: the one place a value's coefficients are built."""
+    by_key: dict = {}
+    for (key, m), q in terms.items():
+        by_key.setdefault(key, []).append((m, q))
+    return {key: Coefficient(tuple(sorted(pairs))) for key, pairs in by_key.items()}
+
+
+def _position(dim: int, coeffs: dict, flags) -> PositionFunction:
     radial, local = [], []
-    for key, c in terms.items():
+    for key, c in coeffs.items():
         if type(key) is tuple:
             radial.append(RadialTerm(c, key[0], key[1]))
         else:
@@ -125,233 +105,248 @@ def _position(dim: int, terms: dict, flags) -> PositionFunction:
     return PositionFunction.build(dim, radial, local, flags)
 
 
-# parentheses may nest this deep: the descent recurses once per level, and
-# deeper input would exhaust the Python stack
-_MAX_NESTING = 100
-
-
-class _Parser:
+class _Reader:
     def __init__(self, text: str, dim: int):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.toks = _SCAN.findall(text) + [""]
         self.dim = dim
-        self.depth = 0
+        if dim < 2 and self.bad() is not None:
+            # before the dimension's error (no function below 1, no box below 2)
+            self.fail("", 0)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def bad(self):
+        """Index of the first bad character, or None."""
+        for j, t in enumerate(self.toks):
+            if len(t) == 1 and t not in _CHARS and not t.isdecimal():
+                return j
+        return None
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, msg: str, i: int):
+        """Raise for token i; a bad character anywhere in the text is
+        reported first, as a scan of the whole text would find it."""
+        j = self.bad()
+        if j is not None:
+            msg, i = f"unexpected character {self.toks[j]!r}", j
+        text = self.text
+        at = [m.start(1) for m in _SCAN.finditer(text)] + [len(text)]
+        raise ParseError(msg, text.count("\n", 0, at[i]) + 1, at[i] - text.rfind("\n", 0, at[i]))
 
-    def expect(self, kind: str, text=None) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text or kind
-            self.fail(f"expected {want!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def fail(self, msg: str, tok=None):
-        tok = tok or self.tokens[self.pos]
-        raise ParseError(msg, *_where(self.text, tok[2]))
-
-    def _is_op(self, text: str) -> bool:
-        # no token but an operator has one of the operator characters as text
-        return self.tokens[self.pos][1] == text
-
-    # -- grammar -------------------------------------------------------
-
-    def parse(self) -> _Value:
-        val = self.expr()
-        if self.peek()[0] != "eof":
-            self.fail(f"unexpected trailing input {self.peek()[1]!r}")
-        return val
-
-    def expr(self) -> _Value:
-        negate = self._is_op("-")
-        if negate:
-            self.advance()
-        val = self.term(negate)
-        while self._is_op("+") or self._is_op("-"):
-            rhs = self.term(self.advance()[1] == "-")
-            val = self._add(val, rhs)
-        return val
-
-    def term(self, negate: bool = False) -> _Value:
-        val = self.factor(negate)
-        while self._is_op("*") or self._is_op("/"):
-            op = self.advance()[1]
-            rhs = self.factor()
-            val = self._mul(val, rhs if op == "*" else self._invert(rhs))
-        return val
-
-    def factor(self, negate: bool = False) -> _Value:
-        """One factor, times -1 when ``negate``: the sign lands on the
-        leaf's coefficient."""
-        kind, text, _ = tok = self.advance()
-        while text == "-":
-            negate = not negate
-            kind, text, _ = tok = self.advance()
-        unit = MINUS_ONE if negate else ONE
-        if text == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
-            val = self.expr()
-            self.expect("op", ")")
-            self.depth -= 1
-            return self._scale(unit, val) if negate else val
-        if kind == "number":
-            q = self._ratio(int(text))
-            return _Value("scalar", Coefficient.rational(-q if negate else q))
-        if kind == "logr" or kind == "logp":
-            k = self._opt_int_power()
-            return self._leaf("position" if kind == "logr" else "momentum", (0, k), unit)
-        if text in _SYMBOLS:
-            k = self._opt_int_power()
-            return _Value("scalar", Coefficient.monomial(-1 if negate else 1, **{text: k}))
-        if text == "delta":
-            return self._leaf("position", 0, unit)
-        if text == "box":
-            return _Value("operator", {self._opt_int_power(): unit})
-        if text == "r" or text == "p":
-            e = self._opt_exponent()
-            return self._leaf("position" if text == "r" else "momentum", (e, 0), unit)
-        self.fail(f"unexpected token {text!r}", tok)
-
-    def _leaf(self, kind: str, key, unit: Coefficient) -> _Value:
+    def leaf(self) -> None:
         # the first function factor rejects a bad dimension, as building
         # the function would
         if self.dim < 1:
             raise ValueError("dimension must be a positive integer")
-        return _Value(kind, {key: unit})
 
-    def _ratio(self, num: int):
-        """The integer just read, over a plain-integer denominator after a
-        slash unless a '^' follows that denominator; otherwise the slash is
-        term-level division."""
-        toks, i = self.tokens, self.pos
-        if toks[i][1] == "/" and toks[i + 1][0] == "number" and toks[i + 2][1] != "^":
-            den = int(toks[i + 1][1])
-            if den == 0:
-                self.fail("division by zero", toks[i + 1])
-            self.pos = i + 2
-            return Fraction(num, den)
-        return num
+    def number(self, i: int) -> int:
+        t = self.toks[i]
+        if not t.isdecimal():
+            self.fail(f"expected 'number', found {t!r}", i)
+        if len(t) > _MAX_DIGITS:
+            self.fail(f"number longer than {_MAX_DIGITS} digits", i)
+        return int(t)
 
-    def _opt_int_power(self) -> int:
-        if self._is_op("^"):
-            self.advance()
-            neg = self._is_op("-")
-            if neg:
-                self.advance()
-            k = int(self.expect("number")[1])
-            if neg:
-                self.fail("this power must be a non-negative integer")
-            return k
-        return 1
+    def ratio(self, i: int):
+        """(n, d, next index) of the integer at i: over a plain-integer
+        denominator after a slash unless a '^' follows that denominator,
+        else d = 1 and the slash is term-level division."""
+        n = self.number(i)
+        toks = self.toks
+        if toks[i + 1] == "/" and toks[i + 2].isdecimal() and toks[i + 3] != "^":
+            d = self.number(i + 2)
+            if not d:
+                self.fail("division by zero", i + 2)
+            return n, d, i + 3
+        return n, 1, i + 1
 
-    def _opt_exponent(self):
-        # r^3/2 binds the slash to the exponent
-        if not self._is_op("^"):
-            return 1
-        self.advance()
-        neg = self._is_op("-")
+    def power(self, i: int):
+        """(k, next index) of an optional '^' int power at i."""
+        toks = self.toks
+        if toks[i] != "^":
+            return 1, i
+        neg = toks[i + 1] == "-"
+        i += 1 + neg
+        k = self.number(i)
         if neg:
-            self.advance()
-        e = self._ratio(int(self.expect("number")[1]))
-        return -e if neg else e
+            self.fail("this power must be a non-negative integer", i + 1)
+        return k, i + 1
 
-    # -- semantics -----------------------------------------------------
+    def exponent(self, i: int):
+        """(e, next index) of an optional '^' exponent at i; r^3/2 binds
+        the slash to the exponent."""
+        toks = self.toks
+        if toks[i] != "^":
+            return 1, i
+        neg = toks[i + 1] == "-"
+        n, d, i = self.ratio(i + 1 + neg)
+        e = n if d == 1 else Fraction(n, d)
+        return (-e if neg else e), i
 
-    def _scale(self, c: Coefficient, v: _Value) -> _Value:
-        if v.kind == "scalar":
-            return _Value("scalar", _times(c, v.terms))
-        terms = {k: _times(c, x) for k, x in v.terms.items()} if c.terms else {}
-        return _Value(v.kind, terms, v.flags)
+    def divisor(self, kind: str, group: dict, i: int):
+        """(q, key) of a group that is a plain rational q times the key's
+        power (the unit key for a scalar)."""
+        if kind == "operator":
+            self.fail("cannot divide by an operator", i)
+        if kind != "scalar" and (len({key for key, _ in group}) != 1
+                                 or type(next(iter(group))[0]) is int):
+            self.fail("can only divide by a single power term", i)
+        (key, m), q = next(iter(group.items())) if group else (((0, 0), None), None)
+        if len(group) != 1 or m != _NO_MONO or key[1]:
+            var = "r" if kind == "position" else "p"
+            self.fail("can only divide by a plain rational" if kind == "scalar"
+                      else f"can only divide by a rational power of {var}", i)
+        return q, key
 
-    def _add(self, a: _Value, b: _Value) -> _Value:
-        kinds = {a.kind, b.kind}
-        if kinds == {"position", "momentum"}:
-            self.fail("cannot mix r-space and p-space in one expression")
-        if a.kind == b.kind == "scalar":
-            return _Value("scalar", a.terms + b.terms)
-        target = next(k for k in ("position", "momentum", "operator") if k in kinds)
-        for v in (a, b):
-            if v.kind == "scalar":
-                v.kind, v.terms = target, _promoted(target, v.terms)
-            elif v.kind != target:
-                self.fail(f"cannot combine {v.kind} value here")
-        for key, c in b.terms.items():
-            _merge(a.terms, key, c)
-        a.flags += b.flags
-        return a
+    def apply(self, op: dict, f: PositionFunction):
+        """box * f: the operator value applied to f, as a dict and flags."""
+        L = DiffOperator.build({key[0]: c for key, c in _coefficients(op).items()})
+        g = apply_operator(L, f)
+        out = {((t.rpow, t.logpow), m): q for t in g.radial for m, q in t.coeff.terms}
+        out.update(((t.boxpow, m), q) for t in g.local for m, q in t.coeff.terms)
+        return out, g.flags
 
-    def _mul(self, a: _Value, b: _Value) -> _Value:
-        if a.kind == "scalar":
-            return self._scale(a.terms, b)
-        if b.kind == "scalar":
-            return self._scale(b.terms, a)
-        if a.kind == "operator" and b.kind == "position":
-            op = DiffOperator.build(a.terms)
-            f = apply_operator(op, _position(self.dim, b.terms, b.flags))
-            terms = {(t.rpow, t.logpow): t.coeff for t in f.radial}
-            terms.update((t.boxpow, t.coeff) for t in f.local)
-            return _Value("position", terms, f.flags)
-        if a.kind != b.kind:
-            self.fail(f"cannot multiply {a.kind} by {b.kind}")
-        if a.kind == "position" and any(
-                type(k) is int for v in (a, b) for k in v.terms):
-            self.fail("undefined product of distributions")
-        out: dict = {}
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                key = k1 + k2 if a.kind == "operator" else (k1[0] + k2[0], k1[1] + k2[1])
-                _merge(out, key, _times(c1, c2))
-        return _Value(a.kind, out, a.flags + b.flags)
+    def expr(self, i: int, depth: int):
+        """(kind, terms, flags, next index) of the expr at token i."""
+        toks = self.toks
+        kind, terms, flags = "scalar", {}, []
+        sign = 1
+        if toks[i] == "-":
+            sign, i = -1, i + 1
+        while True:
+            # the term so far is num/den * mono * key, times acc when a group
+            # or an applied operator joined it; key is (e, k), or a delta
+            num, den, mono, e, k, delta = sign, 1, [0, 0, 0, 0], 0, 0, False
+            tkind, acc, div = "scalar", None, False
+            while True:
+                t = toks[i]
+                i += 1
+                while t == "-":
+                    num = -num
+                    t = toks[i]
+                    i += 1
+                fkind, fkey, group, gflags = "scalar", None, None, ()
+                if t.isdecimal():
+                    n, d, i = self.ratio(i - 1)
+                    if div:
+                        if not n:
+                            self.fail("can only divide by a plain rational", i)
+                        n, d = d, n
+                    num *= n
+                    den *= d
+                elif t == "r" or t == "p":
+                    x, i = self.exponent(i)
+                    self.leaf()
+                    fkind = "position" if t == "r" else "momentum"
+                    fkey = (-x if div else x, 0)
+                elif t in _SYMBOLS:
+                    x, i = self.power(i)
+                    if div and x:
+                        self.fail("can only divide by a plain rational", i)
+                    mono[_SYMBOLS[t]] += x
+                elif t[:4] == "log(":
+                    x, i = self.power(i)
+                    self.leaf()
+                    fkind = "momentum" if "p" in t else "position"
+                    if div and x:
+                        var = "p" if fkind == "momentum" else "r"
+                        self.fail(f"can only divide by a rational power of {var}", i)
+                    fkey = (0, x)
+                elif t == "delta":
+                    self.leaf()
+                    if div:
+                        self.fail("can only divide by a single power term", i)
+                    fkind, fkey = "position", 0
+                elif t == "box":
+                    x, i = self.power(i)
+                    if div:
+                        self.fail("cannot divide by an operator", i)
+                    fkind, fkey = "operator", (x, 0)
+                elif t == "(":
+                    if depth >= _MAX_NESTING:
+                        self.fail(f"parentheses nested deeper than {_MAX_NESTING}", i - 1)
+                    fkind, group, gflags, i = self.expr(i, depth + 1)
+                    if toks[i] != ")":
+                        self.fail(f"expected ')', found {toks[i]!r}", i)
+                    i += 1
+                    if div:
+                        q, (x, _) = self.divisor(fkind, group, i)
+                        num, den, fkey, group = num * q.denominator, den * q.numerator, (-x, 0), None
+                else:
+                    self.fail(f"unexpected token {t!r}", i - 1)
+                # fold the factor into the term, with the product's kind rules
+                if fkind != "scalar" and tkind != "scalar":
+                    if tkind == "operator" and fkind == "position":
+                        op = {((e, 0), tuple(mono)): Fraction(num, den)} if num else {}
+                        if acc is not None:
+                            op = _product(acc, op)
+                        f = _position(self.dim, _coefficients(group) if group is not None
+                                      else {fkey: ONE}, gflags)
+                        acc, gflags = self.apply(op, f)
+                        flags.extend(gflags)
+                        num, den, mono, e, k = 1, 1, [0, 0, 0, 0], 0, 0
+                        tkind, fkind, fkey, group = "position", "scalar", None, None
+                    elif tkind != fkind:
+                        self.fail(f"cannot multiply {tkind} by {fkind}", i)
+                    elif tkind == "position" and (
+                            num and acc != {} and (delta or acc is not None and _has_delta(acc))
+                            or fkey == 0 or group is not None and _has_delta(group)):
+                        self.fail("undefined product of distributions", i)
+                if fkind != "scalar":
+                    tkind = fkind
+                if group is not None:
+                    acc = group if acc is None else _product(acc, group)
+                    flags.extend(gflags)
+                elif fkey == 0:
+                    delta = True
+                elif fkey is not None:
+                    e += fkey[0]
+                    k += fkey[1]
+                t = toks[i]
+                if t != "*" and t != "/":
+                    break
+                div = t == "/"
+                i += 1
+            # add the term to the sum
+            if tkind != kind and tkind != "scalar":
+                if kind == "scalar":
+                    kind = tkind
+                elif {kind, tkind} == {"position", "momentum"}:
+                    self.fail("cannot mix r-space and p-space in one expression", i)
+                else:
+                    self.fail("cannot combine operator value here", i)
+            if num and acc != {}:
+                entries = {(0 if delta else (e, k), tuple(mono)):
+                           Fraction(num, den)}
+                for km, q in (entries if acc is None else _product(acc, entries)).items():
+                    _merge(terms, km, q)
+            t = toks[i]
+            if t != "+" and t != "-":
+                return kind, terms, flags, i
+            sign = -1 if t == "-" else 1
+            i += 1
 
-    def _invert(self, v: _Value) -> _Value:
-        if v.kind == "scalar":
-            c = v.terms
-            if len(c.terms) != 1 or not c.is_rational():
-                self.fail("can only divide by a plain rational")
-            return _Value("scalar", Coefficient.rational(1 / c.rational_value()))
-        if v.kind == "operator":
-            self.fail("cannot divide by an operator")
-        if len(v.terms) != 1 or type(next(iter(v.terms))) is int:
-            self.fail("can only divide by a single power term")
-        ((e, k), c), = v.terms.items()
-        if k != 0 or not c.is_rational():
-            var = "r" if v.kind == "position" else "p"
-            self.fail(f"can only divide by a rational power of {var}")
-        inv = ONE if c is ONE else Coefficient.rational(1 / c.rational_value())
-        return _Value(v.kind, {(-e, 0): inv})
 
-
-def _parse_as(text: str, dim: int, kind: str, what: str):
-    """Terms and flags of the text read as the given kind; a scalar is
-    promoted to it."""
-    v = _Parser(text, dim).parse()
-    if v.kind == "scalar":
-        return _promoted(kind, v.terms), ()
-    if v.kind != kind:
-        raise ParseError(f"expected {what} expression, got {v.kind}")
-    return v.terms, v.flags
+def _read(text: str, dim: int, kind: str, what: str):
+    """Coefficients by key and flags of the text read as the given kind; a
+    scalar's unit key serves every kind."""
+    r = _Reader(text, dim)
+    got, terms, flags, i = r.expr(0, 0)
+    if r.toks[i]:
+        r.fail(f"unexpected trailing input {r.toks[i]!r}", i)
+    if got != kind and got != "scalar":
+        raise ParseError(f"expected {what} expression, got {got}")
+    return _coefficients(terms), flags
 
 
 def parse_position(text: str, dim: int) -> PositionFunction:
-    terms, flags = _parse_as(text, dim, "position", "a position-space")
-    return _position(dim, terms, flags)
+    coeffs, flags = _read(text, dim, "position", "a position-space")
+    return _position(dim, coeffs, flags)
 
 
 def parse_momentum(text: str, dim: int) -> MomentumFunction:
-    terms, _ = _parse_as(text, dim, "momentum", "a momentum-space")
-    return MomentumFunction.build(dim, [MomentumTerm(c, e, k) for (e, k), c in terms.items()])
+    coeffs, _ = _read(text, dim, "momentum", "a momentum-space")
+    return MomentumFunction.build(dim, [MomentumTerm(c, e, k) for (e, k), c in coeffs.items()])
 
 
 def parse_operator(text: str, dim: int = 4) -> DiffOperator:
-    terms, _ = _parse_as(text, dim, "operator", "an operator")
-    return DiffOperator.build(terms)
+    coeffs, _ = _read(text, dim, "operator", "an operator")
+    return DiffOperator.build({key[0]: c for key, c in coeffs.items()})

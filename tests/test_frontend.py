@@ -17,8 +17,12 @@ from diffreg.algebra import (
     MomentumTerm,
     PositionFunction,
     RadialTerm,
+    add,
     delta_term,
+    momentum_term,
+    mul,
     position_term,
+    scale,
 )
 from diffreg import cli
 from diffreg.cli import build_parser, main
@@ -178,8 +182,9 @@ def test_parse_golden(kind, text, golden):
 
 
 # Malformed position inputs: message, line and column as the parser gave
-# them before it built each value once.  The first four are the tour's
-# malformations of a target.
+# them before it read each term in one pass.  The first four are the tour's
+# malformations of a target.  The last two are over the digit cap, which
+# that parser lacked: int() raised a ValueError with no line or column.
 PARSE_ERRORS = [
     ("r^-4 +", "unexpected token ''", 1, 7),
     ("r^^-4", "expected 'number', found '^'", 1, 3),
@@ -199,6 +204,10 @@ PARSE_ERRORS = [
     ("r^-2/box", "cannot divide by an operator", 1, 9),
     ("r^-2/(pi*r^2)", "can only divide by a rational power of r", 1, 14),
     ("p^-2", "expected a position-space expression, got momentum", 1, 1),
+    pytest.param("1" * 5000 + "*r^-6", "number longer than 1000 digits", 1, 1,
+                 id="5000-digit-literal"),
+    pytest.param("r^-2 +\n  r^-" + "9" * 1001, "number longer than 1000 digits", 2, 6,
+                 id="1001-digit-exponent"),
 ]
 
 
@@ -265,6 +274,12 @@ class TestRoundTrip:
         )
         assert parse_operator(format_operator(L)) == L
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(0, 4), coefficients(), max_size=4))
+    def test_random_operator(self, coeffs):
+        L = DiffOperator.build(coeffs)
+        assert parse_operator(format_operator(L)) == L
+
     def test_fixture_text(self):
         f = position_term(4, Fraction(-1, 4), Fraction(-2), 1)
         assert format_position(f) == "-1/4*log(r^2*M^2)/r^2"
@@ -273,6 +288,81 @@ class TestRoundTrip:
         f = delta_term(4, Fraction(3, 2), boxpow=1)
         assert format_position(f) == "3/2*box*delta"
         assert parse_position("3/2*box*delta", 4) == f
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\n", " \n  "])
+_SYMBOL_TEXT = ("pi", "gammaE", "ln2", "zeta3")
+
+
+@st.composite
+def _monomial_text(draw, mono, q):
+    """|q| times the monomial, with each power written as a power or as a
+    repeated product."""
+    parts = [str(abs(q))]
+    for name, e in zip(_SYMBOL_TEXT, mono):
+        if e:
+            parts += [f"{name}^{e}"] if draw(st.booleans()) else [name] * e
+    return (draw(_SPACE) + "*").join(parts)
+
+
+@st.composite
+def written_sums(draw, var):
+    """(text, value) of a sum of products in dim 4, written as the printer
+    never writes it: multi-monomial coefficients in parentheses, '-' chains,
+    divisions by powers of var, r^a/b exponents, newlines and spaces.  The
+    value is built from the same pieces with add, mul and scale."""
+    log = "log(r^2 * M^2)" if var == "r" else "log( p^2/M^2 )"
+    text, value = "", None
+    for i in range(draw(st.integers(1, 3))):
+        factors, c, e, k = [], Coefficient.rational(1), Fraction(0), 0
+        for j in range(draw(st.integers(1, 4))):
+            signs = draw(st.integers(0, 3))
+            kind = draw(st.sampled_from(["coeff", "pow", "log"] + ["div"] * (j > 0)))
+            if kind == "coeff":
+                x = draw(coefficients().filter(lambda c: not c.is_zero()))
+                body = ""
+                for mono, q in x.terms:
+                    body += (" - " if q < 0 else " + ") + draw(_monomial_text(mono, q))
+                body = body[3:] if body.startswith(" + ") else "-" + body[3:]
+                factors.append("-" * signs + f"({draw(_SPACE)}{body}{draw(_SPACE)})")
+                c = c * x
+            elif kind == "log":
+                x = draw(st.integers(0, 3))
+                factors.append("-" * signs + f"{log}^{x}")
+                k += x
+            else:
+                x = draw(exponent_st)
+                factors.append(("/" if kind == "div" else "") + "-" * signs + f"{var}^{x}")
+                e += -x if kind == "div" else x
+            c = c * (-1) ** signs
+        body = factors[0]
+        for f in factors[1:]:
+            body += draw(_SPACE) + (f if f.startswith("/") else "*" + draw(_SPACE) + f)
+        minus = draw(st.booleans())
+        text += (("-" if minus else "") if i == 0 else (" - " if minus else " + ")) + body
+        if var == "r":
+            term = mul(position_term(4, 1, e), position_term(4, 1, 0, k))
+        else:
+            term = momentum_term(4, 1, e, k)
+        term = scale(-c if minus else c, term)
+        value = term if value is None else add(value, term)
+    return text, value
+
+
+class TestWrittenText:
+    """The reader against algebra on text the printer never writes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(written_sums("r"))
+    def test_position(self, case):
+        text, value = case
+        assert parse_position(text, 4) == value
+
+    @settings(max_examples=80, deadline=None)
+    @given(written_sums("p"))
+    def test_momentum(self, case):
+        text, value = case
+        assert parse_momentum(text, 4) == value
 
 
 def _normal_exponent(x):
@@ -477,6 +567,15 @@ class TestCli:
         assert code == 2
         assert doc["error"] == {
             "code": "parse", "message": "division by zero (line 1, column 3)",
+        }
+
+    def test_long_literal_gives_parse_envelope(self, capsys):
+        # the literal is refused at its own position, before int() sees it
+        code, doc = run_json(capsys, "regulate", "--target=" + "1" * 5000 + "*r^-6",
+                             "--dim", "4")
+        assert code == 2
+        assert doc["error"] == {
+            "code": "parse", "message": "number longer than 1000 digits (line 1, column 1)",
         }
 
     def test_deep_nesting_gives_parse_envelope(self, capsys):
