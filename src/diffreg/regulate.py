@@ -81,7 +81,9 @@ def find_representation(
         seed = []
         for t, block in blocks.items():
             s = t + 2 * m
-            x = log_power_solve(block, box_derivatives(s, m, n))
+            # the solve reads d up to the top log power plus the order of s
+            # as a root of c_m, which is at most 2
+            x = log_power_solve(block, box_derivatives(s, m, n, max(block) + 3))
             seed += [RadialTerm(c, s, j) for j, c in x.items()]
         g = PositionFunction.build(n, seed)
         if any(term_route(t, n) != "exact" for t in g.radial):

@@ -20,18 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     MomentumFunction,
-    MomentumTerm,
     PositionFunction,
     eval_momentum,
     log_power_map,
 )
-from .coeffs import sphere_area
+from .coeffs import Coefficient, sphere_area
 from .errors import DiffRegError, SurfaceOrderError
-from .operators import DiffOperator, laplacian_radial
+from .operators import DiffOperator, box_derivatives
 
 
 def angular_series(n: int, order: int) -> List[Fraction]:
@@ -76,64 +76,91 @@ class SurfaceExpansion:
         return total
 
 
+@lru_cache(maxsize=256)
+def _seed_brackets(n: int, a: int | Fraction, k: int, m: int, order: int):
+    """The brackets B_0 .. B_(m-1) of the unit seed r^a L^k under box^m in
+    n dimensions, as a bounded table: (entries, dropped).  An entry
+    ((eps_pow, log_pow), j, q) says that a seed term c r^a L^k adds
+    q Omega_{n-1} c_m c (-p^2)^j to that order; the entries are merged per
+    ((eps_pow, log_pow), j), none is zero, and the sign of (-p^2)^j is in q.
+    dropped holds the first dropped (eps_pow, log_pow) of each bracket.
+    Raises SurfaceOrderError at the first bracket whose kernel series must
+    reach past ``order`` terms, so a miss is never stored."""
+    # build the series only as far as the deepest bracket reads; order caps it
+    alphas = angular_series(n, min(order, math.floor(Fraction(2 - n - a, 2)) + m))
+    acc: Dict[Tuple[Tuple[int | Fraction, int], int], Fraction] = {}
+    dropped: List[Tuple[int | Fraction, int]] = []
+    for j in range(m):
+        # v_j = box^j r^a L^k, merged; once it vanishes every later one
+        # does.  Merging can cancel a log power only below the top one, the
+        # one the remainder reads
+        image = log_power_map(1, k, box_derivatives(a, j, n, k + 1))
+        if not image:
+            break
+        b = a - 2 * j
+        # series order must reach past eps^0 for this exponent
+        need = Fraction(2 - n - b, 2)
+        if order - 1 < need:
+            raise SurfaceOrderError(
+                f"series order {order} cannot reach eps^0 for a term "
+                f"r^{b}; increase the order past {need + 1}"
+            )
+        # the orders i <= top have mm = x + 2i <= 0; the first dropped one
+        # is the smallest positive mm over i >= 0, and the remainder reads
+        # only the top log power there
+        x, top = n - 2 + b, math.floor(need)
+        dropped.append((x + 2 * max(0, top + 1), image[0][0]))
+        # the remaining Laplacians give the symbol factor (-p^2)^q
+        q = m - 1 - j
+        for kk, c in image:
+            # order i carries p^(2i) from the kernel and p^(2q) from the
+            # symbol; with l = log(eps M) its bracket is 2^kk eps^(x+2i)
+            # ((b - 2i) l^kk + kk l^(kk-1)), the log-power map with
+            # d = (b - 2i, 1), and its rational factors fold into d: the
+            # bracket's sign (-1)^(q+1) times the (-1)^(i+q) of
+            # p^(2i+2q) = (-1)^(i+q) (-p^2)^(i+q)
+            for i in range(top + 1):
+                pref = alphas[i] * (-1) ** (i + 1) * 2 ** kk
+                for kl, ci in log_power_map(c, kk, (pref * (b - 2 * i), pref)):
+                    key = ((x + 2 * i, kl), i + q)
+                    acc[key] = acc.get(key, 0) + ci
+    return tuple((key, j, ci) for (key, j), ci in acc.items() if ci), tuple(dropped)
+
+
 def surface_expansion(
     L: DiffOperator, g: PositionFunction, order: int = 8
 ) -> SurfaceExpansion:
     """Collect all boundary entries of order eps^mm log^kk with mm <= 0.
 
     Works for any polynomial in box by linearity; the identity part performs
-    no integration by parts and contributes nothing.
+    no integration by parts and contributes nothing.  Each seed term reads
+    its brackets from the :func:`_seed_brackets` table, so a call makes one
+    coefficient product per entry of the table it reads.
     """
     n = g.dim
     if g.local:
         raise DiffRegError("seed must be radial-only")
     omega = sphere_area(n)
-    # build the series only as far as the deepest bracket reads; order caps it
-    lowest = min((t.rpow for t in g.radial), default=0)
-    reach = math.floor(Fraction(2 - n - lowest, 2)) + L.degree
-    alphas = angular_series(n, min(order, reach))
-    acc: Dict[Tuple[int | Fraction, int], List[MomentumTerm]] = {}
-    dropped: List[Tuple[int | Fraction, int]] = []  # first dropped order per term
+    # (eps_pow, log_pow) -> {j: coefficient of (-p^2)^j}
+    acc: Dict[Tuple[int | Fraction, int], Dict[int, Coefficient]] = {}
+    dropped: List[Tuple[int | Fraction, int]] = []  # first dropped order per bracket
 
     for m, cm in L.coeffs:
         if m == 0:
             continue
         omega_cm = omega * cm
-        v = list(g.radial)
-        for j in range(m):
-            if j:
-                v = laplacian_radial(n, v)
-            # the remaining Laplacians give the symbol factor (-p^2)^q
-            q = m - 1 - j
-            # bracket of v_j against the angular kernel at r = eps
-            for t in v:
-                a, k = t.rpow, t.logpow
-                # series order must reach past eps^0 for this exponent
-                need = Fraction(2 - n - a, 2)
-                if order - 1 < need:
-                    raise SurfaceOrderError(
-                        f"series order {order} cannot reach eps^0 for a term "
-                        f"r^{a}; increase the order past {need + 1}"
-                    )
-                # the orders i <= top have mm = x + 2i <= 0; the first
-                # dropped one is the smallest positive mm over i >= 0
-                x, top = n - 2 + a, math.floor(need)
-                dropped.append((x + 2 * max(0, top + 1), k))
-                base = omega_cm * t.coeff
-                shared = (-1) ** (q + 1) * 2 ** k
-                # order i carries p^(2i) from the kernel and p^(2q) from the
-                # symbol; with l = log(eps M) its bracket is 2^k eps^(x+2i)
-                # ((a - 2i) l^k + k l^(k-1)), the log-power map with
-                # d = (a - 2i, 1), and its rational factors fold into d
-                for i in range(top + 1):
-                    pref = alphas[i] * shared
-                    ppow = 2 * i + 2 * q
-                    for kk, c in log_power_map(base, k, (pref * (a - 2 * i), pref)):
-                        acc.setdefault((x + 2 * i, kk), []).append(MomentumTerm(c, ppow))
+        for t in g.radial:
+            table, firsts = _seed_brackets(n, t.rpow, t.logpow, m, order)
+            dropped += firsts
+            base = omega_cm * t.coeff
+            for key, j, q in table:
+                row = acc.setdefault(key, {})
+                c = base * q
+                row[j] = row[j] + c if j in row else c
 
     entries = []
     for key in sorted(acc):
-        val = MomentumFunction.build(n, acc[key])
+        val = MomentumFunction.build(n, local_poly=[(c, j) for j, c in acc[key].items()])
         if not val.is_zero():
             entries.append((key, val))
     if not dropped:

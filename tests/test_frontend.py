@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -467,6 +468,39 @@ class TestCli:
         assert code == 0
         want = 2 * math.pi ** 2 * (math.log(2.0) - 0.5772156649015329)
         assert float(doc["numeric_checks"][0]["actual"]) == pytest.approx(want, rel=1e-12)
+
+    def test_apply_high_box_power(self, capsys):
+        # box^500 of r^-1 L^2 in dim 4: three terms at r^-1001, whose L^2
+        # coefficient is c_500(-1) = prod_{i<500} (-1 - 2i)(1 - 2i); the
+        # envelope is pinned whole by its digest
+        code, doc = run_json(capsys, "apply", "--op=box^500",
+                             "--fn=r^-1*log(r^2*M^2)^2", "--dim", "4")
+        assert code == 0
+        terms = doc["symbolic"]["terms"]
+        assert [(t["rpow"], t["logpow"]) for t in terms] == [("-1001", 0), ("-1001", 1), ("-1001", 2)]
+        assert terms[2]["coeff"] == str(math.prod((-1 - 2 * i) * (1 - 2 * i) for i in range(500)))
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == "0041eea017c2979df55c1eeb2a17d011a01be6df5034522a7df915c48170e82b"
+
+    def test_apply_box_power_past_the_printable(self, capsys):
+        # box^2000 is computed, and its coefficients have more digits than
+        # int-to-str conversion allows: the domain envelope, exit 2
+        code, doc = run_json(capsys, "apply", "--op=box^2000",
+                             "--fn=r^-1*log(r^2*M^2)^2", "--dim", "4")
+        assert code == 2
+        assert doc == {
+            "command": "apply",
+            "error": {"code": "domain", "message": (
+                "Exceeds the limit (4300 digits) for integer string conversion; "
+                "use sys.set_int_max_str_digits() to increase the limit")},
+            "flags": [],
+            "inputs": {"command": "apply", "dim": 4, "fn": "r^-1*log(r^2*M^2)^2",
+                       "mass": 1.0, "op": "box^2000", "tol": 1e-05},
+            "numeric_checks": [],
+            "status": "error",
+            "symbolic": {"terms": [], "text": ""},
+            "version": "0.1.0",
+        }
 
     def test_cs(self, capsys):
         code, doc = run_json(capsys, "cs", "--target", "r^-4", "--p", "1", "--dim", "4")

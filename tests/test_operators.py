@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from diffreg.algebra import (
+    LocalTerm,
     PositionFunction,
     RadialTerm,
     delta_term,
     log_power_map,
+    log_power_solve,
     position_term,
     add,
+    scale,
 )
 from diffreg.coeffs import Coefficient, ONE, PI, sphere_area
 from diffreg.errors import DiffRegError, EvaluationError
@@ -26,6 +30,8 @@ from diffreg.operators import (
     operator_symbol,
 )
 from diffreg.numeric import gauss_flux_numeric
+
+from conftest import coefficients
 
 
 def sympy_box(a: Fraction, k: int, n: int):
@@ -114,19 +120,25 @@ class TestBoxClosedForm:
             assert box_derivatives(s, m, n) == want
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_iterated_laplacian(self, n, m):
+        # the full table and the one truncated to the k + 1 entries that
+        # c L^k reads both give box^m of c r^s L^k
         c = PI * Fraction(3, 7) + ONE
         for s in self.exponents(n, m):
+            full = box_derivatives(s, m, n)
             for k in range(4):
-                closed = PositionFunction.build(n, [
-                    RadialTerm(cj, s - 2 * m, j)
-                    for j, cj in log_power_map(c, k, box_derivatives(s, m, n))
-                ])
                 terms = [RadialTerm(c, s, k)]
                 for _ in range(m):
                     terms = laplacian_radial(n, terms)
-                assert closed == PositionFunction.build(n, terms), (s, k)
+                iterated = PositionFunction.build(n, terms)
+                for depth in (None, k + 1):
+                    d = box_derivatives(s, m, n, depth)
+                    assert d == full[: len(d)] and len(d) >= min(k + 1, len(full))
+                    closed = PositionFunction.build(n, [
+                        RadialTerm(cj, s - 2 * m, j) for j, cj in log_power_map(c, k, d)
+                    ])
+                    assert closed == iterated, (s, k, depth)
 
 
 class TestApply:
@@ -178,6 +190,135 @@ class TestApply:
     def test_dim_one_rejected(self):
         with pytest.raises(DiffRegError):
             apply_laplacian(position_term(1, 1, Fraction(-1)))
+
+
+def iterated_laplacian(f: PositionFunction) -> PositionFunction:
+    """Reference: one Laplacian step, laplacian_radial plus the delta rule
+    at the resonance exponent 2 - n."""
+    n = f.dim
+    if n < 2:
+        raise DiffRegError("Laplacian action requires dim >= 2")
+    local = [LocalTerm(t.coeff, t.boxpow + 1) for t in f.local]
+    flags = list(f.flags)
+    for t in f.radial:
+        if t.rpow == 2 - n:
+            if t.logpow == 0:
+                cdelta = t.coeff * Fraction(-(n - 2)) * sphere_area(n)
+                if not cdelta.is_zero():
+                    local.append(LocalTerm(cdelta, 0))
+            else:
+                flags.append(RESONANCE_FLAG)
+    return PositionFunction.build(n, laplacian_radial(n, f.radial), local, flags)
+
+
+def iterated_apply(L: DiffOperator, f: PositionFunction) -> PositionFunction:
+    """Reference: sum_k c_k box^k f by iterating one Laplacian step."""
+    result = PositionFunction.build(f.dim)
+    current, power = f, 0
+    for k, c in L.coeffs:
+        while power < k:
+            current = iterated_laplacian(current)
+            power += 1
+        result = add(result, scale(c, current))
+    return result
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DiffRegError as exc:
+        return type(exc), str(exc)
+
+
+nonzero_coefficients = coefficients().filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def operators(draw):
+    """Several powers up to 4, and sometimes none: the zero operator."""
+    powers = draw(st.dictionaries(st.integers(0, 4), nonzero_coefficients, max_size=3))
+    return DiffOperator.build(powers)
+
+
+@st.composite
+def exponents(draw, n):
+    """An exponent that box^i (i < 4) lands on the resonance 2 - n, any
+    integer around the window, or a fraction."""
+    return draw(st.one_of(
+        st.integers(0, 3).map(lambda i: 2 - n + 2 * i),
+        st.integers(-n - 6, 8),
+        st.builds(Fraction, st.integers(-30, 20), st.sampled_from([2, 3, 4])),
+    ))
+
+
+@st.composite
+def position_functions(draw, n):
+    radial = draw(st.lists(st.builds(
+        RadialTerm, nonzero_coefficients, exponents(n), st.integers(0, 3)
+    ), max_size=4))
+    local = draw(st.lists(st.builds(
+        LocalTerm, nonzero_coefficients, st.integers(0, 3)
+    ), max_size=2))
+    flags = draw(st.lists(st.just(RESONANCE_FLAG), max_size=1))
+    return PositionFunction.build(n, radial, local, flags)
+
+
+@st.composite
+def cancelling_blocks(draw, n):
+    """A block at s = 2 - n + 2 i0 whose image under box^i0 on the
+    resonance is chosen first, with some log powers 0-3 cancelled: the
+    block is solved back from it, so its terms cancel there."""
+    i0 = draw(st.integers(0, 3))
+    s = 2 - n + 2 * i0
+    image = draw(st.dictionaries(st.integers(0, 3), nonzero_coefficients, min_size=1, max_size=3))
+    block = log_power_solve(image, box_derivatives(s, i0, n))
+    seed = [RadialTerm(c, s, k) for k, c in block.items()]
+    others = [t for t in draw(position_functions(n)).radial if t.rpow != s]
+    return PositionFunction.build(n, seed + others)
+
+
+class TestMatchesIteratedLaplacian:
+    """apply_operator in closed form against the one-step iteration: equal
+    results, flags and local terms included, and the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random(self, data):
+        n = data.draw(st.integers(1, 10))
+        L = data.draw(operators())
+        f = data.draw(position_functions(n))
+        assert outcome(apply_operator, L, f) == outcome(iterated_apply, L, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cancellation_at_the_resonance(self, data):
+        n = data.draw(st.integers(2, 10))
+        L = data.draw(operators())
+        f = data.draw(cancelling_blocks(n))
+        assert outcome(apply_operator, L, f) == outcome(iterated_apply, L, f)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("k", range(4))
+    def test_every_log_power_at_the_resonance(self, n, k):
+        # each step i0 < 4 of box^4 meets r^(2-n) L^k, and lower powers too
+        L = DiffOperator.build({1: ONE, 2: PI, 4: Coefficient.rational(Fraction(-3, 5))})
+        for i0 in range(4):
+            f = position_term(n, Fraction(7, 3), 2 - n + 2 * i0, k)
+            assert apply_operator(L, f) == iterated_apply(L, f), i0
+
+    def test_zero_operator_returns_no_flags(self):
+        f = PositionFunction.build(4, [RadialTerm(ONE, -2, 1)], flags=[RESONANCE_FLAG])
+        out = apply_operator(DiffOperator.build({}), f)
+        assert out == iterated_apply(DiffOperator.build({}), f) == PositionFunction.build(4)
+
+    @pytest.mark.parametrize("powers", [{}, {0: ONE}, {1: ONE}, {0: ONE, 2: PI}])
+    def test_dim_one(self, powers):
+        # the error comes with a box power only, whatever f holds
+        L = DiffOperator.build(powers)
+        f = position_term(1, 1, Fraction(-1))
+        got = outcome(apply_operator, L, f)
+        assert got == outcome(iterated_apply, L, f)
+        assert (got == (DiffRegError, "Laplacian action requires dim >= 2")) == (L.degree > 0)
 
 
 class TestSymbol:

@@ -2,21 +2,33 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffreg.algebra import eval_momentum, position_term
-from diffreg.coeffs import PI, gamma_exact
+from diffreg.algebra import (
+    MomentumFunction,
+    MomentumTerm,
+    PositionFunction,
+    RadialTerm,
+    eval_momentum,
+    log_power_map,
+    position_term,
+)
+from diffreg.coeffs import ONE, PI, gamma_exact, sphere_area
 from diffreg.errors import SurfaceOrderError
 from diffreg.fourier import fourier_formal
 from diffreg.numeric import angular_kernel, truncated_ft_numeric
-from diffreg import surface
-from diffreg.operators import DiffOperator, laplacian_radial
+from diffreg import operators, surface
+from diffreg.operators import DiffOperator, apply_operator, laplacian_radial
 from diffreg.regulate import find_representation, shift_mass
 from diffreg.regulate import log_of_ratio
 from diffreg.surface import (
+    SurfaceExpansion,
     angular_series,
     leading_divergence,
     surface_expansion,
 )
+
+from conftest import coefficients
 
 
 class TestAngularSeries:
@@ -121,17 +133,21 @@ class TestHigherOrder:
             )
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_last_laplacian_is_not_computed(self, m, monkeypatch):
-        # box^m reads v_0 .. v_(m-1), which takes m - 1 Laplacians
+    def test_no_laplacian_is_iterated(self, m, monkeypatch):
+        # box^m acts in closed form, and the brackets come from one table
+        # per seed term: neither steps through laplacian_radial
         calls = []
 
         def counted(dim, terms):
             calls.append(dim)
             return laplacian_radial(dim, terms)
 
-        monkeypatch.setattr(surface, "laplacian_radial", counted)
-        surface_expansion(DiffOperator.box(m), position_term(4, 1, -2, 1))
-        assert len(calls) == m - 1
+        for mod in (operators, surface):
+            monkeypatch.setattr(mod, "laplacian_radial", counted, raising=False)
+        g = position_term(4, 1, -2, 1)
+        surface_expansion(DiffOperator.box(m), g, order=9 + m)
+        apply_operator(DiffOperator.box(m), g)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "n, t, k", [(4, -4, 0), (4, -6, 1), (3, -5, 2), (6, -9, 0), (2, -3, 1)]
@@ -182,3 +198,107 @@ class TestHigherOrder:
             for eps in (0.02, 0.01)
         ]
         assert math.log2(defects[0] / defects[1]) == pytest.approx(eps_pow, abs=0.3)
+
+
+def iterated_surface_expansion(L, g, order=8):
+    """Reference: the brackets of v_j = box^j g by iterating
+    laplacian_radial over the unmerged terms, each term's bracket built by
+    Coefficient arithmetic."""
+    n = g.dim
+    omega = sphere_area(n)
+    lowest = min((t.rpow for t in g.radial), default=0)
+    reach = math.floor(Fraction(2 - n - lowest, 2)) + L.degree
+    alphas = angular_series(n, min(order, reach))
+    acc, dropped = {}, []
+    for m, cm in L.coeffs:
+        if m == 0:
+            continue
+        v = list(g.radial)
+        for j in range(m):
+            if j:
+                v = laplacian_radial(n, v)
+            q = m - 1 - j
+            for t in v:
+                a, k = t.rpow, t.logpow
+                need = Fraction(2 - n - a, 2)
+                if order - 1 < need:
+                    raise SurfaceOrderError(
+                        f"series order {order} cannot reach eps^0 for a term "
+                        f"r^{a}; increase the order past {need + 1}"
+                    )
+                x, top = n - 2 + a, math.floor(need)
+                dropped.append((x + 2 * max(0, top + 1), k))
+                base = omega * cm * t.coeff
+                shared = (-1) ** (q + 1) * 2 ** k
+                for i in range(top + 1):
+                    pref = alphas[i] * shared
+                    for kk, c in log_power_map(base, k, (pref * (a - 2 * i), pref)):
+                        acc.setdefault((x + 2 * i, kk), []).append(
+                            MomentumTerm(c, 2 * i + 2 * q))
+    entries = []
+    for key in sorted(acc):
+        val = MomentumFunction.build(n, acc[key])
+        if not val.is_zero():
+            entries.append((key, val))
+    if not dropped:
+        return SurfaceExpansion(n, tuple(entries))
+    eps_pow = min(mm for mm, _ in dropped)
+    log_pow = max(k for mm, k in dropped if mm == eps_pow)
+    return SurfaceExpansion(n, tuple(entries), eps_pow, log_pow)
+
+
+def expansion_outcome(fn, L, g, order):
+    try:
+        se = fn(L, g, order)
+    except SurfaceOrderError as exc:
+        return str(exc)
+    return se.entries, se.remainder_eps_pow, se.remainder_log_pow
+
+
+@st.composite
+def seeds(draw, n):
+    """Radial seeds with integral and fractional exponents, including the
+    harmonic r^0 and r^(2-n) whose iterated images die out."""
+    exponent = st.one_of(
+        st.integers(-n - 4, 3),
+        st.sampled_from([0, 2 - n]),
+        st.builds(Fraction, st.integers(-30, 10), st.sampled_from([2, 3])),
+    )
+    nonzero = coefficients().filter(lambda c: not c.is_zero())
+    terms = draw(st.lists(st.builds(RadialTerm, nonzero, exponent, st.integers(0, 3)),
+                          max_size=4))
+    return PositionFunction.build(n, terms)
+
+
+class TestMatchesIteratedBrackets:
+    """surface_expansion from its per-seed tables against the bracket loop
+    over iterated Laplacians: equal entries and remainder declaration, and
+    the same SurfaceOrderError message the loop raises first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random(self, data):
+        n = data.draw(st.integers(1, 10))
+        powers = data.draw(st.dictionaries(
+            st.integers(0, 4), coefficients().filter(lambda c: not c.is_zero()),
+            max_size=3))
+        L = DiffOperator.build(powers)
+        g = data.draw(seeds(n))
+        order = data.draw(st.integers(1, 10))
+        assert expansion_outcome(surface_expansion, L, g, order) == \
+            expansion_outcome(iterated_surface_expansion, L, g, order)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("lowest", ["dies", "lives"])
+    def test_orders_around_the_error(self, n, lowest):
+        # every order from the one that raises to the one that passes; the
+        # harmonic r^(2-n) dies after one step (and r^0 L after two in dim
+        # 2), so when it is the lowest term the error comes from the next
+        terms = [RadialTerm(PI, 2 - n, 0), RadialTerm(ONE, 0, 1), RadialTerm(ONE, 3 - n, 1)]
+        if lowest == "lives":
+            terms.append(RadialTerm(PI, Fraction(-2 * n - 1, 2), 3))
+        g = PositionFunction.build(n, terms)
+        L = DiffOperator.build({1: ONE, 3: PI, 4: ONE})
+        for order in range(1, 11):
+            assert expansion_outcome(surface_expansion, L, g, order) == \
+                expansion_outcome(iterated_surface_expansion, L, g, order), order
