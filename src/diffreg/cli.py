@@ -195,19 +195,20 @@ def _cmd_transform(args, report):
 
 
 def _defect_table(args, report, name, eps_grid, symbolic):
-    """The surface identity over a grid of eps: find the representation and
-    surface expansion of --target, take its formal transform at --p, set the
-    symbolic part to symbolic(se, formal), then check the defect of the
-    truncated transform at each eps of the grid, against the previous one."""
+    """The surface identity over a grid of eps: the truncated transforms of
+    --target at --p come first, so that the oracle refuses before any exact
+    work; then set the symbolic part to symbolic(se, formal) and check the
+    defect at each eps of the grid, against the previous one."""
     target = parse_position(args.target, args.dim)
-    rep = find_representation(target, args.max_box)
-    se = surface_expansion(rep.L, rep.g, order=args.order)
-    formal = eval_momentum(fourier_formal(rep), args.p, args.mass)
     eps_grid = [_check_finite("--eps-grid entry", _finite_float(s)) for s in eps_grid]
+    truncs = [truncated_ft_numeric(target, args.p, args.dim, args.mass, eps)[0]
+              for eps in eps_grid]
+    rep = find_representation(target, args.max_box)
+    se = surface_expansion(rep.L, rep.g)
+    formal = eval_momentum(fourier_formal(rep), args.p, args.mass)
     report.set_symbolic(*symbolic(se, formal))
     prev = None
-    for eps in eps_grid:
-        trunc, _ = truncated_ft_numeric(target, args.p, args.dim, args.mass, eps)
+    for eps, trunc in zip(eps_grid, truncs):
         model = formal + se.eval_at(eps, args.p, args.mass)
         prev = report.defect_check(f"{name}={eps}", model, trunc, args.tol_defect, prev)
 
@@ -287,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        sp.allow_abbrev = False  # or --tol would stand for --tol-defect
         sp.add_argument("--dim", type=int, default=4)
-        sp.add_argument("--mass", type=_finite_float, default=1.0)
-        sp.add_argument("--tol", type=_finite_float, default=1e-5)
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true")
         fmt.add_argument("--text", action="store_true")
@@ -310,42 +310,48 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--fn")
     sp.add_argument("--at", type=_finite_float, default=None)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-5)
     common(sp)
 
     sp = sub.add_parser("surface", help="epsilon-ball surface expansion")
     sp.add_argument("--target", required=True)
     sp.add_argument("--eps", type=_finite_float, required=True)
-    sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--p", type=_finite_float, default=1.0)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
     sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("verify", help="defect-identity table over an eps grid")
     sp.add_argument("--target", required=True)
     sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--eps-grid", required=True, dest="eps_grid")
-    sp.add_argument("--order", type=int, default=8)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
     sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("cs", help="mass-scale derivative M dF/dM")
     sp.add_argument("--target", required=True)
     sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--max-box", type=int, default=4, dest="max_box")
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
+    sp.add_argument("--tol", type=_finite_float, default=1e-5)
     common(sp)
 
     sp = sub.add_parser("audit", help="commuting-diagram residual report")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--p0", type=_finite_float, required=True)
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("oracle", help="numeric transform only")
     sp.add_argument("--fn", required=True)
     sp.add_argument("--p", type=_finite_float, required=True)
     sp.add_argument("--eps", type=_finite_float, default=None)
+    sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     return ap

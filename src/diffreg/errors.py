@@ -31,11 +31,6 @@ class NotRepresentableError(DiffRegError):
     """No operator/seed pair reproduces the target within the search class."""
 
 
-class SurfaceOrderError(DiffRegError):
-    """The angular-kernel series order is too small to collect every
-    non-vanishing boundary entry."""
-
-
 class NonIntegrableError(DiffRegError):
     """Integrand is not absolutely integrable at the origin."""
 

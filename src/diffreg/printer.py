@@ -4,11 +4,13 @@ normalized values."""
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import List
 
 from .algebra import MomentumFunction, PositionFunction
 from .coeffs import SYMBOL_NAMES, Coefficient
+from .errors import DiffRegError
 from .operators import DiffOperator
 
 _LOG_R = "log(r^2*M^2)"
@@ -18,7 +20,11 @@ _LOG_P = "log(p^2/M^2)"
 def _format_monomial(mono, q: Fraction) -> str:
     parts: List[str] = []
     if abs(q) != 1 or not any(mono):
-        parts.append(str(abs(q)))
+        try:
+            parts.append(str(abs(q)))
+        except ValueError:  # the interpreter caps int-to-text conversion
+            raise DiffRegError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                               "digits: too long to print") from None
     for name, exp in zip(SYMBOL_NAMES, mono):
         if exp == 1:
             parts.append(name)

@@ -30,7 +30,7 @@ from .algebra import (
     log_power_map,
 )
 from .coeffs import Coefficient, sphere_area
-from .errors import DiffRegError, SurfaceOrderError
+from .errors import DiffRegError
 from .operators import DiffOperator, box_derivatives
 
 
@@ -77,17 +77,18 @@ class SurfaceExpansion:
 
 
 @lru_cache(maxsize=256)
-def _seed_brackets(n: int, a: int | Fraction, k: int, m: int, order: int):
+def _seed_brackets(n: int, a: int | Fraction, k: int, m: int):
     """The brackets B_0 .. B_(m-1) of the unit seed r^a L^k under box^m in
     n dimensions, as a bounded table: (entries, dropped).  An entry
     ((eps_pow, log_pow), j, q) says that a seed term c r^a L^k adds
     q Omega_{n-1} c_m c (-p^2)^j to that order; the entries are merged per
     ((eps_pow, log_pow), j), none is zero, and the sign of (-p^2)^j is in q.
     dropped holds the first dropped (eps_pow, log_pow) of each bracket.
-    Raises SurfaceOrderError at the first bracket whose kernel series must
-    reach past ``order`` terms, so a miss is never stored."""
-    # build the series only as far as the deepest bracket reads; order caps it
-    alphas = angular_series(n, min(order, math.floor(Fraction(2 - n - a, 2)) + m))
+    Bracket j keeps the kernel orders i <= top0 + j, so the series is
+    built exactly as far as the deepest one, j = m - 1, reads: the seed and
+    the operator fix its order."""
+    top0 = math.floor(Fraction(2 - n - a, 2))
+    alphas = angular_series(n, top0 + m)
     acc: Dict[Tuple[Tuple[int | Fraction, int], int], Fraction] = {}
     dropped: List[Tuple[int | Fraction, int]] = []
     for j in range(m):
@@ -98,17 +99,10 @@ def _seed_brackets(n: int, a: int | Fraction, k: int, m: int, order: int):
         if not image:
             break
         b = a - 2 * j
-        # series order must reach past eps^0 for this exponent
-        need = Fraction(2 - n - b, 2)
-        if order - 1 < need:
-            raise SurfaceOrderError(
-                f"series order {order} cannot reach eps^0 for a term "
-                f"r^{b}; increase the order past {need + 1}"
-            )
         # the orders i <= top have mm = x + 2i <= 0; the first dropped one
         # is the smallest positive mm over i >= 0, and the remainder reads
         # only the top log power there
-        x, top = n - 2 + b, math.floor(need)
+        x, top = n - 2 + b, top0 + j
         dropped.append((x + 2 * max(0, top + 1), image[0][0]))
         # the remaining Laplacians give the symbol factor (-p^2)^q
         q = m - 1 - j
@@ -127,9 +121,7 @@ def _seed_brackets(n: int, a: int | Fraction, k: int, m: int, order: int):
     return tuple((key, j, ci) for (key, j), ci in acc.items() if ci), tuple(dropped)
 
 
-def surface_expansion(
-    L: DiffOperator, g: PositionFunction, order: int = 8
-) -> SurfaceExpansion:
+def surface_expansion(L: DiffOperator, g: PositionFunction) -> SurfaceExpansion:
     """Collect all boundary entries of order eps^mm log^kk with mm <= 0.
 
     Works for any polynomial in box by linearity; the identity part performs
@@ -150,7 +142,7 @@ def surface_expansion(
             continue
         omega_cm = omega * cm
         for t in g.radial:
-            table, firsts = _seed_brackets(n, t.rpow, t.logpow, m, order)
+            table, firsts = _seed_brackets(n, t.rpow, t.logpow, m)
             dropped += firsts
             base = omega_cm * t.coeff
             for key, j, q in table:

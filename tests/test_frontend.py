@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -480,22 +482,23 @@ class TestCli:
         assert [(t["rpow"], t["logpow"]) for t in terms] == [("-1001", 0), ("-1001", 1), ("-1001", 2)]
         assert terms[2]["coeff"] == str(math.prod((-1 - 2 * i) * (1 - 2 * i) for i in range(500)))
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        assert digest == "0041eea017c2979df55c1eeb2a17d011a01be6df5034522a7df915c48170e82b"
+        assert digest == "0b09789258488f6b526be5370e6c161fde469e3af7db67ed07543e697ada3cdf"
 
     def test_apply_box_power_past_the_printable(self, capsys):
         # box^2000 is computed, and its coefficients have more digits than
-        # int-to-str conversion allows: the domain envelope, exit 2
+        # int-to-str conversion allows: the domain envelope, exit 2, with a
+        # message that names the cause
         code, doc = run_json(capsys, "apply", "--op=box^2000",
                              "--fn=r^-1*log(r^2*M^2)^2", "--dim", "4")
         assert code == 2
         assert doc == {
             "command": "apply",
             "error": {"code": "domain", "message": (
-                "Exceeds the limit (4300 digits) for integer string conversion; "
-                "use sys.set_int_max_str_digits() to increase the limit")},
+                f"a coefficient has more than {sys.get_int_max_str_digits()} digits: "
+                "too long to print")},
             "flags": [],
             "inputs": {"command": "apply", "dim": 4, "fn": "r^-1*log(r^2*M^2)^2",
-                       "mass": 1.0, "op": "box^2000", "tol": 1e-05},
+                       "op": "box^2000"},
             "numeric_checks": [],
             "status": "error",
             "symbolic": {"terms": [], "text": ""},
@@ -642,7 +645,7 @@ class TestCli:
             ["oracle", "--fn", "r^-2", "--p", "nan"],
             ["oracle", "--fn", "r^-2", "--p", "inf"],
             ["transform", "--rep-target", "r^-4", "--at", "nan"],
-            ["oracle", "--fn", "r^-2", "--p", "1", "--tol", "nan"],
+            ["transform", "--fn", "r^-2", "--at", "1", "--tol", "nan"],
             ["oracle", "--fn", "r^-2", "--p", "1", "--eps=-inf"],
             ["cs", "--target", "r^-4", "--p", "1", "--mass", "inf"],
             ["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "nan"],
@@ -730,6 +733,44 @@ class TestCli:
         assert main(["oracle", "--fn", "r^-2", "--p", "1", "--config", "numeric.cfg"]) == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
 
+    VALID = {
+        "apply": ["--op", "box", "--fn", "r^2"],
+        "regulate": ["--target", "r^-4"],
+        "surface": ["--target", "r^-4", "--eps", "0.1"],
+        "verify": ["--target", "r^-4", "--p", "1", "--eps-grid", "0.1"],
+        "audit": ["--a", "r^-2", "--b", "r^-2", "--p0", "1"],
+        "oracle": ["--fn", "r^-2", "--p", "1"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [("surface", "--order"), ("verify", "--order"), ("apply", "--mass"),
+         ("regulate", "--mass")]
+        + [(c, "--tol") for c in ("apply", "regulate", "surface", "verify", "audit", "oracle")],
+    )
+    def test_unread_option_is_usage_error(self, capsys, command, option):
+        # a subcommand takes only the options it reads: the surface series
+        # order follows from the seed and the operator, and only transform
+        # and cs check against --tol
+        assert main([command, *self.VALID[command], option, "1"]) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["surface", "--eps", "0.1"],
+                                      ["verify", "--p", "1", "--eps-grid", "0.2,0.1"]])
+    def test_oracle_refuses_before_exact_work(self, capsys, monkeypatch, argv):
+        # far outside the oracle's range: the exit-2 envelope comes before
+        # the search and the surface table of box^501 are built
+        def never(*args, **kwargs):
+            raise AssertionError("exact work before the oracle")
+
+        monkeypatch.setattr(cli, "find_representation", never)
+        monkeypatch.setattr(cli, "surface_expansion", never)
+        code, doc = run_json(capsys, *argv, "--target=r^-1004*log(r^2*M^2)",
+                             "--max-box", "600", "--dim", "4")
+        assert code == 2
+        assert doc["error"]["code"] == "domain"
+        assert doc["symbolic"] == {"terms": [], "text": ""}
+
     def test_resonance_flag_surfaces(self, capsys):
         code, doc = run_json(
             capsys, "apply", "--op", "box", "--fn", "log(r^2*M^2)/r^2", "--dim", "4"
@@ -795,3 +836,28 @@ class TestDeferredLoad:
         code, text = out["oracle"]
         assert code == 0
         assert text == run_cli(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--json")[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadme:
+    """The README's tours run as written, so no removed option or name can
+    linger there."""
+
+    def blocks(self, lang):
+        return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+    def test_python_tour(self, capsys):
+        (tour,) = self.blocks("python")
+        ns = {}
+        exec(compile(tour, str(README), "exec"), ns)
+        assert ns["lead"].log_pow == 1
+
+    def test_cli_tour(self, capsys):
+        lines = [line for block in self.blocks("sh") for line in block.splitlines()
+                 if line.startswith("diffreg ")]
+        assert len(lines) == 7
+        for line in lines:
+            code, doc = run_json(capsys, *shlex.split(line, comments=True)[1:])
+            assert (code, doc["status"]) == (0, "ok"), line

@@ -14,7 +14,6 @@ from diffreg.algebra import (
     position_term,
 )
 from diffreg.coeffs import ONE, PI, gamma_exact, sphere_area
-from diffreg.errors import SurfaceOrderError
 from diffreg.fourier import fourier_formal
 from diffreg.numeric import angular_kernel, truncated_ft_numeric
 from diffreg import operators, surface
@@ -109,11 +108,6 @@ class TestHigherOrder:
         lead = leading_divergence(exp)
         assert lead is not None and lead.log_pow >= 1
 
-    def test_order_guard(self):
-        rep = find_representation(position_term(4, 1, Fraction(-6)))
-        with pytest.raises(SurfaceOrderError):
-            surface_expansion(rep.L, rep.g, order=1)
-
     def test_identity_part_contributes_nothing(self):
         g = position_term(4, 1, Fraction(-2), 1)
         exp = surface_expansion(DiffOperator.identity(), g)
@@ -145,7 +139,7 @@ class TestHigherOrder:
         for mod in (operators, surface):
             monkeypatch.setattr(mod, "laplacian_radial", counted, raising=False)
         g = position_term(4, 1, -2, 1)
-        surface_expansion(DiffOperator.box(m), g, order=9 + m)
+        surface_expansion(DiffOperator.box(m), g)
         apply_operator(DiffOperator.box(m), g)
         assert calls == []
 
@@ -153,20 +147,28 @@ class TestHigherOrder:
         "n, t, k", [(4, -4, 0), (4, -6, 1), (3, -5, 2), (6, -9, 0), (2, -3, 1)]
     )
     def test_series_is_built_only_to_the_order_kept(self, n, t, k, monkeypatch):
-        # a large order only caps the series; the entries are those of a
-        # small one, and the series is never built past the deepest bracket
+        # each seed term r^a under box^m builds the kernel series to the
+        # floor((2 - n - a)/2) + m terms its deepest bracket reads, no further
         rep = find_representation(position_term(n, 1, t, k))
-        want = surface_expansion(rep.L, rep.g, order=40)
+        want = iterated_surface_expansion(rep.L, rep.g)
         lengths = []
 
-        def bounded(dim, order):
+        def recorded(dim, order):
             lengths.append(order)
-            assert order <= 40, f"series of {order} terms requested"
             return angular_series(dim, order)
 
-        monkeypatch.setattr(surface, "angular_series", bounded)
-        assert surface_expansion(rep.L, rep.g, order=10**9) == want
-        assert lengths and max(lengths) <= 40
+        monkeypatch.setattr(surface, "angular_series", recorded)
+        surface._seed_brackets.cache_clear()
+        assert surface_expansion(rep.L, rep.g) == want
+        assert sorted(lengths) == sorted(math.floor(Fraction(2 - n - s.rpow, 2)) + rep.L.degree
+                                         for s in rep.g.radial)
+
+    @pytest.mark.parametrize("t, m", [(-20, 9), (-22, 10)])
+    def test_deep_target_matches_the_reference(self, t, m):
+        # box^9 and box^10 in dim 4: the kernel series needs 9 and 10 terms
+        rep = find_representation(position_term(4, 1, t), max_box_power=10)
+        assert rep.L.degree == m
+        assert surface_expansion(rep.L, rep.g) == iterated_surface_expansion(rep.L, rep.g)
 
     def test_remainder_declaration(self):
         rep = find_representation(position_term(4, 1, Fraction(-4)))
@@ -200,15 +202,15 @@ class TestHigherOrder:
         assert math.log2(defects[0] / defects[1]) == pytest.approx(eps_pow, abs=0.3)
 
 
-def iterated_surface_expansion(L, g, order=8):
+def iterated_surface_expansion(L, g):
     """Reference: the brackets of v_j = box^j g by iterating
     laplacian_radial over the unmerged terms, each term's bracket built by
-    Coefficient arithmetic."""
+    Coefficient arithmetic, with the kernel series as long as the lowest
+    seed term under the highest box power reads."""
     n = g.dim
     omega = sphere_area(n)
     lowest = min((t.rpow for t in g.radial), default=0)
-    reach = math.floor(Fraction(2 - n - lowest, 2)) + L.degree
-    alphas = angular_series(n, min(order, reach))
+    alphas = angular_series(n, math.floor(Fraction(2 - n - lowest, 2)) + L.degree)
     acc, dropped = {}, []
     for m, cm in L.coeffs:
         if m == 0:
@@ -220,13 +222,7 @@ def iterated_surface_expansion(L, g, order=8):
             q = m - 1 - j
             for t in v:
                 a, k = t.rpow, t.logpow
-                need = Fraction(2 - n - a, 2)
-                if order - 1 < need:
-                    raise SurfaceOrderError(
-                        f"series order {order} cannot reach eps^0 for a term "
-                        f"r^{a}; increase the order past {need + 1}"
-                    )
-                x, top = n - 2 + a, math.floor(need)
+                x, top = n - 2 + a, math.floor(Fraction(2 - n - a, 2))
                 dropped.append((x + 2 * max(0, top + 1), k))
                 base = omega * cm * t.coeff
                 shared = (-1) ** (q + 1) * 2 ** k
@@ -247,14 +243,6 @@ def iterated_surface_expansion(L, g, order=8):
     return SurfaceExpansion(n, tuple(entries), eps_pow, log_pow)
 
 
-def expansion_outcome(fn, L, g, order):
-    try:
-        se = fn(L, g, order)
-    except SurfaceOrderError as exc:
-        return str(exc)
-    return se.entries, se.remainder_eps_pow, se.remainder_log_pow
-
-
 @st.composite
 def seeds(draw, n):
     """Radial seeds with integral and fractional exponents, including the
@@ -272,8 +260,7 @@ def seeds(draw, n):
 
 class TestMatchesIteratedBrackets:
     """surface_expansion from its per-seed tables against the bracket loop
-    over iterated Laplacians: equal entries and remainder declaration, and
-    the same SurfaceOrderError message the loop raises first."""
+    over iterated Laplacians: equal entries and remainder declaration."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -284,21 +271,19 @@ class TestMatchesIteratedBrackets:
             max_size=3))
         L = DiffOperator.build(powers)
         g = data.draw(seeds(n))
-        order = data.draw(st.integers(1, 10))
-        assert expansion_outcome(surface_expansion, L, g, order) == \
-            expansion_outcome(iterated_surface_expansion, L, g, order)
+        assert surface_expansion(L, g) == iterated_surface_expansion(L, g)
 
     @pytest.mark.parametrize("n", range(1, 11))
     @pytest.mark.parametrize("lowest", ["dies", "lives"])
     def test_orders_around_the_error(self, n, lowest):
-        # every order from the one that raises to the one that passes; the
-        # harmonic r^(2-n) dies after one step (and r^0 L after two in dim
-        # 2), so when it is the lowest term the error comes from the next
+        # box^1 .. box^10, so that the deepest bracket reads from one kernel
+        # order up to past eight; the harmonic r^(2-n) dies after one step
+        # (and r^0 L after two in dim 2), so when it is the lowest term the
+        # next one is the deepest that reads the series
         terms = [RadialTerm(PI, 2 - n, 0), RadialTerm(ONE, 0, 1), RadialTerm(ONE, 3 - n, 1)]
         if lowest == "lives":
             terms.append(RadialTerm(PI, Fraction(-2 * n - 1, 2), 3))
         g = PositionFunction.build(n, terms)
-        L = DiffOperator.build({1: ONE, 3: PI, 4: ONE})
-        for order in range(1, 11):
-            assert expansion_outcome(surface_expansion, L, g, order) == \
-                expansion_outcome(iterated_surface_expansion, L, g, order), order
+        for m in range(1, 11):
+            L = DiffOperator.box(m)
+            assert surface_expansion(L, g) == iterated_surface_expansion(L, g), m
