@@ -256,6 +256,7 @@ def _cmd_audit(args, report):
         f"(route: {rep.route_ab})",
         {
             "residual": _fmt(rep.residual),
+            "err_estimate": _fmt(rep.err_estimate),
             "value_ab": _fmt(rep.value_ab),
             "value_a": _fmt(rep.value_a),
             "character_value": _fmt(rep.character_value),

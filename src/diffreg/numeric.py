@@ -12,11 +12,15 @@ splits at b = max(lo, pi/p), where lo is 0 or the truncation radius:
   descent).  f is analytic for Re r > 0 and J_nu = Re H1_nu, so the tail is
   the real part of a contour integral whose integrand decays like e^{-u}
   and does not oscillate; fixed Gauss-Laguerre nodes integrate it.  Where
-  the integrand grows, the rotated integral is the Abel-summed value.
+  the integrand grows, the rotated integral is the Abel-summed value.  The
+  Hankel kernel on the nodes depends only on the dim and the start p b,
+  which is pi for every tail from b = pi/p, so it is a bounded table
+  (_contour_table) filled once per (dim, start) in a process; a tail
+  evaluates only f and the powers of p.
 
 All of it is deterministic.  The oracle serves dims up to 10; numpy and
-scipy.special load on the first quadrature call, so importing diffreg does
-not pay for them.
+scipy.special load on the first quadrature call, and the kernel table fills
+after them, so importing diffreg does not pay for either.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
 from .algebra import PositionFunction, radial_derivative
@@ -236,26 +241,49 @@ def _quad_panels(f: PositionFunction, p, n, Mval, pts: Sequence[float]) -> Tuple
 
 def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
-    J_nu = Re H1_nu it is the real part of (i/p) int_0^inf h(u) du, h = f
-    Gamma(n/2) (2/z)^nu H1_nu(z) r^(n-1) at z = p r; the scaled hankel1e =
-    H1 e^{-iz} takes the factor e^{ipb} e^{-u} out exactly, which leaves a
-    smooth, non-oscillating integrand for Gauss-Laguerre nodes.  The
-    estimate is |Q60 - Q40| plus a floor on sum w |h|: the roundoff floor,
-    and the rounding of the phase p b, which moves the lower end by up to
-    eps b."""
-    h = _vector_integrand(f, p, n, Mval)(p * b + 1j * _CONTOUR_NODES)
-    h *= 1j / p * cmath.exp(1j * p * b) * math.gamma(0.5 * n)
+    J_nu = Re H1_nu it is the real part of int_0^inf h(u) e^{-u} du, h =
+    (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} r^(n-1) at z = p r:
+    the scaled hankel1e = H1 e^{-iz} takes the factor e^{ipb} e^{-u} out
+    exactly, which leaves a smooth, non-oscillating h for Gauss-Laguerre
+    nodes.  All of h but f and the powers of p depends on n and the start
+    p b alone, and comes from _contour_table.  The start is pi exactly when
+    b = pi/p, as for every untruncated transform and every truncation
+    radius below pi/p, so those tails share one table entry per dim; the
+    real-axis piece still ends at b, and the up to 1-ulp gap between
+    p (pi/p) and pi is within the phase term of the floor.  The estimate is
+    |Q60 - Q40| plus a floor on sum w |h|: the roundoff floor, and the
+    rounding of the phase p b, which moves the lower end by up to eps b."""
+    pb = math.pi if b == math.pi / p else p * b
+    z, kernel = _contour_table(n, pb)
+    h = _vector_integrand(f, p, n, Mval, kernel)(z)
     fine = h[:_LAG_N] @ _LAG_WEIGHTS
     coarse = h[_LAG_N:] @ _LAG40_WEIGHTS
-    floor = (_ROUNDOFF + sys.float_info.epsilon * p * b) * (np.abs(h[:_LAG_N]) @ _LAG_WEIGHTS)
+    floor = (_ROUNDOFF + sys.float_info.epsilon * pb) * (np.abs(h[:_LAG_N]) @ _LAG_WEIGHTS)
     return float(fine.real), float(abs(fine - coarse) + floor)
 
 
-def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float):
-    """The tail's integrand without its constant factor, on an array of
-    points z = p r on the contour (Re r > 0, principal branches): f(r)
-    (2/z)^nu H1_nu(z) e^{-iz} r^(n-1)."""
+@lru_cache(maxsize=64)
+def _contour_table(n: int, pb: float):
+    """The contour from p r = pb, as read-only arrays shared by every tail
+    that starts there: the nodes z = pb + i x_k (the 60 Gauss-Laguerre
+    nodes, then the 40), and the kernel i e^{i pb} Gamma(n/2) (2/z)^nu
+    H1_nu(z) e^{-iz} z^(n-1) on them, nu = n/2 - 1.  Filled on first use,
+    after _load; a start other than pi (a truncation radius beyond pi/p)
+    is a new entry."""
     nu = 0.5 * n - 1.0
+    z = pb + 1j * _CONTOUR_NODES
+    kernel = (1j * cmath.exp(1j * pb) * math.gamma(0.5 * n)
+              * (2.0 / z) ** nu * special.hankel1e(nu, z) * z ** (n - 1))
+    z.flags.writeable = kernel.flags.writeable = False
+    return z, kernel
+
+
+def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float, kernel):
+    """The tail's integrand h (see _tail) on the contour points z = p r of
+    a table (Re r > 0, principal branches): f(r) times the table's kernel
+    column, p^(1-n), which turns its z^(n-1) into r^(n-1), and 1/p.  f is
+    evaluated at r = z/p, so an r^a that overflows shows as inf or nan,
+    not as 0."""
     data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
 
     def vec(z):
@@ -264,6 +292,6 @@ def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float):
         fr = np.zeros_like(r)
         for c, a, k in data:
             fr += c * r ** a * lg ** k
-        return fr * (2.0 / z) ** nu * special.hankel1e(nu, z) * r ** (n - 1)
+        return fr * kernel * p ** (1 - n) / p
 
     return vec

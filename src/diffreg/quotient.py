@@ -61,6 +61,7 @@ class IdealElement:
 @dataclass(frozen=True)
 class AuditReport:
     residual: float
+    err_estimate: float  # bound on the residual's quadrature error, 0 if exact
     value_ab: float
     value_a: float
     character_value: float
@@ -73,11 +74,16 @@ def character_eval(b: PositionFunction, ch: Character) -> float:
     """Value of the transform of b at the character momentum, by the route
     :func:`transform_value` picks: exact for integer exponents, numeric for
     fractional ones, whose exact transform leaves the symbol set."""
+    return _character_value(b, ch)[0]
+
+
+def _character_value(b: PositionFunction, ch: Character):
+    """character_eval with the estimate and route of transform_value."""
     if b.dim != ch.dim:
         raise DiffRegError("dimension mismatch with character")
     if not fourier_safe(b):
         raise EvaluationError("character is defined on Fourier-safe functions only")
-    return transform_value(b, ch.p0, ch.Mval)[0]
+    return transform_value(b, ch.p0, ch.Mval)
 
 
 def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
@@ -86,7 +92,8 @@ def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
     regulated formal transform, or numeric quadrature; a fractional exponent
     in the window is numeric, since its exact transform needs polygamma
     values outside the symbol set.  Raises before any work when a term has
-    no route.  Returns (value, route)."""
+    no route.  Returns (value, errEstimate, route): the estimate is the sum
+    of the oracle's, 0 when no term is numeric."""
     n = f.dim
     routed = {"exact": [], "regulated": [], "numeric": []}
     for t in f.radial:
@@ -96,7 +103,7 @@ def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
             "no exact, regulated, or numeric transform available for "
             f"{format_position(PositionFunction.build(n, routed[None]))} in dim {n}"
         )
-    total = 0.0
+    total = err = 0.0
     routes = []
     exact = PositionFunction.build(n, routed["exact"], f.local)
     if not exact.is_zero():
@@ -107,21 +114,25 @@ def transform_value(f: PositionFunction, p0: float, Mval: float = 1.0):
         total += eval_momentum(fourier_formal(rep), p0, Mval)
         routes.append("regulated")
     if routed["numeric"]:
-        val, _ = hankel_numeric(PositionFunction.build(n, routed["numeric"]), p0, n, Mval)
+        val, err = hankel_numeric(PositionFunction.build(n, routed["numeric"]), p0, n, Mval)
         total += val
         routes.append("numeric")
-    return total, "+".join(routes) if routes else "zero"
+    return total, err, "+".join(routes) if routes else "zero"
 
 
 def diagram_audit(elem: IdealElement, ch: Character) -> AuditReport:
-    """Residual of the kernel claim for a single ideal element."""
+    """Residual of the kernel claim for a single ideal element.  Its
+    estimate bounds the quadrature part of the residual's error by the
+    three values' estimates: computed values x, y off by at most dx, dy
+    give a product off by at most |x| dy + |y| dx + dx dy."""
     ab = mul(elem.a, elem.b)
-    eps_b = character_eval(elem.b, ch)
-    value_ab, route = transform_value(ab, ch.p0, ch.Mval)
-    value_a, _ = transform_value(elem.a, ch.p0, ch.Mval)
+    eps_b, err_b, _ = _character_value(elem.b, ch)
+    value_ab, err_ab, route = transform_value(ab, ch.p0, ch.Mval)
+    value_a, err_a, _ = transform_value(elem.a, ch.p0, ch.Mval)
     residual = abs(value_ab - eps_b * value_a)
     return AuditReport(
         residual=residual,
+        err_estimate=err_ab + abs(eps_b) * err_a + abs(value_a) * err_b + err_a * err_b,
         value_ab=value_ab,
         value_a=value_a,
         character_value=eps_b,

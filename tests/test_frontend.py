@@ -559,6 +559,21 @@ class TestCli:
         got = float(doc["symbolic"]["terms"]["character_value"])
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_audit_reports_the_oracle_estimate(self, capsys):
+        # a fractional --b takes the numeric route and carries the oracle's
+        # estimate; an audit on the exact and regulated routes has none
+        code, doc = run_json(
+            capsys, "audit", "--a", "r^-2", "--b", "r^-3/2", "--p0", "1", "--dim", "4"
+        )
+        assert code == 0
+        assert "numeric" in doc["symbolic"]["terms"]["route"]
+        assert float(doc["symbolic"]["terms"]["err_estimate"]) > 0.0
+        code, doc = run_json(
+            capsys, "audit", "--a", "r^-2", "--b", "r^-2", "--p0", "1", "--dim", "4"
+        )
+        assert code == 0
+        assert doc["symbolic"]["terms"]["err_estimate"] == "0"
+
     def test_audit_with_no_route_names_the_term(self, capsys):
         # r^-9/2 * r^-1 = r^-11/2: fractional and below the window
         code, doc = run_json(capsys, "audit", "--a", "r^-9/2", "--b", "r^-1", "--p0", "1")

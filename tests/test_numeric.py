@@ -1,12 +1,14 @@
+import cmath
 import math
 import re
 import warnings
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jv
+from scipy.special import hankel1e, jv
 
 from diffreg.algebra import add, delta_term, eval_momentum, position_term
 from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
@@ -348,6 +350,62 @@ class TestContour:
         monkeypatch.setattr(numeric, "_vector_integrand", counting)
         hankel_numeric(position_term(4, 1, Fraction(-2), 1), 0.7, 4)
         assert sizes == [100]
+
+    def test_one_kernel_evaluation_per_table_entry(self, monkeypatch):
+        # the Hankel kernel on the contour depends on the dim and the start
+        # p b alone, and the start is pi exactly for every tail from b =
+        # pi/p: untruncated, or truncated at eps <= pi/p
+        _load()
+        calls = []
+        original = numeric.special.hankel1e
+
+        def counting(nu, z):
+            calls.append(nu)
+            return original(nu, z)
+
+        monkeypatch.setattr(numeric.special, "hankel1e", counting)
+        numeric._contour_table.cache_clear()
+        ps = [10.0 ** (-3 + 5 * i / 20) for i in range(21)]
+        for n in range(2, 11):
+            f = position_term(n, 1, Fraction(-1), 1)
+            before = len(calls)
+            for p in ps:
+                hankel_numeric(f, p, n)
+                truncated_ft_numeric(f, p, n, 1.0, 0.5 * math.pi / p)
+                truncated_ft_numeric(f, p, n, 1.0, math.pi / p)
+            assert len(calls) - before == 1, n
+            # a truncation radius beyond pi/p starts the contour elsewhere:
+            # one more entry, filled once
+            for _ in range(2):
+                truncated_ft_numeric(f, 1.0, n, 1.0, 4.0)
+            assert len(calls) - before == 2, n
+        # the tables are shared between tails, so they are read-only
+        for arr in numeric._contour_table(4, math.pi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    # the tail with its kernel computed on the spot, as a reference: f(z/p)
+    # (2/z)^nu hankel1e(nu, z) (z/p)^(n-1) on the same nodes, from the start
+    # p b as computed rather than pi; the tabled value lies well within its
+    # own estimate of it, in every window r^a log^k of dims 2-10
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_direct_integrand_within_estimate(self, n):
+        _load()
+        nu = 0.5 * n - 1.0
+        for pb in (math.pi, 1e3):
+            for p in (10.0 ** (-3 + 5 * i / 20) for i in range(21)):
+                b = pb / p
+                z = p * b + 1j * numeric._CONTOUR_NODES
+                r = z / p
+                kernel = (2.0 / z) ** nu * hankel1e(nu, z) * r ** (n - 1)
+                kernel *= 1j / p * cmath.exp(1j * p * b) * math.gamma(0.5 * n)
+                for a in range(1 - n, 0):
+                    for k in range(4):
+                        for M in (0.5, 1.0, 2.0):
+                            h = r ** a * (2.0 * np.log(r * M)) ** k * kernel
+                            ref = float((h[:numeric._LAG_N] @ numeric._LAG_WEIGHTS).real)
+                            val, err = _tail(position_term(n, 1, Fraction(a), k), p, n, M, b)
+                            assert abs(val - ref) <= 0.1 * err, (pb, p, a, k, M)
 
 
 class TestScan:

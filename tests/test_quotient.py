@@ -86,23 +86,23 @@ class TestIdealElement:
 
 class TestTransformValue:
     def test_exact_route(self):
-        val, route = transform_value(position_term(4, 1, Fraction(-2)), 2.0)
-        assert route == "exact"
+        val, err, route = transform_value(position_term(4, 1, Fraction(-2)), 2.0)
+        assert (err, route) == (0.0, "exact")
         assert val == pytest.approx(math.pi ** 2, rel=1e-14)
 
     def test_regulated_route(self):
-        val, route = transform_value(position_term(4, 1, Fraction(-4)), 1.0)
-        assert route == "regulated"
+        val, err, route = transform_value(position_term(4, 1, Fraction(-4)), 1.0)
+        assert (err, route) == (0.0, "regulated")
         # -pi^2 log(p^2/M^2) + 2 pi^2 (ln2 - gammaE) at p = M = 1
         want = 2.0 * math.pi ** 2 * (math.log(2.0) - 0.5772156649015329)
         assert val == pytest.approx(want, rel=1e-12)
 
     def test_mixed_route(self):
         f = add(position_term(4, 1, Fraction(-2)), position_term(4, 1, Fraction(-4)))
-        val, route = transform_value(f, 1.0)
+        val, _, route = transform_value(f, 1.0)
         assert route == "exact+regulated"
-        v1, _ = transform_value(position_term(4, 1, Fraction(-2)), 1.0)
-        v2, _ = transform_value(position_term(4, 1, Fraction(-4)), 1.0)
+        v1, _, _ = transform_value(position_term(4, 1, Fraction(-2)), 1.0)
+        v2, _, _ = transform_value(position_term(4, 1, Fraction(-4)), 1.0)
         assert val == pytest.approx(v1 + v2, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -112,7 +112,7 @@ class TestTransformValue:
     def test_fractional_exponent_takes_numeric_route(self, n, a, p):
         # in the window, but 2a' = -a is not an integer, so the exact
         # master formula would need polygamma values outside the symbol set
-        val, route = transform_value(position_term(n, 1, a), p)
+        val, err, route = transform_value(position_term(n, 1, a), p)
         assert route == "numeric"
         x = float(a)
         want = (
@@ -120,10 +120,11 @@ class TestTransformValue:
             / math.gamma(-x / 2) * p ** (-x - n)
         )
         assert val == pytest.approx(want, rel=1e-8)
+        # the oracle's estimate is passed on, and holds
+        assert 0.0 < err and abs(val - want) <= err
 
     def test_zero(self):
-        val, route = transform_value(PositionFunction.build(4), 1.0)
-        assert (val, route) == (0.0, "zero")
+        assert transform_value(PositionFunction.build(4), 1.0) == (0.0, 0.0, "zero")
 
 
 class TestAudit:
@@ -154,8 +155,26 @@ class TestAudit:
         report = diagram_audit(elem, ch)
         assert isinstance(report, AuditReport)
         assert report.route_ab == "regulated"
+        assert report.err_estimate == 0.0
         assert report.character_value == pytest.approx(4.0 * math.pi ** 2, rel=1e-14)
         assert math.isfinite(report.residual)
         assert report.residual == abs(
             report.value_ab - report.character_value * report.value_a
         )
+
+    def test_numeric_estimate_bounds_the_residual_error(self):
+        # a = r^-2, b = r^-3/2 in dim 4: F[ab] and eps(b) are numeric, F[a]
+        # exact; each closed form is pi^{n/2} 2^{n+s} Gamma((n+s)/2) /
+        # Gamma(-s/2) p^{-s-n} for r^s
+        def exact(s, p):
+            return (math.pi ** 2 * 2 ** (4 + s) * math.gamma((4 + s) / 2)
+                    / math.gamma(-s / 2) * p ** (-s - 4))
+
+        p0 = 1.3
+        elem = IdealElement(position_term(4, 1, Fraction(-2)),
+                            position_term(4, 1, Fraction(-3, 2)))
+        report = diagram_audit(elem, Character(p0, 4))
+        assert report.route_ab == "numeric"
+        true = abs(exact(-3.5, p0) - exact(-1.5, p0) * exact(-2, p0))
+        assert 0.0 < report.err_estimate < 1e-6 * report.residual
+        assert abs(report.residual - true) <= report.err_estimate
