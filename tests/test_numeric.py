@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hankel1e, jv
 
-from diffreg.algebra import add, delta_term, eval_momentum, position_term
+from diffreg.algebra import PositionFunction, add, delta_term, eval_momentum, position_term
 from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
 from diffreg.fourier import fourier_base
 from diffreg import numeric
@@ -332,14 +333,18 @@ class TestContour:
                             # size next to the singularity at u = i pb
                             assert err <= 1e-9 * size, (pb, p, a, k, M)
 
-    def test_one_integrand_call_per_tail(self, monkeypatch):
+    def test_one_integrand_call_per_table_entry(self, monkeypatch):
         # the tracer's numeric.tail.evals wraps _vector_integrand and counts
-        # the points it is called on: 100 contour nodes, 60 and 40, per tail
-        sizes = []
+        # the points it is called on: the 60 + 40 contour nodes, once per
+        # moment table entry (dim, start, exponent, log power), and never
+        # again once the entry is built
+        sizes, keys = [], []
         original = numeric._vector_integrand
 
-        def counting(*args):
-            vec = original(*args)
+        def counting(f, p, n, Mval, kernel):
+            vec = original(f, p, n, Mval, kernel)
+            (t,) = f.radial
+            keys.append((n, p, t.rpow, t.logpow))
 
             def counted(z):
                 sizes.append(z.size)
@@ -348,8 +353,26 @@ class TestContour:
             return counted
 
         monkeypatch.setattr(numeric, "_vector_integrand", counting)
-        hankel_numeric(position_term(4, 1, Fraction(-2), 1), 0.7, 4)
-        assert sizes == [100]
+        for table in (numeric._contour_table, numeric._tail_moment, numeric._panel_moments):
+            table.cache_clear()
+        f = add(position_term(4, 1, Fraction(-2), 1), position_term(4, 3, Fraction(-3, 2), 2))
+        # the start pi (untruncated, and eps below pi/p), then p eps = 6
+        calls = [lambda: hankel_numeric(f, 0.7, 4),
+                 lambda: truncated_ft_numeric(f, 0.7, 4, 1.0, 0.3),
+                 lambda: truncated_ft_numeric(f, 2.0, 4, 1.0, 3.0)]
+        first = [call() for call in calls]
+        # r^-2 with log powers 0-1 and r^-3/2 with 0-2, at two starts
+        assert sizes == [100] * 10
+        assert sorted(keys) == sorted((4, pb, a, j) for pb in (math.pi, 6.0)
+                                      for a, k in ((-2, 1), (Fraction(-3, 2), 2))
+                                      for j in range(k + 1))
+        assert [call() for call in calls] == first
+        assert len(sizes) == 10
+        # the entries are shared between transforms, so they are read-only
+        contour = numeric._contour_table(4, math.pi)
+        for entry in (numeric._tail_moment(contour, -2, 1), numeric._panel_moments(4, -2, 1)):
+            with pytest.raises(TypeError):
+                entry[0] = 0.0
 
     def test_one_kernel_evaluation_per_table_entry(self, monkeypatch):
         # the Hankel kernel on the contour depends on the dim and the start
@@ -406,6 +429,153 @@ class TestContour:
                             ref = float((h[:numeric._LAG_N] @ numeric._LAG_WEIGHTS).real)
                             val, err = _tail(position_term(n, 1, Fraction(a), k), p, n, M, b)
                             assert abs(val - ref) <= 0.1 * err, (pb, p, a, k, M)
+
+
+def _series_panel(f, p, n, Mval, pts):
+    """The real-axis piece [lo, b] by the Taylor series of A_n summed term
+    by term at both ends, stopping once a whole j-block is below roundoff:
+    the closed form before its tables, kept as a reference."""
+    lo, b = pts
+    ends = [(1.0, b, 2.0 * math.log(b * Mval))]
+    if lo:
+        ends.append((-1.0, lo, 2.0 * math.log(lo * Mval)))
+    terms = [(sign * t.coeff.evalf() * x ** float(t.rpow + n), float(t.rpow + n),
+              t.logpow, (x / b) ** 2, L)
+             for sign, x, L in ends for t in f.radial]
+    parts = []
+    size = 0.0
+    w = 1.0  # alpha_j (p b)^(2j)
+    for j in range(32):
+        if j:
+            w *= -(p * b) ** 2 / (2 * j * (n + 2 * j - 2))
+        block = []
+        for c, e, k, x2, L in terms:
+            e2 = e + 2 * j
+            cw = c * w * x2 ** j
+            if e2 == 0.0:
+                block.append(cw * L ** (k + 1) / (2 * k + 2))
+            else:
+                block.extend(cw / e2 * (-2.0 / e2) ** i * math.perm(k, i)
+                             * L ** (k - i) for i in range(k + 1))
+        parts.extend(block)
+        last = math.fsum(abs(v) for v in block)
+        size += last
+        if last <= numeric._ROUNDOFF * size:
+            break
+    return math.fsum(parts), last + numeric._ROUNDOFF * size
+
+
+def _node_tail(f, p, n, Mval, b):
+    """The contour tail with f evaluated on every node, r = z/p, against
+    the kernel table: the tail before its moment tables, kept as a
+    reference."""
+    pb = math.pi if b == math.pi / p else p * b
+    z, kernel = numeric._contour_table(n, pb)
+    with np.errstate(all="ignore"):
+        r = z / p
+        lg = 2.0 * np.log(r * Mval)
+        fr = np.zeros_like(r)
+        for t in f.radial:
+            fr += t.coeff.evalf() * r ** float(t.rpow) * lg ** t.logpow
+        h = fr * kernel * p ** (1 - n) / p
+        fine = h[:numeric._LAG_N] @ numeric._LAG_WEIGHTS
+        coarse = h[numeric._LAG_N:] @ numeric._LAG40_WEIGHTS
+        floor = ((numeric._ROUNDOFF + sys.float_info.epsilon * pb)
+                 * (np.abs(h[:numeric._LAG_N]) @ numeric._LAG_WEIGHTS))
+    return float(fine.real), float(abs(fine - coarse) + floor)
+
+
+def _reference_transform(f, p, n, M, lo):
+    """(status, value, estimate) of the transform from the two references,
+    with the oracle's range and budget rules."""
+    b = max(lo, math.pi / p)
+    main_val = main_err = 0.0
+    try:
+        if lo < b:
+            main_val, main_err = _series_panel(f, p, n, M, [lo, b])
+        tail_val, tail_err = _node_tail(f, p, n, M, b)
+        omega = sphere_area(n).evalf()
+        value, err = omega * (main_val + tail_val), omega * (main_err + tail_err)
+    except OverflowError:
+        value = err = math.inf
+    if not (math.isfinite(value) and math.isfinite(err)):
+        return "range", None, None
+    if err > 1e-6 * abs(value) + 1e-10:
+        return "budget", value, err
+    return "ok", value, err
+
+
+class TestTables:
+    # the moment tables against the references above, which sum the
+    # series term by term and evaluate f on every contour node: every
+    # integer window exponent of dims 2-10 and r^(1/3-n), untruncated and
+    # from truncation radii 0.03, 0.3 and 1, and from those radii also r^-n
+    # and r^-(n+2), whose series meet e2 = 0; log powers 0-3, M = 0.5, 1, 2
+    # and 21 log-spaced p over the documented range, where eps = 0.3 and 1
+    # start the contour past pi at the largest p.  The exit status, the
+    # value within a tenth of the estimate and the estimate within 10 times
+    # the reference's must all hold
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_series_and_node_references(self, n):
+        _load()  # the references read the Laguerre rules directly
+        ps = [10.0 ** (-3 + 5 * i / 20) for i in range(21)]
+        window = [Fraction(a) for a in range(1 - n, 0)] + [Fraction(1, 3) - n]
+        cases = [(a, lo) for a in window for lo in (0.0, 0.03, 0.3, 1.0)]
+        cases += [(Fraction(a), lo) for a in (-n, -n - 2) for lo in (0.03, 0.3, 1.0)]
+        for a, lo in cases:
+            for k in range(4):
+                f = position_term(n, 1, a, k)
+                for M in (0.5, 1.0, 2.0):
+                    for p in ps:
+                        status, ref, ref_err = _reference_transform(f, p, n, M, lo)
+                        try:
+                            if lo:
+                                val, err = truncated_ft_numeric(f, p, n, M, lo)
+                            else:
+                                val, err = hankel_numeric(f, p, n, M)
+                        except ConvergenceError:
+                            assert status == "budget", (a, lo, k, M, p)
+                            continue
+                        case = (a, lo, k, M, p, status)
+                        assert status == "ok", case
+                        assert abs(val - ref) <= 0.1 * err, case
+                        assert err <= 10.0 * ref_err, case
+
+    def test_per_transform_work_needs_no_numpy(self, monkeypatch):
+        # once the tables are built a transform is scalar work: numpy may
+        # not be reached, untruncated or from a radius below pi/p
+        f = add(position_term(4, 1, Fraction(-2), 1), position_term(4, 3, Fraction(-3, 2), 2))
+        p = 0.7
+        calls = [lambda: hankel_numeric(f, p, 4),
+                 lambda: truncated_ft_numeric(f, p, 4, 1.0, 0.5 * math.pi / p)]
+        first = [call() for call in calls]
+
+        class NoNumpy:
+            def __getattribute__(self, name):
+                if name.startswith("__"):  # isinstance reads __class__
+                    return object.__getattribute__(self, name)
+                raise AssertionError(f"numpy.{name} reached")
+
+        monkeypatch.setattr(numeric, "np", NoNumpy())
+        assert [call() for call in calls] == first
+
+    def test_zero_function(self):
+        # no term, no table: both pieces are empty sums
+        zero = PositionFunction.build(4)
+        assert hankel_numeric(zero, 1.0, 4) == (0.0, 0.0)
+        assert truncated_ft_numeric(zero, 1.0, 4, 1.0, 0.5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [1e300, 1e-300])
+    @pytest.mark.parametrize("n, a, k", [(4, -2, 1), (2, -1, 3)])
+    def test_truncated_extreme_momentum_is_domain_error(self, n, a, k, p):
+        # a scale b^(a+n) that under- or overflows, or a contour table that
+        # is not finite, is an out-of-range error: never a silent (0, 0)
+        f = position_term(n, 1, Fraction(a), k)
+        where = re.escape(f"p={p!r}, M=1.0, truncation radius 0.1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match=where):
+                truncated_ft_numeric(f, p, n, 1.0, 0.1)
 
 
 class TestScan:
