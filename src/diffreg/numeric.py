@@ -25,10 +25,8 @@ once per key in a process; a truncation radius below pi/p adds the series
 at its own end, and one beyond pi/p starts the contour elsewhere, a new
 table entry.
 
-All of it is deterministic.  The oracle serves dims up to 10; numpy and
-scipy.special load on the first quadrature call, and build the tables after
-them, so importing diffreg does not pay for either, and a transform whose
-tables are built does not reach them.
+All of it is deterministic pure Python, its Gauss-Laguerre rules and Hankel
+kernel included, and serves dims up to 10.
 """
 
 from __future__ import annotations
@@ -42,49 +40,80 @@ from typing import Callable, List, Sequence, Tuple
 from .algebra import PositionFunction, position_term, radial_derivative
 from .coeffs import sphere_area
 from .errors import ConvergenceError, EvaluationError, NonIntegrableError
+from .surface import angular_series
 
 
-# numpy, scipy.special and the Gauss-Laguerre tables of the contour, bound
-# by _load on the first quadrature or Bessel call; special doubles as the
-# loaded flag
-np = special = None
-_LAG_WEIGHTS = _LAG40_WEIGHTS = _CONTOUR_NODES = None
 _LAG_N = 60  # contour nodes; the estimate compares them with 40
 
 
-def _load() -> None:
-    global np, special
-    global _LAG_WEIGHTS, _LAG40_WEIGHTS, _CONTOUR_NODES
-    import numpy as np
+@lru_cache(maxsize=8)
+def _laguerre_rule(n: int, alpha: float = 0.0) -> Tuple[Tuple[float, ...], ...]:
+    """Gauss-Laguerre nodes and weights for the weight x^alpha e^-x, from the
+    three-term recurrence of the orthonormal Laguerre polynomials q_k: each
+    node by Newton's method on q_n from the Stroud-Secrest guess, and the
+    weights 1 / sum_{k<n} q_k(x)^2 (the Christoffel function)."""
 
-    lag_nodes, _LAG_WEIGHTS = _laguerre_rule(_LAG_N)
-    lag40_nodes, _LAG40_WEIGHTS = _laguerre_rule(40)
-    _CONTOUR_NODES = np.concatenate([lag_nodes, lag40_nodes])
-    from scipy import special  # last: the flag is set once all is bound
+    def values(x):  # q_0(x) .. q_n(x)
+        out = [0.0, 1.0 / math.sqrt(math.gamma(alpha + 1))]
+        for k in range(n):
+            out.append(((2 * k + 1 + alpha - x) * out[-1] - math.sqrt(k * (k + alpha))
+                        * out[-2]) / math.sqrt((k + 1) * (k + 1 + alpha)))
+        return out[1:]
+
+    nodes, weights = [], []
+    for i in range(n):
+        if i == 0:
+            x = (1 + alpha) * (3 + 0.92 * alpha) / (1 + 2.4 * n + 1.8 * alpha)
+        elif i == 1:
+            x += (15 + 6.25 * alpha) / (1 + 0.9 * alpha + 2.5 * n)
+        else:
+            x += ((1 + 2.55 * (i - 1)) / (1.9 * (i - 1)) + 1.26 * (i - 1) * alpha
+                  / (1 + 3.5 * (i - 1))) * (x - nodes[-2]) / (1 + 0.3 * alpha)
+        for _ in range(100):
+            q = values(x)
+            step = x * q[n] / (n * q[n] - math.sqrt(n * (n + alpha)) * q[n - 1])
+            x -= step
+            if abs(step) <= 4 * _EPS * x:
+                break
+        nodes.append(x)
+        weights.append(1.0 / math.fsum(v * v for v in values(x)[:n]))
+    return tuple(nodes), tuple(weights)
 
 
-def _laguerre_rule(n: int):
-    """Gauss-Laguerre nodes from numpy, with the weights 1 / sum_{k<n}
-    L_k(x)^2 (the Christoffel function) by the three-term recurrence: within
-    2e-14 of themselves, where numpy's own weights are off by up to 1e-12
-    at the smallest nodes."""
-    x = np.polynomial.laguerre.laggauss(n)[0]
-    prev, cur = np.zeros_like(x), np.ones_like(x)
-    total = cur * cur
-    for k in range(n - 1):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-        total += cur * cur
-    return x, 1.0 / total
+def _hankel_scaled(nu: float, z: complex) -> complex:
+    """H1_nu(z) e^{-iz} for Re z > 0 and nu = n/2 - 1, by the recurrence
+    H_{v+1} = (2v/z) H_v - H_{v-1}, stable upward for H1: from the closed
+    forms (1, -i) sqrt(2/(pi z)) at v = -1/2, 1/2, or from v = 0, 1 by the
+    integral sqrt(2/(pi z)) e^{-i(v pi/2 + pi/4)} / Gamma(v+1/2) int_0^inf
+    e^-u u^(v-1/2) s^(2v-1) du, s = sqrt(1 + iu/(2z)) (DLMF 10.9), on the
+    24-node rule with alpha = -1/2: v = 1 takes u^(1/2) as u u^(-1/2), so
+    one s per node serves both."""
+    front = cmath.sqrt(2.0 / (math.pi * z))
+    if nu != int(nu):
+        lo, hi, v = front, -1j * front, -0.5
+    else:
+        i0 = i1 = 0.0
+        for u, w in zip(*_laguerre_rule(24, -0.5)):
+            s = cmath.sqrt(1.0 + 0.5j * u / z)
+            i0 += w / s
+            i1 += w * u * s
+        front *= cmath.exp(-0.25j * math.pi) / math.sqrt(math.pi)
+        lo, hi, v = front * i0, -2j * front * i1, 0.0
+    while v < nu:
+        lo, hi, v = hi, 2.0 * (v + 1.0) / z * hi - lo, v + 1.0
+    return lo
 
 
 def angular_kernel(n: int, z: float) -> float:
-    """Spherical average of the plane wave over a radius with p r = z."""
-    if special is None:
-        _load()
-    if z == 0.0:
-        return 1.0
+    """Spherical average of the plane wave over a radius with p r = z,
+    A_n(z) = Gamma(n/2) (2/z)^nu J_nu(z), nu = n/2 - 1: its Taylor series
+    (surface.angular_series) up to z = pi, and Gamma(n/2) (2/z)^nu
+    Re(H1_nu(z)) beyond."""
+    if z <= math.pi:
+        return math.fsum(float(c) * z ** (2 * i) for i, c in enumerate(angular_series(n, 20)))
     nu = 0.5 * n - 1.0
-    return math.gamma(0.5 * n) * (2.0 / z) ** nu * special.jv(nu, z)
+    return (math.gamma(0.5 * n) * (2.0 / z) ** nu
+            * (_hankel_scaled(nu, z) * cmath.exp(1j * z)).real)
 
 
 # -- main entry points -------------------------------------------------
@@ -156,14 +185,12 @@ def _radial_transform(f, p, n, Mval, lo) -> Tuple[float, float]:
         raise EvaluationError("p and M must be finite")
     if not (p > 0 and Mval > 0):
         raise EvaluationError("p and M must be positive")
-    if special is None:
-        _load()
     omega = _omega(n)
 
     # the real axis up to b, the contour from b.  Far outside the documented
-    # p range a scale b^(a+n) leaves the normal floats or the profile
-    # overflows at b (OverflowError), or a contour table is not finite,
-    # which the value and the estimate then show as nan
+    # p range a scale b^(a+n) leaves the normal floats, the profile
+    # overflows at b, or the contour starts where its phase is lost
+    # (OverflowError)
     pts = _panel_points(lo, p)
     b = pts[-1]
     main_val = main_err = 0.0
@@ -324,7 +351,7 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
     J_nu = Re H1_nu it is the real part of int_0^inf h(u) e^{-u} du, h =
     (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} r^(n-1) at z = p r:
-    the scaled hankel1e = H1 e^{-iz} takes the factor e^{ipb} e^{-u} out
+    the scaled H1 e^{-iz} (_hankel_scaled) takes the factor e^{ipb} e^{-u} out
     exactly, which leaves a smooth, non-oscillating h for Gauss-Laguerre
     nodes.  With r = b (z/pb) and L = l + 2 log(z/pb), l = log(b^2 M^2), a
     term c r^a L^k gives c b^(a+n) sum_j C(k, j) l^(k-j) T_j, where T_j,
@@ -340,7 +367,6 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     term c r^a L^k that overflows there (r^-1 log^3 in dim 2 at p = 1e300)
     is out of range, even where its transform is a float."""
     pb = math.pi if b == math.pi / p else p * b
-    contour = _contour_table(n, pb)
     ell = 2.0 * math.log(b * Mval)
     fine = diff = floor = 0.0
     for t in f.radial:
@@ -349,7 +375,7 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
             raise OverflowError
         s = t.coeff.evalf() * _scale(pb, p, a + n)
         for j in range(k + 1):
-            q60, q_diff, q_floor = _tail_moment(contour, a, j)
+            q60, q_diff, q_floor = _tail_moment(n, pb, a, j)
             w = s * math.comb(k, j) * ell ** (k - j)
             fine += w * q60
             diff += w * q_diff
@@ -357,53 +383,37 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     return fine.real, abs(diff) + floor
 
 
-class _Contour:
-    """A contour table entry: the dim n, the start pb and the read-only
-    arrays (z, kernel), unpacked by iteration.  It hashes by identity, so
-    the moments keyed on it are rebuilt with it."""
-
-    __slots__ = ("n", "pb", "z", "kernel")
-
-    def __init__(self, n, pb, z, kernel):
-        self.n, self.pb, self.z, self.kernel = n, pb, z, kernel
-
-    def __iter__(self):
-        return iter((self.z, self.kernel))
-
-
 @lru_cache(maxsize=64)
-def _contour_table(n: int, pb: float) -> _Contour:
+def _contour_table(n: int, pb: float) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
     """The contour from p r = pb, shared by every tail that starts there:
     the nodes z = pb + i x_k (the 60 Gauss-Laguerre nodes, then the 40),
     and the kernel i e^{i pb} Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} z^(n-1)
-    on them, nu = n/2 - 1.  Filled on first use, after _load; a start other
-    than pi (a truncation radius beyond pi/p) is a new entry."""
+    on them, nu = n/2 - 1.  Filled on first use; a start other than pi (a
+    truncation radius beyond pi/p) is a new entry.  A start with eps pb >
+    1/2 raises OverflowError: its phase e^{i pb} is lost to rounding."""
+    if _EPS * pb > 0.5:
+        raise OverflowError
     nu = 0.5 * n - 1.0
-    z = pb + 1j * _CONTOUR_NODES
-    with np.errstate(all="ignore"):
-        kernel = (1j * cmath.exp(1j * pb) * math.gamma(0.5 * n)
-                  * (2.0 / z) ** nu * special.hankel1e(nu, z) * z ** (n - 1))
-    z.flags.writeable = kernel.flags.writeable = False
-    return _Contour(n, pb, z, kernel)
+    front = 1j * cmath.exp(1j * pb) * math.gamma(0.5 * n)
+    z = tuple(pb + 1j * x for x in _laguerre_rule(_LAG_N)[0] + _laguerre_rule(40)[0])
+    return z, tuple(front * (2.0 / w) ** nu * _hankel_scaled(nu, w) * w ** (n - 1) for w in z)
 
 
 # the window exponents of dims 2-10 with log powers 0-3 take 180 entries at
 # the start pi; the rest is room for starts past pi and other exponents
 @lru_cache(maxsize=1024)
-def _tail_moment(contour: _Contour, rpow, j: int) -> Tuple[complex, complex, float]:
-    """The moments of the unit term (z/pb)^rpow (2 log(z/pb))^j on a
-    contour table: its 60-node sum Q60 of h, Q60 - Q40, and the floor
-    (roundoff + eps pb) sum w |h| over the 60 nodes, h from
+def _tail_moment(n: int, pb: float, rpow, j: int) -> Tuple[complex, complex, float]:
+    """The moments of the unit term (z/pb)^rpow (2 log(z/pb))^j on the
+    contour table (n, pb): its 60-node sum Q60 of h, Q60 - Q40, and the
+    floor (roundoff + eps pb) sum w |h| over the 60 nodes, h from
     _vector_integrand at p = pb, M = 1.  Keyed on the exact rpow."""
-    z, kernel = contour
-    unit = position_term(contour.n, 1, rpow, j)
-    with np.errstate(all="ignore"):
-        h = _vector_integrand(unit, contour.pb, contour.n, 1.0, kernel)(z)
-        fine = h[:_LAG_N] @ _LAG_WEIGHTS
-        coarse = h[_LAG_N:] @ _LAG40_WEIGHTS
-        size = np.abs(h[:_LAG_N]) @ _LAG_WEIGHTS
-    phase = _ROUNDOFF + _EPS * contour.pb
-    return complex(fine), complex(fine - coarse), float(phase * size)
+    z, kernel = _contour_table(n, pb)
+    h = _vector_integrand(position_term(n, 1, rpow, j), pb, n, 1.0, kernel)(z)
+    w60, w40 = _laguerre_rule(_LAG_N)[1], _laguerre_rule(40)[1]
+    fine = sum(w * x for w, x in zip(w60, h))
+    coarse = sum(w * x for w, x in zip(w40, h[_LAG_N:]))
+    size = sum(w * abs(x) for w, x in zip(w60, h))
+    return fine, fine - coarse, (_ROUNDOFF + _EPS * pb) * size
 
 
 def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float, kernel):
@@ -415,11 +425,11 @@ def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float, kernel
     data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
 
     def vec(z):
-        r = z / p
-        lg = 2.0 * np.log(r * Mval)  # log(r^2 M^2) for Re r > 0; r^2 may overflow
-        fr = np.zeros_like(r)
-        for c, a, k in data:
-            fr += c * r ** a * lg ** k
-        return fr * kernel * p ** (1 - n) / p
+        h = []
+        for zk, kk in zip(z, kernel):
+            r = zk / p
+            lg = 2.0 * cmath.log(r * Mval)  # log(r^2 M^2) for Re r > 0; r^2 may overflow
+            h.append(sum(c * r ** a * lg ** k for c, a, k in data) * kk * p ** (1 - n) / p)
+        return h
 
     return vec

@@ -794,63 +794,60 @@ class TestCli:
         assert any("distributional" in fl for fl in doc["flags"])
 
 
-# run in a fresh interpreter: reports which of numpy, scipy and
-# scipy.integrate are loaded after the imports, after exact-only subcommands
-# and after the oracle
+# run in a fresh interpreter: reports which of numpy and scipy are loaded
+# after the imports and after each subcommand, with its exit code and
+# envelope
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 import diffreg, diffreg.cli
 
 def loaded():
-    return [m for m in ("numpy", "scipy", "scipy.integrate") if m in sys.modules]
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
 
-def run(*argv):
+out = {"import": loaded(), "runs": []}
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as buf:
         code = diffreg.cli.main([*argv, "--json"])
-    return code, buf.getvalue()
-
-out = {"import": loaded(), "exact": []}
-for argv in json.loads(sys.argv[1]):
-    code, env = run(*argv)
-    out["exact"].append([argv[0], code, json.loads(env)["symbolic"]["text"]])
-out["after_exact"] = loaded()
-out["oracle"] = run("oracle", "--fn", "r^-2", "--p", "2")
-out["after_oracle"] = loaded()
+    out["runs"].append([code, json.loads(buf.getvalue()), loaded()])
 print(json.dumps(out))
 """
 
 
-class TestDeferredLoad:
-    EXACT_RUNS = [
+class TestRuntimeImports:
+    RUNS = [
         ["apply", "--op", "box", "--fn", "r^2"],
         ["regulate", "--target", "r^-4"],
         ["cs", "--target", "r^-4", "--p", "1"],
         ["transform", "--rep-target", "r^-4", "--at", "1"],
         ["transform", "--fn", "r^-2"],
         ["audit", "--a", "r^-2", "--b", "r^-2", "--p0", "1"],
+        ["oracle", "--fn", "r^-2", "--p", "2"],
+        ["surface", "--target", "r^-4", "--eps", "0.05"],
+        ["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.2,0.1,0.05"],
+        ["transform", "--fn", "r^-2", "--at", "1"],
+        ["audit", "--a", "r^-2", "--b", "r^-3/2", "--p0", "1", "--dim", "4"],
     ]
 
-    def test_exact_subcommands_leave_numpy_and_scipy_unloaded(self, capsys):
+    def test_no_subcommand_loads_numpy_or_scipy(self, capsys):
+        # the oracle runs on the standard library, so no subcommand loads
+        # numpy or scipy: neither the exact ones nor those that run
+        # quadrature, nor an audit whose terms take the numeric route
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", _LOAD_PROBE, json.dumps(self.EXACT_RUNS)],
+            [sys.executable, "-c", _LOAD_PROBE, json.dumps(self.RUNS)],
             env=env, capture_output=True, text=True, check=True,
         )
         out = json.loads(proc.stdout)
         assert out["import"] == []
-        assert [code for _, code, _ in out["exact"]] == [0] * len(self.EXACT_RUNS)
-        # the audit took the exact and regulated routes, no quadrature
-        assert "numeric" not in out["exact"][-1][2]
-        assert out["after_exact"] == []
-        # the oracle needs numpy and scipy.special, no adaptive quadrature
-        assert out["after_oracle"] == ["numpy", "scipy"]
-        assert "scipy.integrate" not in out["after_oracle"]
-        # loading on the first call gives the same envelope as a warm process
-        code, text = out["oracle"]
-        assert code == 0
-        assert text == run_cli(capsys, "oracle", "--fn", "r^-2", "--p", "2", "--json")[1]
+        assert [(code, mods) for code, _, mods in out["runs"]] == [(0, [])] * len(self.RUNS)
+        routes = [doc["symbolic"]["terms"]["route"] for _, doc, _ in out["runs"]
+                  if doc["command"] == "audit"]
+        assert "numeric" not in routes[0] and "numeric" in routes[1]
+        # a fresh process gives the same envelope as a warm one
+        doc = out["runs"][self.RUNS.index(["oracle", "--fn", "r^-2", "--p", "2"])][1]
+        assert doc == run_json(capsys, "oracle", "--fn", "r^-2", "--p", "2")[1]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

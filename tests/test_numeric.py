@@ -1,15 +1,20 @@
 import cmath
+import json
 import math
+import os
 import re
+import shlex
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import hankel1e, jv
+from scipy.special import hankel1e, jv, roots_genlaguerre
 
 from diffreg.algebra import PositionFunction, add, delta_term, eval_momentum, position_term
 from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
@@ -17,7 +22,8 @@ from diffreg.fourier import fourier_base
 from diffreg import numeric
 from diffreg.coeffs import sphere_area
 from diffreg.numeric import (
-    _load,
+    _hankel_scaled,
+    _laguerre_rule,
     _panel_points,
     _quad_panels,
     _tail,
@@ -26,6 +32,24 @@ from diffreg.numeric import (
     hankel_numeric,
     truncated_ft_numeric,
 )
+
+
+SRC = str(Path(numeric.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# run in a fresh interpreter with numpy and scipy blocked from import: the
+# exit code of each CLI run given as JSON
+_BLOCKED_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+import diffreg.cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(diffreg.cli.main(argv))
+print(json.dumps(codes))
+"""
 
 
 def _gaussian_radial(p, n=4):
@@ -59,6 +83,51 @@ class TestGaussian:
         )
         want = axis * quad(lambda x: math.exp(-x * x), -8.0, 8.0)[0] ** 3
         assert _gaussian_radial(p) == pytest.approx(want, rel=1e-9)
+
+
+class TestKernel:
+    # the oracle's own Gauss-Laguerre rules and Hankel kernel against numpy
+    # and scipy, which the tests alone use
+    @pytest.mark.parametrize("n", [24, 40, 60, 80])
+    def test_laguerre_rule_against_numpy(self, n):
+        nodes, weights = _laguerre_rule(n)
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(n)
+        assert nodes == pytest.approx(ref_nodes, rel=5e-14)
+        # numpy's weights are off by up to 1e-12 at the smallest nodes; the
+        # rule integrates x^m e^-x to m! for m < 2n
+        assert weights == pytest.approx(ref_weights, rel=5e-12)
+        for m in range(12):
+            moment = math.fsum(w * x ** m for x, w in zip(nodes, weights))
+            assert moment == pytest.approx(math.factorial(m), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5])
+    def test_generalized_rule_against_scipy(self, alpha):
+        nodes, weights = _laguerre_rule(24, alpha)
+        ref_nodes, ref_weights = roots_genlaguerre(24, alpha)
+        assert nodes == pytest.approx(ref_nodes, rel=5e-14)
+        assert weights == pytest.approx(ref_weights, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_hankel_against_scipy(self, n):
+        # every nu of dims 1-10 on all 100 contour nodes, from the start pi,
+        # starts just past it and far past it
+        nu = 0.5 * n - 1.0
+        nodes = _laguerre_rule(numeric._LAG_N)[0] + _laguerre_rule(40)[0]
+        for pb in (math.pi, 3.2, 31.4, 1e3):
+            z = pb + 1j * np.array(nodes)
+            got = [_hankel_scaled(nu, zk) for zk in z]
+            assert got == pytest.approx(list(hankel1e(nu, z)), rel=2e-15), pb
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_angular_kernel_against_bessel(self, n):
+        # the Taylor series up to z = pi and the Hankel kernel beyond it;
+        # |A_n| <= 1, and the reference itself is off by up to 4e-15 at small
+        # z, where (2/z)^nu is large
+        nu = 0.5 * n - 1.0
+        for z in [0.01 * i for i in range(1, 315)] + [math.pi + 0.1 * i for i in range(400)]:
+            want = math.gamma(0.5 * n) * (2.0 / z) ** nu * jv(nu, z)
+            assert abs(angular_kernel(n, z) - want) <= 1e-14, z
+        assert angular_kernel(n, 0.0) == 1.0
 
 
 class TestMasterFormulaWindow:
@@ -202,7 +271,6 @@ class TestOriginPanel:
         # over [0, 1], smooth but for log t at t = 0; from lo > 0, r = e^t
         # makes it int r^e L^k A_n dt.  The kernel is mpmath's Bessel
         # function, cached over k and M at each node
-        _load()  # the panels are called directly, not through an entry point
         with mp.workdps(20):
             em = mp.mpf(e.numerator) / e.denominator
             nu = mp.mpf(n) / 2 - 1
@@ -307,7 +375,6 @@ class TestContour:
     # a truncation radius beyond it
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_mpmath_within_estimate(self, n, laguerre_100):
-        _load()  # the tail is called directly, not through an entry point
         nodes, weights = laguerre_100
         with mp.workdps(20):
             nu = mp.mpf(n) / 2 - 1
@@ -335,9 +402,9 @@ class TestContour:
 
     def test_one_integrand_call_per_table_entry(self, monkeypatch):
         # the tracer's numeric.tail.evals wraps _vector_integrand and counts
-        # the points it is called on: the 60 + 40 contour nodes, once per
-        # moment table entry (dim, start, exponent, log power), and never
-        # again once the entry is built
+        # its calls on the contour nodes (a tuple counts 1): one call on the
+        # 60 + 40 nodes per moment table entry (dim, start, exponent, log
+        # power), and never again once the entry is built
         sizes, keys = [], []
         original = numeric._vector_integrand
 
@@ -347,7 +414,7 @@ class TestContour:
             keys.append((n, p, t.rpow, t.logpow))
 
             def counted(z):
-                sizes.append(z.size)
+                sizes.append(len(z))
                 return vec(z)
 
             return counted
@@ -369,43 +436,57 @@ class TestContour:
         assert [call() for call in calls] == first
         assert len(sizes) == 10
         # the entries are shared between transforms, so they are read-only
-        contour = numeric._contour_table(4, math.pi)
-        for entry in (numeric._tail_moment(contour, -2, 1), numeric._panel_moments(4, -2, 1)):
+        for entry in (numeric._tail_moment(4, math.pi, -2, 1), numeric._panel_moments(4, -2, 1)):
             with pytest.raises(TypeError):
                 entry[0] = 0.0
 
     def test_one_kernel_evaluation_per_table_entry(self, monkeypatch):
         # the Hankel kernel on the contour depends on the dim and the start
         # p b alone, and the start is pi exactly for every tail from b =
-        # pi/p: untruncated, or truncated at eps <= pi/p
-        _load()
+        # pi/p: untruncated, or truncated at eps <= pi/p.  A table build
+        # evaluates the kernel once on each of the 100 nodes
         calls = []
-        original = numeric.special.hankel1e
+        original = numeric._hankel_scaled
 
         def counting(nu, z):
             calls.append(nu)
             return original(nu, z)
 
-        monkeypatch.setattr(numeric.special, "hankel1e", counting)
-        numeric._contour_table.cache_clear()
+        monkeypatch.setattr(numeric, "_hankel_scaled", counting)
+        for table in (numeric._contour_table, numeric._tail_moment):
+            table.cache_clear()
+        builds = numeric._contour_table.cache_info
         ps = [10.0 ** (-3 + 5 * i / 20) for i in range(21)]
         for n in range(2, 11):
             f = position_term(n, 1, Fraction(-1), 1)
-            before = len(calls)
+            before = len(calls), builds().misses
             for p in ps:
                 hankel_numeric(f, p, n)
                 truncated_ft_numeric(f, p, n, 1.0, 0.5 * math.pi / p)
                 truncated_ft_numeric(f, p, n, 1.0, math.pi / p)
-            assert len(calls) - before == 1, n
+            assert (len(calls) - before[0], builds().misses - before[1]) == (100, 1), n
             # a truncation radius beyond pi/p starts the contour elsewhere:
             # one more entry, filled once
             for _ in range(2):
                 truncated_ft_numeric(f, 1.0, n, 1.0, 4.0)
-            assert len(calls) - before == 2, n
+            assert (len(calls) - before[0], builds().misses - before[1]) == (200, 2), n
+            assert set(calls[before[0]:]) == {0.5 * n - 1.0}
         # the tables are shared between tails, so they are read-only
-        for arr in numeric._contour_table(4, math.pi):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
+        for column in numeric._contour_table(4, math.pi):
+            with pytest.raises(TypeError):
+                column[0] = 0.0
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_start_whose_phase_is_lost_is_out_of_range(self, n):
+        # a start with eps pb > 1/2 has no phase e^{i pb} left: the table
+        # refuses it, and the transform reports it out of range; a start of
+        # 1e12 still builds
+        assert len(numeric._contour_table(n, 1e12)[1]) == 100
+        with pytest.raises(OverflowError):
+            numeric._contour_table(n, 0.51 / sys.float_info.epsilon)
+        f = position_term(n, 1, Fraction(-1), 1)
+        with pytest.raises(EvaluationError, match="outside the oracle's range"):
+            truncated_ft_numeric(f, 1e10, n, 1.0, 1e7)
 
     # the tail with its kernel computed on the spot, as a reference: f(z/p)
     # (2/z)^nu hankel1e(nu, z) (z/p)^(n-1) on the same nodes, from the start
@@ -413,12 +494,12 @@ class TestContour:
     # own estimate of it, in every window r^a log^k of dims 2-10
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_direct_integrand_within_estimate(self, n):
-        _load()
         nu = 0.5 * n - 1.0
+        nodes, weights = map(np.array, _laguerre_rule(numeric._LAG_N))
         for pb in (math.pi, 1e3):
             for p in (10.0 ** (-3 + 5 * i / 20) for i in range(21)):
                 b = pb / p
-                z = p * b + 1j * numeric._CONTOUR_NODES
+                z = p * b + 1j * nodes
                 r = z / p
                 kernel = (2.0 / z) ** nu * hankel1e(nu, z) * r ** (n - 1)
                 kernel *= 1j / p * cmath.exp(1j * p * b) * math.gamma(0.5 * n)
@@ -426,7 +507,7 @@ class TestContour:
                     for k in range(4):
                         for M in (0.5, 1.0, 2.0):
                             h = r ** a * (2.0 * np.log(r * M)) ** k * kernel
-                            ref = float((h[:numeric._LAG_N] @ numeric._LAG_WEIGHTS).real)
+                            ref = float((h @ weights).real)
                             val, err = _tail(position_term(n, 1, Fraction(a), k), p, n, M, b)
                             assert abs(val - ref) <= 0.1 * err, (pb, p, a, k, M)
 
@@ -468,21 +549,22 @@ def _series_panel(f, p, n, Mval, pts):
 def _node_tail(f, p, n, Mval, b):
     """The contour tail with f evaluated on every node, r = z/p, against
     the kernel table: the tail before its moment tables, kept as a
-    reference."""
+    reference.  It takes the same Python scalar operations as the tables,
+    so that the two differ by the moment expansion alone."""
     pb = math.pi if b == math.pi / p else p * b
     z, kernel = numeric._contour_table(n, pb)
-    with np.errstate(all="ignore"):
-        r = z / p
-        lg = 2.0 * np.log(r * Mval)
-        fr = np.zeros_like(r)
-        for t in f.radial:
-            fr += t.coeff.evalf() * r ** float(t.rpow) * lg ** t.logpow
-        h = fr * kernel * p ** (1 - n) / p
-        fine = h[:numeric._LAG_N] @ numeric._LAG_WEIGHTS
-        coarse = h[numeric._LAG_N:] @ numeric._LAG40_WEIGHTS
-        floor = ((numeric._ROUNDOFF + sys.float_info.epsilon * pb)
-                 * (np.abs(h[:numeric._LAG_N]) @ numeric._LAG_WEIGHTS))
-    return float(fine.real), float(abs(fine - coarse) + floor)
+    h = []
+    for zk, kk in zip(z, kernel):
+        r = zk / p
+        lg = 2.0 * cmath.log(r * Mval)
+        fr = sum(t.coeff.evalf() * r ** float(t.rpow) * lg ** t.logpow for t in f.radial)
+        h.append(fr * kk * p ** (1 - n) / p)
+    w60, w40 = numeric._laguerre_rule(numeric._LAG_N)[1], numeric._laguerre_rule(40)[1]
+    fine = sum(w * x for w, x in zip(w60, h))
+    coarse = sum(w * x for w, x in zip(w40, h[numeric._LAG_N:]))
+    floor = ((numeric._ROUNDOFF + sys.float_info.epsilon * pb)
+             * sum(w * abs(x) for w, x in zip(w60, h)))
+    return fine.real, abs(fine - coarse) + floor
 
 
 def _reference_transform(f, p, n, M, lo):
@@ -517,7 +599,6 @@ class TestTables:
     # the reference's must all hold
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_series_and_node_references(self, n):
-        _load()  # the references read the Laguerre rules directly
         ps = [10.0 ** (-3 + 5 * i / 20) for i in range(21)]
         window = [Fraction(a) for a in range(1 - n, 0)] + [Fraction(1, 3) - n]
         cases = [(a, lo) for a in window for lo in (0.0, 0.03, 0.3, 1.0)]
@@ -541,23 +622,22 @@ class TestTables:
                         assert abs(val - ref) <= 0.1 * err, case
                         assert err <= 10.0 * ref_err, case
 
-    def test_per_transform_work_needs_no_numpy(self, monkeypatch):
-        # once the tables are built a transform is scalar work: numpy may
-        # not be reached, untruncated or from a radius below pi/p
-        f = add(position_term(4, 1, Fraction(-2), 1), position_term(4, 3, Fraction(-3, 2), 2))
-        p = 0.7
-        calls = [lambda: hankel_numeric(f, p, 4),
-                 lambda: truncated_ft_numeric(f, p, 4, 1.0, 0.5 * math.pi / p)]
-        first = [call() for call in calls]
-
-        class NoNumpy:
-            def __getattribute__(self, name):
-                if name.startswith("__"):  # isinstance reads __class__
-                    return object.__getattribute__(self, name)
-                raise AssertionError(f"numpy.{name} reached")
-
-        monkeypatch.setattr(numeric, "np", NoNumpy())
-        assert [call() for call in calls] == first
+    def test_per_transform_work_needs_no_numpy(self):
+        # the oracle runs on the standard library: in a fresh interpreter
+        # where numpy and scipy cannot be imported, the README's CLI tour
+        # and the oracle in dims 1-10 (from the start pi and from p eps = 6,
+        # past it) give the exit codes they gave with numpy and scipy
+        tour = [shlex.split(line, comments=True)[1:] for line in README.read_text().splitlines()
+                if line.startswith("diffreg ")]
+        runs = tour + [argv for n in range(1, 11) for argv in (
+            ["oracle", "--fn", "r^-1/2*log(r^2*M^2)", "--dim", str(n), "--p", "2"],
+            ["oracle", "--fn", "r^-1", "--dim", str(n), "--p", "2", "--eps", "3"])]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _BLOCKED_PROBE, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert len(tour) == 7
+        assert json.loads(proc.stdout) == [0] * len(runs)
 
     def test_zero_function(self):
         # no term, no table: both pieces are empty sums
