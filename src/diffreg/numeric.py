@@ -14,16 +14,16 @@ splits at b = max(lo, pi/p), where lo is 0 or the truncation radius:
   and does not oscillate; fixed Gauss-Laguerre nodes integrate it.  Where
   the integrand grows, the rotated integral is the Abel-summed value.
 
-Both pieces are moment tables.  With l = log(b^2 M^2), a term c r^a L^k
-contributes c b^(a+n) times a polynomial in l whose coefficients depend on
-the dim, the exponent a, k and the start p b alone, not on p, M or c: the
-series at the panel's upper end p b = pi (_panel_moments), and the node sums
-of the unit terms on the contour (_tail_moment, over the Hankel kernel of
-_contour_table).  The start is pi for every tail from b = pi/p, so a
-transform does scalar work only, over bounded lru_cache tables that fill
-once per key in a process; a truncation radius below pi/p adds the series
-at its own end, and one beyond pi/p starts the contour elsewhere, a new
-table entry.
+Both pieces are moment tables.  With l = log(x^2 M^2) at an end x, a term
+c r^a L^k contributes c x^(a+n) times a polynomial in l whose coefficients
+depend on the dim, the exponent a, k and p x alone, not on M or c: one end
+series at p x = pi or p eps (_end_series; at pi the table _panel_moments),
+and the node sums of the unit terms on the contour (_tail_moment, over the
+Hankel kernel of _contour_table).  The start is pi for every tail from b =
+pi/p, so a transform does scalar work only, over bounded lru_cache tables
+that fill once per key in a process; a truncation radius below pi/p sums
+the end series at p eps uncached, and one beyond pi/p starts the contour
+elsewhere, a new table entry.
 
 All of it is deterministic pure Python, its Gauss-Laguerre rules and Hankel
 kernel included, and serves dims up to 10.
@@ -155,7 +155,7 @@ def gauss_flux_numeric(
     Omega_{n-1} radius^(n-1) f'(radius)."""
     if not (radius > 0 and math.isfinite(radius)):
         raise EvaluationError("radius must be finite and positive")
-    return sphere_area(n).evalf() * radius ** (n - 1) * radial_derivative(f, radius, Mval)
+    return _omega(n) * radius ** (n - 1) * radial_derivative(f, radius, Mval)
 
 
 def finite_diff_lnM(
@@ -186,6 +186,8 @@ def _radial_transform(f, p, n, Mval, lo) -> Tuple[float, float]:
     if not (p > 0 and Mval > 0):
         raise EvaluationError("p and M must be positive")
     omega = _omega(n)
+    # (float coefficient, exact exponent, log power) of each term, read once
+    terms = [(t.coeff.evalf(), t.rpow, t.logpow) for t in f.radial]
 
     # the real axis up to b, the contour from b.  Far outside the documented
     # p range a scale b^(a+n) leaves the normal floats, the profile
@@ -196,8 +198,8 @@ def _radial_transform(f, p, n, Mval, lo) -> Tuple[float, float]:
     main_val = main_err = 0.0
     try:
         if lo < b:
-            main_val, main_err = _quad_panels(f, p, n, Mval, pts)
-        tail_val, tail_err = _tail(f, p, n, Mval, b)
+            main_val, main_err = _quad_panels(terms, p, n, Mval, pts)
+        tail_val, tail_err = _tail(terms, p, n, Mval, b)
         value = omega * (main_val + tail_val)
         err = omega * (main_err + tail_err)
     except OverflowError:
@@ -254,100 +256,83 @@ def _scale(pb: float, p: float, e) -> float:
     return s
 
 
-def _quad_panels(f: PositionFunction, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
+def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
     """int_lo^b f A_n(pr) r^(n-1) dr over pts = [lo, b], b = pi/p, in closed
-    form.  With A_n(z) = sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} /
-    (2j (n+2j-2)), a term c r^s L^k, L = log(r^2 M^2), leaves int r^sig L^k
-    dr, sig = s+n-1+2j, whose antiderivative r^(sig+1)/(sig+1) sum_i
-    (-2/(sig+1))^i k!/(k-i)! L^(k-i), or L^(k+1)/(2(k+1)) at sig = -1, is
-    taken at both ends; at r = 0 it vanishes, since sig > -1 where f is
-    integrable.  At the upper end p b = pi, so the term is c b^(s+n) times a
-    polynomial in l = log(b^2 M^2) whose coefficients depend on (n, s, k)
-    alone: the table _panel_moments.  A truncation radius lo > 0 takes the
-    series at its end, x^(s+n) alpha_j (p x)^(2j), term by term.  Either
-    series runs until its last terms are below eps of the moduli summed.
-    The estimate is the series remainder plus the roundoff floor on the sum
-    of the moduli, which covers the cancellation between the ends."""
+    form, for the terms (c, s, k) of f read by _radial_transform.  With
+    A_n(z) = sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), a
+    term c r^s L^k, L = log(r^2 M^2), leaves int r^sig L^k dr, sig =
+    s+n-1+2j, whose antiderivative r^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i
+    k!/(k-i)! L^(k-i), or L^(k+1)/(2(k+1)) at sig = -1, is taken at both
+    ends; at r = 0 it vanishes, since sig > -1 where f is integrable.  At an
+    end x it is c x^(s+n) times a polynomial in l = log(x^2 M^2): one end
+    series at p x = pi or p lo (_end_series), the table _panel_moments at
+    the upper end, and summed uncached at a truncation radius lo > 0, so
+    that no radius enters the shared table.  The upper end's scale follows
+    _scale's range rule; at lo, x^(s+n) may underflow to 0, and that end is
+    then negligible.  The estimate sums |c x^(s+n) l^d| bound_d over both
+    ends: the series remainder plus the roundoff floor on the moduli, which
+    covers the cancellation between the ends."""
     lo, b = pts
-    ell = 2.0 * math.log(b * Mval)
     value = err = 0.0
-    for t in f.radial:
-        power = t.coeff.evalf() * _scale(math.pi, p, t.rpow + n)
-        for coef, bound in _panel_moments(n, t.rpow, t.logpow):
-            value += power * coef
-            err += abs(power) * bound
-            power *= ell
-    if lo:
-        low_val, low_err = _lower_end(f, p, n, Mval, lo)
-        value -= low_val
-        err += low_err
+    for x in (b, lo) if lo else (b,):
+        ell = 2.0 * math.log(x * Mval)
+        for c, s, k in terms:
+            if x == b:
+                power, moments = c * _scale(math.pi, p, s + n), _panel_moments(n, s, k)
+            else:
+                # s + n summed exactly: float(s) + n would lose digits where it nears 0
+                power, moments = -c * x ** float(s + n), _end_series(n, s, k, p * x)
+            for coef, bound in moments:
+                value += power * coef
+                err += abs(power) * bound
+                power *= ell
     return value, err
 
 
-@lru_cache(maxsize=256)
-def _panel_moments(n: int, rpow, k: int) -> Tuple[Tuple[float, float], ...]:
-    """The upper end of _quad_panels for the unit term r^rpow L^k: pairs
-    (coefficient, bound) of l^d, d = 0..k+1, with the piece [0, pi/p]
-    equal to b^(rpow+n) sum_d coefficient l^d.  The series in j runs at
-    p b = pi and at the exact e2 = rpow+n+2j, past e2 = 0, whose term
-    alpha_j pi^(2j) l^(k+1)/(2k+2) is the only one of degree k+1, until
-    the last term of every power of l is below eps of its moduli.  A bound
-    is that last term plus the roundoff floor on the moduli."""
+def _end_series(n: int, rpow, k: int, z: float) -> Tuple[Tuple[float, float], ...]:
+    """The antiderivative of _quad_panels for the unit term r^rpow L^k at an
+    end x with p x = z: pairs (coefficient, bound) of l^d, d = 0..k+1, l =
+    log(x^2 M^2), with the antiderivative equal to x^(rpow+n) sum_d
+    coefficient l^d.  The series in j runs at the exact e2 = rpow+n+2j, past
+    e2 = 0, whose term alpha_j z^(2j) l^(k+1)/(2k+2) is the only one of
+    degree k+1, until the last term of every power of l is below eps of its
+    moduli.  A bound is that last term plus the roundoff floor on the
+    moduli."""
     coef = [0.0] * (k + 2)
     size = [0.0] * (k + 2)
     last = [0.0] * (k + 2)
-    w = 1.0  # alpha_j pi^(2j)
+    # sig + 1 = e2 = rpow+n+2j = top/den exactly, in integers: the series
+    # runs per call at a truncation radius, where Fraction arithmetic costs
+    # more than the sum, and int / int rounds as float(Fraction) does
+    top, den = (rpow + n).as_integer_ratio()
+    w = 1.0  # alpha_j z^(2j)
     for j in range(32):
         if j:
-            w *= -math.pi ** 2 / (2 * j * (n + 2 * j - 2))
-        e2 = rpow + n + 2 * j  # sig + 1, exact
-        if e2 == 0:
+            w *= -z ** 2 / (2 * j * (n + 2 * j - 2))
+            top += 2 * den
+        if top == 0:
             coef[k + 1] = w / (2 * k + 2)
             size[k + 1] = abs(coef[k + 1])
             continue
+        e2 = top / den
         for i in range(k + 1):
-            v = w * math.perm(k, i) * (-2.0) ** i / float(e2) ** (i + 1)
+            v = w * math.perm(k, i) * (-2.0) ** i / e2 ** (i + 1)
             last[k - i] = abs(v)
             coef[k - i] += v
             size[k - i] += last[k - i]
-        if e2 > 0 and all(last[d] <= _EPS * size[d] for d in range(k + 1)):
+        if top > 0 and all(last[d] <= _EPS * size[d] for d in range(k + 1)):
             break
     return tuple((c, r + _ROUNDOFF * m) for c, m, r in zip(coef, size, last))
 
 
-def _lower_end(f: PositionFunction, p, n, Mval, x) -> Tuple[float, float]:
-    """The antiderivative of _quad_panels at a truncation radius x < pi/p,
-    with its estimate: the last j-block plus the roundoff floor.  The series
-    runs past the last e2 <= 0, like the table's."""
-    L = 2.0 * math.log(x * Mval)
-    # s + n summed exactly: float(s) + n would lose digits where it nears 0
-    terms = [(t.coeff.evalf() * x ** float(t.rpow + n), float(t.rpow + n), t.logpow)
-             for t in f.radial]
-    low = min((e for _, e, _ in terms), default=0.0)
-    parts = []
-    size = 0.0
-    w = 1.0  # alpha_j (p x)^(2j)
-    for j in range(32):
-        if j:
-            w *= -(p * x) ** 2 / (2 * j * (n + 2 * j - 2))
-        block = []
-        for c, e, k in terms:
-            e2 = e + 2 * j  # sig + 1
-            if e2 == 0.0:
-                block.append(c * w * L ** (k + 1) / (2 * k + 2))
-            else:
-                block.extend(c * w / e2 * (-2.0 / e2) ** i * math.perm(k, i)
-                             * L ** (k - i) for i in range(k + 1))
-        parts.extend(block)
-        last = math.fsum(abs(v) for v in block)
-        size += last
-        # not before the last e2 <= 0: at L = 0 a block can vanish early
-        if last <= _EPS * size and low + 2 * j > 0:
-            break
-    return math.fsum(parts), last + _ROUNDOFF * size
+@lru_cache(maxsize=256)
+def _panel_moments(n: int, rpow, k: int) -> Tuple[Tuple[float, float], ...]:
+    """_end_series at the panel's upper end p b = pi, shared by every
+    transform: the piece [0, pi/p] is b^(rpow+n) sum_d coefficient l^d."""
+    return _end_series(n, rpow, k, math.pi)
 
 
-def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
+def _tail(terms, p, n, Mval, b) -> Tuple[float, float]:
     """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
     J_nu = Re H1_nu it is the real part of int_0^inf h(u) e^{-u} du, h =
     (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} r^(n-1) at z = p r:
@@ -365,15 +350,15 @@ def _tail(f: PositionFunction, p, n, Mval, b) -> Tuple[float, float]:
     the roundoff floor, and the rounding of the phase p b, which moves the
     lower end by up to eps b.  The profile itself must be a float at b: a
     term c r^a L^k that overflows there (r^-1 log^3 in dim 2 at p = 1e300)
-    is out of range, even where its transform is a float."""
+    is out of range, even where its transform is a float.  f comes as the
+    terms (c, a, k) that _radial_transform reads."""
     pb = math.pi if b == math.pi / p else p * b
     ell = 2.0 * math.log(b * Mval)
     fine = diff = floor = 0.0
-    for t in f.radial:
-        a, k = t.rpow, t.logpow
+    for c, a, k in terms:
         if b ** float(a) * abs(ell) ** k == math.inf:
             raise OverflowError
-        s = t.coeff.evalf() * _scale(pb, p, a + n)
+        s = c * _scale(pb, p, a + n)
         for j in range(k + 1):
             q60, q_diff, q_floor = _tail_moment(n, pb, a, j)
             w = s * math.comb(k, j) * ell ** (k - j)

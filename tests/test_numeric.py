@@ -20,7 +20,7 @@ from diffreg.algebra import PositionFunction, add, delta_term, eval_momentum, po
 from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
 from diffreg.fourier import fourier_base
 from diffreg import numeric
-from diffreg.coeffs import sphere_area
+from diffreg.coeffs import Coefficient, sphere_area
 from diffreg.numeric import (
     _hankel_scaled,
     _laguerre_rule,
@@ -239,6 +239,22 @@ class TestTruncated:
         assert abs(float(ref) - val) <= err
         assert err <= 1e-6 * abs(val) + 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-40, 1e-50, 1e-200, 1e-300, 1e-308])
+    @pytest.mark.parametrize("n, a, k", [(4, Fraction(-1), 0), (4, Fraction(-1), 1),
+                                         (4, Fraction(-1), 3), (10, Fraction(-1), 0),
+                                         (10, Fraction(-1), 1), (10, Fraction(-1), 3),
+                                         (2, Fraction(-1, 2), 0)])
+    def test_tiny_radius_is_the_full_transform(self, n, a, k, eps):
+        # the ball r < eps holds next to nothing of an integrable term, and
+        # eps^(a+n) underflows to 0 from 1e-200 (1e-308 is subnormal): the
+        # truncated transform is the full one, never out of range
+        f = position_term(n, 1, a, k)
+        for p in (1e-3, 1.0, 1e2):
+            for M in (0.5, 2.0):
+                full, full_err = hankel_numeric(f, p, n, M)
+                trunc, trunc_err = truncated_ft_numeric(f, p, n, M, eps)
+                assert abs(trunc - full) <= full_err + trunc_err, (p, M)
+
 
 class TestAccuracyGrid:
     # every power r^a in the Fourier window -n < a < 0, log powers 0-2,
@@ -304,8 +320,8 @@ class TestOriginPanel:
                     for k in range(4):
                         tol = 1e-11 * math.factorial(k) * max(1, 2 / m) ** (k + 1) if a else 1e-12
                         for M in (0.5, 1.0, 2.0):
-                            f = position_term(n, 1, e - n, k)
-                            val, err = _quad_panels(f, p, n, M, [a, b])
+                            # the unit term r^(e-n) L^k as (coefficient, exponent, log power)
+                            val, err = _quad_panels([(1.0, e - n, k)], p, n, M, [a, b])
                             logm = 2 * mp.log(M)
 
                             def g(t):
@@ -387,8 +403,7 @@ class TestContour:
                 for p in (1e-3, 1e2):
                     for a, k in ((1 - n, 3), (-1, 0), (-1, 3)):
                         for M in (0.5, 2.0):
-                            f = position_term(n, 1, Fraction(a), k)
-                            val, err = _tail(f, p, n, M, pb / p)
+                            val, err = _tail([(1.0, Fraction(a), k)], p, n, M, pb / p)
                             terms = [K / p * (z / p) ** (a + n - 1)
                                      * mp.log((z / p) ** 2 * M * M) ** k
                                      for z, K in zip(zs, kern)]
@@ -508,7 +523,7 @@ class TestContour:
                         for M in (0.5, 1.0, 2.0):
                             h = r ** a * (2.0 * np.log(r * M)) ** k * kernel
                             ref = float((h @ weights).real)
-                            val, err = _tail(position_term(n, 1, Fraction(a), k), p, n, M, b)
+                            val, err = _tail([(1.0, Fraction(a), k)], p, n, M, b)
                             assert abs(val - ref) <= 0.1 * err, (pb, p, a, k, M)
 
 
@@ -621,6 +636,40 @@ class TestTables:
                         assert status == "ok", case
                         assert abs(val - ref) <= 0.1 * err, case
                         assert err <= 10.0 * ref_err, case
+
+    def test_one_float_per_coefficient_per_transform(self, monkeypatch):
+        # the transform reads each coefficient as a float once, and both
+        # ends of the real-axis panel and the tail share it
+        f = add(position_term(4, 1, Fraction(-2), 1),
+                position_term(4, Fraction(-3, 7), Fraction(-3, 2), 2))
+        calls = [lambda: hankel_numeric(f, 0.7, 4),
+                 lambda: truncated_ft_numeric(f, 0.7, 4, 2.0, 0.3)]
+        warm = [call() for call in calls]
+        count = []
+        original = Coefficient.evalf
+
+        def counting(self):
+            count.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Coefficient, "evalf", counting)
+        for call, value in zip(calls, warm):
+            count.clear()
+            assert call() == value
+            assert len(count) == len(f.radial)
+
+    def test_truncation_radius_leaves_the_shared_table(self):
+        # the end series at a truncation radius below pi/p is summed per
+        # call: no radius enters or evicts an entry of the upper end's table
+        f = add(position_term(4, 1, Fraction(-2), 1),
+                position_term(4, Fraction(-3, 7), Fraction(-6), 3))
+        p = 0.7
+        truncated_ft_numeric(f, p, 4, 1.0, 1.0)
+        before = numeric._panel_moments.cache_info()
+        for i in range(50):
+            truncated_ft_numeric(f, p, 4, 1.0, (i + 1) / 51 * math.pi / p)
+        after = numeric._panel_moments.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
     def test_per_transform_work_needs_no_numpy(self):
         # the oracle runs on the standard library: in a fresh interpreter
