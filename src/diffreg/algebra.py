@@ -13,11 +13,10 @@ common case, then hash, sort and shift as plain ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .coeffs import ZERO, Coefficient, as_exponent
+from .coeffs import ZERO, Coefficient, Record, as_exponent
 from .errors import (
     DimensionMismatchError,
     DistributionProductError,
@@ -25,46 +24,55 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RadialTerm:
-    coeff: Coefficient
-    rpow: int | Fraction  # r^rpow; an int when integral
-    logpow: int = 0  # log(r^2 M^2)^logpow
+class RadialTerm(Record):
+    __slots__ = ("coeff", "rpow", "logpow")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rpow", as_exponent(self.rpow))
-        if self.logpow < 0:
+    def __init__(self, coeff: Coefficient, rpow: int | Fraction, logpow: int = 0):
+        # coeff * r^rpow * log(r^2 M^2)^logpow, rpow an int when integral
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "rpow", as_exponent(rpow))
+        object.__setattr__(self, "logpow", logpow)
+        if logpow < 0:
             raise ValueError("logpow must be non-negative")
 
 
-@dataclass(frozen=True)
-class LocalTerm:
-    coeff: Coefficient
-    boxpow: int = 0  # coeff * box^boxpow delta^n(x)
+class LocalTerm(Record):
+    __slots__ = ("coeff", "boxpow")
 
-    def __post_init__(self):
-        if self.boxpow < 0:
+    def __init__(self, coeff: Coefficient, boxpow: int = 0):
+        # coeff * box^boxpow delta^n(x)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "boxpow", boxpow)
+        if boxpow < 0:
             raise ValueError("boxpow must be non-negative")
 
 
-@dataclass(frozen=True)
-class MomentumTerm:
-    coeff: Coefficient
-    ppow: int | Fraction  # p^ppow; an int when integral
-    logpow: int = 0  # log(p^2/M^2)^logpow
+class MomentumTerm(Record):
+    __slots__ = ("coeff", "ppow", "logpow")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ppow", as_exponent(self.ppow))
-        if self.logpow < 0:
+    def __init__(self, coeff: Coefficient, ppow: int | Fraction, logpow: int = 0):
+        # coeff * p^ppow * log(p^2/M^2)^logpow, ppow an int when integral
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "ppow", as_exponent(ppow))
+        object.__setattr__(self, "logpow", logpow)
+        if logpow < 0:
             raise ValueError("logpow must be non-negative")
 
 
-@dataclass(frozen=True)
-class PositionFunction:
-    dim: int
-    radial: Tuple[RadialTerm, ...] = ()
-    local: Tuple[LocalTerm, ...] = ()
-    flags: Tuple[str, ...] = ()
+class PositionFunction(Record):
+    __slots__ = ("dim", "radial", "local", "flags")
+
+    def __init__(
+        self,
+        dim: int,
+        radial: tuple[RadialTerm, ...] = (),
+        local: tuple[LocalTerm, ...] = (),
+        flags: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "radial", radial)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "flags", flags)
 
     @classmethod
     def build(cls, dim, radial=(), local=(), flags=()) -> "PositionFunction":
@@ -91,12 +99,20 @@ class PositionFunction:
         return not self.radial and not self.local
 
 
-@dataclass(frozen=True)
-class MomentumFunction:
-    dim: int
-    terms: Tuple[MomentumTerm, ...] = ()
-    local_poly: Tuple[Tuple[Coefficient, int], ...] = ()  # coeff * (-p^2)^j
-    flags: Tuple[str, ...] = ()
+class MomentumFunction(Record):
+    __slots__ = ("dim", "terms", "local_poly", "flags")
+
+    def __init__(
+        self,
+        dim: int,
+        terms: tuple[MomentumTerm, ...] = (),
+        local_poly: tuple[tuple[Coefficient, int], ...] = (),  # coeff * (-p^2)^j
+        flags: tuple[str, ...] = (),
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "local_poly", local_poly)
+        object.__setattr__(self, "flags", flags)
 
     @classmethod
     def build(cls, dim, terms=(), local_poly=(), flags=()) -> "MomentumFunction":
@@ -137,7 +153,7 @@ class MomentumFunction:
         return not self.terms and not self.local_poly
 
 
-AnyFunction = Union[PositionFunction, MomentumFunction]
+AnyFunction = PositionFunction | MomentumFunction
 
 
 # -- construction helpers ----------------------------------------------
@@ -235,7 +251,7 @@ def _times(q: int, x):
     return x if q == 1 else q * x
 
 
-def log_power_map(c: Coefficient, k: int, d: Sequence) -> List[Tuple[int, Coefficient]]:
+def log_power_map(c: Coefficient, k: int, d: Sequence) -> list[tuple[int, Coefficient]]:
     """c L^k -> sum_i C(k, i) d_i c L^(k-i) as (log power, coefficient) pairs,
     none for a zero d_i.  A log power is a derivative in the exponent, so this
     is how a map that multiplies a power by f(s) acts on log powers, with d_i
@@ -249,13 +265,13 @@ def log_power_map(c: Coefficient, k: int, d: Sequence) -> List[Tuple[int, Coeffi
     ]
 
 
-def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> Dict[int, Coefficient]:
+def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> dict[int, Coefficient]:
     """The nonzero x[k] with sum_k log_power_map(x[k], k, d) = sum_j y[j] L^j,
     by back-substitution from the top log power.  With nu the index of the
     first nonzero d_i, the L^j equation fixes x[j + nu]; the components below
     nu span the map's kernel and are pinned to zero."""
     nu = next(i for i, di in enumerate(d) if _nonzero(di))
-    x: Dict[int, Coefficient] = {}
+    x: dict[int, Coefficient] = {}
     for j in range(max(y, default=-1), -1, -1):
         rhs = y.get(j, ZERO)
         for i in range(nu + 1, len(d)):

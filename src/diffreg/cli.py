@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from typing import List, Optional
 
 from . import __version__
 from .algebra import eval_momentum, scale
@@ -27,7 +26,7 @@ from .regulate import find_representation
 from .surface import leading_divergence, surface_expansion
 
 
-def _fmt(x: Optional[float]) -> Optional[str]:
+def _fmt(x: float | None) -> str | None:
     if x is None:
         return None
     return format(x, ".17g")
@@ -56,9 +55,9 @@ class _Report:
         self.command = command
         self.inputs = inputs
         self.symbolic = {"text": "", "terms": []}
-        self.checks: List[dict] = []
-        self.flags: List[str] = []
-        self.error: Optional[dict] = None
+        self.checks: list[dict] = []
+        self.flags: list[str] = []
+        self.error: dict | None = None
 
     def set_symbolic(self, text: str, terms=None):
         self.symbolic = {"text": text, "terms": terms or []}
@@ -69,7 +68,7 @@ class _Report:
                             "abs_err": _fmt(abs_err), "rel_err": _fmt(rel_err),
                             "pass": bool(ok)})
 
-    def check(self, name: str, expected: Optional[float], actual: Optional[float],
+    def check(self, name: str, expected: float | None, actual: float | None,
               tol: float) -> None:
         abs_err = rel_err = None
         ok = True
@@ -80,7 +79,7 @@ class _Report:
         self._add_check(name, expected, actual, abs_err, rel_err, ok)
 
     def defect_check(self, name: str, model: float, trunc: float, tol_defect: float,
-                     prev: Optional[float] = None) -> float:
+                     prev: float | None = None) -> float:
         """Record the defect |trunc - model| of the surface identity.  It
         passes within max(tol_defect, 5% of |trunc|) and, when the defect
         at the previous eps of a grid is given, no more than 20% above it.
@@ -370,7 +369,7 @@ _HANDLERS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -19,15 +19,15 @@ a dict and sort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Tuple
+from operator import attrgetter
 
 from .errors import DiffRegError, SymbolSetError
 
 # Exponent order: (pi, gammaE, ln2, zeta3).
-Monomial = Tuple[int, int, int, int]
+Monomial = tuple[int, int, int, int]
 
 GAMMA_E_VALUE = 0.5772156649015328606
 ZETA3_VALUE = 1.2020569031595942854
@@ -58,12 +58,53 @@ def as_exponent(x) -> int | Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Record:
+    """Base of the package's immutable values.  A subclass declares its
+    fields, in order, as a tuple ``__slots__`` and sets them in its
+    ``__init__`` with ``object.__setattr__``; the base compares, hashes,
+    prints and pickles a record as its tuple of field values.  Records are
+    equal only when their classes are the same and their fields are equal,
+    so a record never equals a tuple or a record of another class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # with one name attrgetter returns the bare value, not a 1-tuple
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self):
+        # rebuilt through __init__, since the slots refuse assignment
+        return type(self), self._fields(self)
+
+
+class Coefficient(Record):
     """Normalized sum of monomials: tuple of (exponents, rational) pairs,
     sorted by exponent tuple, with no zero rationals."""
 
-    terms: Tuple[Tuple[Monomial, Fraction], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors -------------------------------------------------
 
@@ -215,7 +256,7 @@ ZETA3 = Coefficient.monomial(1, zeta3=1)
 # -- exact special values ---------------------------------------------
 
 
-def _lattice(x) -> Tuple[int, bool]:
+def _lattice(x) -> tuple[int, bool]:
     """(m, half) with x = m + half/2, for x on the positive (half-)integer
     lattice, the one set where the exact layer's constants stay inside
     the symbol set."""
@@ -228,7 +269,7 @@ def _lattice(x) -> Tuple[int, bool]:
     return int(x), x.denominator == 2
 
 
-def gamma_exact(x: Fraction) -> Tuple[Fraction, int]:
+def gamma_exact(x: Fraction) -> tuple[Fraction, int]:
     """Gamma(x) for positive integer or half-integer x, as
     (rational, h) meaning rational * pi**(h/2) with h in {0, 1}."""
     m, half = _lattice(x)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
 
 from .algebra import (
     LocalTerm,
@@ -34,7 +33,7 @@ from .errors import DiffRegError, FourierWindowError, SymbolSetError
 MAX_EXACT_LOGPOW = 3
 
 
-def term_route(t: RadialTerm, n: int) -> Optional[str]:
+def term_route(t: RadialTerm, n: int) -> str | None:
     """Which transform applies to one radial term in dimension n: "exact"
     for an integral rpow in the open window -n < rpow < 0 with log power
     <= MAX_EXACT_LOGPOW, exactly the terms master_coefficients accepts;
@@ -58,7 +57,7 @@ def fourier_safe(f: PositionFunction) -> bool:
 
 
 @lru_cache(maxsize=256, typed=True)
-def master_coefficients(aprime: Fraction, n: int, depth: int) -> Tuple[Coefficient, ...]:
+def master_coefficients(aprime: Fraction, n: int, depth: int) -> tuple[Coefficient, ...]:
     """The tuple (C, C', ..., C^(depth)) where C(a') is the master-formula
     constant pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  The one gate of
     the exact transform: the term r^{-2a'} log^depth must lie in the open

@@ -34,8 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Callable, Sequence
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
 
 from .algebra import PositionFunction, position_term, radial_derivative
 from .coeffs import sphere_area
@@ -47,7 +47,7 @@ _LAG_N = 60  # contour nodes; the estimate compares them with 40
 
 
 @lru_cache(maxsize=8)
-def _laguerre_rule(n: int, alpha: float = 0.0) -> Tuple[Tuple[float, ...], ...]:
+def _laguerre_rule(n: int, alpha: float = 0.0) -> tuple[tuple[float, ...], ...]:
     """Gauss-Laguerre nodes and weights for the weight x^alpha e^-x, from the
     three-term recurrence of the orthonormal Laguerre polynomials q_k: each
     node by Newton's method on q_n from the Stroud-Secrest guess, and the
@@ -121,7 +121,7 @@ def angular_kernel(n: int, z: float) -> float:
 
 def hankel_numeric(
     f: PositionFunction, p: float, n: int, Mval: float = 1.0
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Radial Fourier transform at momentum p; returns (value, errEstimate)."""
     if not isinstance(f, PositionFunction):
         raise EvaluationError("the oracle transforms power-log functions only")
@@ -139,7 +139,7 @@ def hankel_numeric(
 
 def truncated_ft_numeric(
     f: PositionFunction, p: float, n: int, Mval: float, epsilon: float
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Transform restricted to the region r > epsilon."""
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise EvaluationError("epsilon must be finite and positive")
@@ -178,7 +178,7 @@ def finite_diff_lnM(
 _MAX_DIM = 10
 
 
-def _radial_transform(f, p, n, Mval, lo) -> Tuple[float, float]:
+def _radial_transform(f, p, n, Mval, lo) -> tuple[float, float]:
     if n > _MAX_DIM:
         raise EvaluationError(f"the oracle serves dims up to {_MAX_DIM}, not dim {n}")
     if not (math.isfinite(p) and math.isfinite(Mval)):
@@ -228,7 +228,7 @@ def _omega(n: int) -> float:
     return sphere_area(n).evalf()
 
 
-def _panel_points(lo: float, p: float) -> List[float]:
+def _panel_points(lo: float, p: float) -> list[float]:
     """The real-axis piece [lo, b], b = max(lo, pi/p), where the contour
     takes over; it is empty when lo >= pi/p."""
     return [lo, max(lo, math.pi / p)]
@@ -256,7 +256,7 @@ def _scale(pb: float, p: float, e) -> float:
     return s
 
 
-def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]:
+def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> tuple[float, float]:
     """int_lo^b f A_n(pr) r^(n-1) dr over pts = [lo, b], b = pi/p, in closed
     form, for the terms (c, s, k) of f read by _radial_transform.  With
     A_n(z) = sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), a
@@ -289,7 +289,7 @@ def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> Tuple[float, float]
     return value, err
 
 
-def _end_series(n: int, rpow, k: int, z: float) -> Tuple[Tuple[float, float], ...]:
+def _end_series(n: int, rpow, k: int, z: float) -> tuple[tuple[float, float], ...]:
     """The antiderivative of _quad_panels for the unit term r^rpow L^k at an
     end x with p x = z: pairs (coefficient, bound) of l^d, d = 0..k+1, l =
     log(x^2 M^2), with the antiderivative equal to x^(rpow+n) sum_d
@@ -326,13 +326,13 @@ def _end_series(n: int, rpow, k: int, z: float) -> Tuple[Tuple[float, float], ..
 
 
 @lru_cache(maxsize=256)
-def _panel_moments(n: int, rpow, k: int) -> Tuple[Tuple[float, float], ...]:
+def _panel_moments(n: int, rpow, k: int) -> tuple[tuple[float, float], ...]:
     """_end_series at the panel's upper end p b = pi, shared by every
     transform: the piece [0, pi/p] is b^(rpow+n) sum_d coefficient l^d."""
     return _end_series(n, rpow, k, math.pi)
 
 
-def _tail(terms, p, n, Mval, b) -> Tuple[float, float]:
+def _tail(terms, p, n, Mval, b) -> tuple[float, float]:
     """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
     J_nu = Re H1_nu it is the real part of int_0^inf h(u) e^{-u} du, h =
     (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} r^(n-1) at z = p r:
@@ -369,7 +369,7 @@ def _tail(terms, p, n, Mval, b) -> Tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _contour_table(n: int, pb: float) -> Tuple[Tuple[complex, ...], Tuple[complex, ...]]:
+def _contour_table(n: int, pb: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """The contour from p r = pb, shared by every tail that starts there:
     the nodes z = pb + i x_k (the 60 Gauss-Laguerre nodes, then the 40),
     and the kernel i e^{i pb} Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} z^(n-1)
@@ -387,7 +387,7 @@ def _contour_table(n: int, pb: float) -> Tuple[Tuple[complex, ...], Tuple[comple
 # the window exponents of dims 2-10 with log powers 0-3 take 180 entries at
 # the start pi; the rest is room for starts past pi and other exponents
 @lru_cache(maxsize=1024)
-def _tail_moment(n: int, pb: float, rpow, j: int) -> Tuple[complex, complex, float]:
+def _tail_moment(n: int, pb: float, rpow, j: int) -> tuple[complex, complex, float]:
     """The moments of the unit term (z/pb)^rpow (2 log(z/pb))^j on the
     contour table (n, pb): its 60-node sum Q60 of h, Q60 - Q40, and the
     floor (roundoff + eps pb) sum w |h| over the 60 nodes, h from

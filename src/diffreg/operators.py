@@ -16,10 +16,9 @@ carries a flag instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
 
 from .algebra import (
     LocalTerm,
@@ -29,20 +28,22 @@ from .algebra import (
     RadialTerm,
     log_power_map,
 )
-from .coeffs import ONE, Coefficient, sphere_area
+from .coeffs import ONE, Coefficient, Record, sphere_area
 from .errors import DiffRegError
 
 RESONANCE_FLAG = "distributional part undetermined"
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(Record):
     """sum_k c_k box^k with exact coefficients; stored sparse and sorted."""
 
-    coeffs: Tuple[Tuple[int, Coefficient], ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[tuple[int, Coefficient], ...] = ()):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def build(cls, coeffs: Dict[int, Coefficient]) -> "DiffOperator":
+    def build(cls, coeffs: dict[int, Coefficient]) -> "DiffOperator":
         items = []
         for k, c in sorted(coeffs.items()):
             if k < 0:
@@ -85,7 +86,7 @@ class DiffOperator:
 @lru_cache(maxsize=256)
 def box_derivatives(
     s: int | Fraction, m: int, n: int, depth: int | None = None
-) -> Tuple[int | Fraction, ...]:
+) -> tuple[int | Fraction, ...]:
     """d_i = 2^i c_m^(i)(s) for i < depth (all 2m + 1 when depth is None):
     the log-power map's d for box^m on r^s in n dimensions, as a bounded
     table.  c L^k reads only d_0 .. d_k, so depth k + 1 keeps the product
@@ -99,7 +100,7 @@ def box_derivatives(
     return tuple(2 ** i * math.factorial(i) * ai for i, ai in enumerate(a))
 
 
-def laplacian_radial(dim: int, terms: Iterable[RadialTerm]) -> List[RadialTerm]:
+def laplacian_radial(dim: int, terms: Iterable[RadialTerm]) -> list[RadialTerm]:
     """Away-from-origin Laplacian of radial terms: the log-power map with
     d = box_derivatives(a, 1, dim) = (a(a+dim-2), 2(2a+dim-2), 8).  One
     step, term by term and unmerged; :func:`apply_operator` does not iterate
@@ -116,11 +117,11 @@ def apply_laplacian(f: PositionFunction) -> PositionFunction:
     return apply_operator(DiffOperator.box(), f)
 
 
-def _box_image(s, block: Dict[int, Coefficient], m: int, n: int) -> Dict[int, Coefficient]:
+def _box_image(s, block: dict[int, Coefficient], m: int, n: int) -> dict[int, Coefficient]:
     """box^m of sum_k block[k] r^s L^k at r^(s - 2m), merged per log power
     with the zeros dropped."""
     d = box_derivatives(s, m, n, max(block) + 1)
-    out: Dict[int, Coefficient] = {}
+    out: dict[int, Coefficient] = {}
     for k, c in block.items():
         for j, cj in log_power_map(c, k, d):
             out[j] = out[j] + cj if j in out else cj
@@ -140,11 +141,11 @@ def apply_operator(L: DiffOperator, f: PositionFunction) -> PositionFunction:
         return PositionFunction.build(n)
     if L.degree and n < 2:
         raise DiffRegError("Laplacian action requires dim >= 2")
-    blocks: Dict[int | Fraction, Dict[int, Coefficient]] = {}
+    blocks: dict[int | Fraction, dict[int, Coefficient]] = {}
     for t in f.radial:
         blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
-    radial: List[RadialTerm] = []
-    local: List[LocalTerm] = []
+    radial: list[RadialTerm] = []
+    local: list[LocalTerm] = []
     flags = list(f.flags)
     for k, c in L.coeffs:
         # a pure power box^k, the common case, needs no product by c

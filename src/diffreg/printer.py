@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import List
 
 from .algebra import MomentumFunction, PositionFunction
 from .coeffs import SYMBOL_NAMES, Coefficient
@@ -18,7 +17,7 @@ _LOG_P = "log(p^2/M^2)"
 
 
 def _format_monomial(mono, q: Fraction) -> str:
-    parts: List[str] = []
+    parts: list[str] = []
     if abs(q) != 1 or not any(mono):
         try:
             parts.append(str(abs(q)))
@@ -49,7 +48,7 @@ def _coeff_factor(c: Coefficient) -> tuple:
     return sign, body if body else None
 
 
-def _join_terms(rendered: List[tuple]) -> str:
+def _join_terms(rendered: list[tuple]) -> str:
     if not rendered:
         return "0"
     out = ""
@@ -61,13 +60,13 @@ def _join_terms(rendered: List[tuple]) -> str:
     return out
 
 
-def _power_suffix(var: str, pw: int | Fraction) -> List[str]:
+def _power_suffix(var: str, pw: int | Fraction) -> list[str]:
     if pw == 0:
         return []
     return [f"{var}^{pw}"]
 
 
-def _product(sign: str, factors: List[str], divisors: List[str]) -> tuple:
+def _product(sign: str, factors: list[str], divisors: list[str]) -> tuple:
     if not factors:
         factors = ["1"]
     if len(factors) > 1 and factors[0] == "1":

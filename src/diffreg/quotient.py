@@ -15,12 +15,13 @@ structure on the momentum side, so the residual is data, not a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 from .algebra import (
     PositionFunction,
     eval_momentum,
     mul,
 )
+from .coeffs import Record
 from .errors import DiffRegError, EvaluationError
 from .fourier import fourier_base, fourier_formal, fourier_safe, term_route
 from .numeric import hankel_numeric
@@ -28,46 +29,59 @@ from .printer import format_position
 from .regulate import find_representation
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """eps(b) = b-hat(p0) on the Fourier-safe subalgebra."""
 
-    p0: float
-    dim: int
-    Mval: float = 1.0
+    __slots__ = ("p0", "dim", "Mval")
 
-    def __post_init__(self):
+    def __init__(self, p0: float, dim: int, Mval: float = 1.0):
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "Mval", Mval)
         # "not p0 > 0" rather than "p0 <= 0", so that nan is rejected too
-        if not (self.p0 > 0 and math.isfinite(self.p0)):
+        if not (p0 > 0 and math.isfinite(p0)):
             raise ValueError("character momentum must be finite and positive")
-        if not math.isfinite(self.Mval):
+        if not math.isfinite(Mval):
             raise ValueError("character mass scale must be finite")
 
 
-@dataclass(frozen=True)
-class IdealElement:
+class IdealElement(Record):
     """Formal pair representing a (b - eps(b)) with b Fourier-safe."""
 
-    a: PositionFunction
-    b: PositionFunction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.dim != self.b.dim:
+    def __init__(self, a: PositionFunction, b: PositionFunction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if a.dim != b.dim:
             raise DiffRegError("ideal factors must share a dimension")
-        if not fourier_safe(self.b):
+        if not fourier_safe(b):
             raise DiffRegError("ideal factor b must be Fourier-safe")
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    residual: float
-    err_estimate: float  # bound on the residual's quadrature error, 0 if exact
-    value_ab: float
-    value_a: float
-    character_value: float
-    route_ab: str
-    elem: IdealElement
-    character: Character
+class AuditReport(Record):
+    __slots__ = ("residual", "err_estimate", "value_ab", "value_a",
+                 "character_value", "route_ab", "elem", "character")
+
+    def __init__(
+        self,
+        residual: float,
+        err_estimate: float,  # bound on the residual's quadrature error, 0 if exact
+        value_ab: float,
+        value_a: float,
+        character_value: float,
+        route_ab: str,
+        elem: IdealElement,
+        character: Character,
+    ):
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "value_ab", value_ab)
+        object.__setattr__(self, "value_a", value_a)
+        object.__setattr__(self, "character_value", character_value)
+        object.__setattr__(self, "route_ab", route_ab)
+        object.__setattr__(self, "elem", elem)
+        object.__setattr__(self, "character", character)
 
 
 def character_eval(b: PositionFunction, ch: Character) -> float:

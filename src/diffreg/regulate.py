@@ -25,9 +25,7 @@ resonance lifts its log power above 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
 
 from .algebra import (
     MomentumFunction,
@@ -37,22 +35,30 @@ from .algebra import (
     log_power_solve,
     sub,
 )
-from .coeffs import Coefficient, LN2, ONE
+from .coeffs import Coefficient, LN2, ONE, Record
 from .errors import DiffRegError, NotRepresentableError
 from .fourier import fourier_base, term_route
 from .operators import DiffOperator, apply_operator, box_derivatives
 from .operators import multiply_by_symbol, operator_symbol
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Pair (L, g): apply_operator(L, g) equals target away from r = 0,
     and g has an exact Fourier transform."""
 
-    L: DiffOperator
-    g: PositionFunction
-    target: PositionFunction
-    note: str = "equality holds for r != 0"
+    __slots__ = ("L", "g", "target", "note")
+
+    def __init__(
+        self,
+        L: DiffOperator,
+        g: PositionFunction,
+        target: PositionFunction,
+        note: str = "equality holds for r != 0",
+    ):
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "note", note)
 
 
 def find_representation(
@@ -67,7 +73,7 @@ def find_representation(
         raise NotRepresentableError("target must be radial-only")
     if not target.radial:
         raise NotRepresentableError("target is identically zero")
-    blocks: Dict[int, Dict[int, Coefficient]] = {}
+    blocks: dict[int, dict[int, Coefficient]] = {}
     for t in target.radial:
         if term_route(t, n) != "regulated":
             raise NotRepresentableError(
@@ -98,13 +104,20 @@ def find_representation(
     )
 
 
-@dataclass(frozen=True)
-class MassShift:
+class MassShift(Record):
     """Exact effect of M -> lambda M on a representation."""
 
-    seed_shift: PositionFunction  # g_{lambda M} - g_M
-    image_shift: PositionFunction  # L applied to seed_shift (purely local)
-    momentum_shift: MomentumFunction  # change of the formal transform
+    __slots__ = ("seed_shift", "image_shift", "momentum_shift")
+
+    def __init__(
+        self,
+        seed_shift: PositionFunction,  # g_{lambda M} - g_M
+        image_shift: PositionFunction,  # L applied to seed_shift (purely local)
+        momentum_shift: MomentumFunction,  # change of the formal transform
+    ):
+        object.__setattr__(self, "seed_shift", seed_shift)
+        object.__setattr__(self, "image_shift", image_shift)
+        object.__setattr__(self, "momentum_shift", momentum_shift)
 
 
 def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:

@@ -18,10 +18,8 @@ mm <= 0; the rest is the declared remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
     MomentumFunction,
@@ -29,12 +27,12 @@ from .algebra import (
     eval_momentum,
     log_power_map,
 )
-from .coeffs import Coefficient, sphere_area
+from .coeffs import Coefficient, Record, sphere_area
 from .errors import DiffRegError
 from .operators import DiffOperator, box_derivatives
 
 
-def angular_series(n: int, order: int) -> List[Fraction]:
+def angular_series(n: int, order: int) -> list[Fraction]:
     """Taylor coefficients of the spherical plane-wave average
     A_n(z) = sum_i alpha_i z^(2i), alpha_i = (-1/4)^i Gamma(n/2)/(i! Gamma(n/2+i)).
     The ratio of Gammas is rational for every n, so the coefficients are
@@ -47,18 +45,26 @@ def angular_series(n: int, order: int) -> List[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class SurfaceExpansion:
+class SurfaceExpansion(Record):
     """Entries (eps_pow m <= 0, log_pow k) -> exact value (a function of p),
     meaning sum value * eps^m * log^k(eps M), plus a remainder declaration
     O(eps^remainder_eps_pow * log^remainder_log_pow(eps M))."""
 
-    dim: int
-    entries: Tuple[Tuple[Tuple[int | Fraction, int], MomentumFunction], ...] = ()
-    remainder_eps_pow: int | Fraction = 2
-    remainder_log_pow: int = 1
+    __slots__ = ("dim", "entries", "remainder_eps_pow", "remainder_log_pow")
 
-    def entry(self, eps_pow, log_pow) -> Optional[MomentumFunction]:
+    def __init__(
+        self,
+        dim: int,
+        entries: tuple[tuple[tuple[int | Fraction, int], MomentumFunction], ...] = (),
+        remainder_eps_pow: int | Fraction = 2,
+        remainder_log_pow: int = 1,
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "remainder_eps_pow", remainder_eps_pow)
+        object.__setattr__(self, "remainder_log_pow", remainder_log_pow)
+
+    def entry(self, eps_pow, log_pow) -> MomentumFunction | None:
         for (m, k), v in self.entries:
             if m == eps_pow and k == log_pow:
                 return v
@@ -89,8 +95,8 @@ def _seed_brackets(n: int, a: int | Fraction, k: int, m: int):
     the operator fix its order."""
     top0 = math.floor(Fraction(2 - n - a, 2))
     alphas = angular_series(n, top0 + m)
-    acc: Dict[Tuple[Tuple[int | Fraction, int], int], Fraction] = {}
-    dropped: List[Tuple[int | Fraction, int]] = []
+    acc: dict[tuple[tuple[int | Fraction, int], int], Fraction] = {}
+    dropped: list[tuple[int | Fraction, int]] = []
     for j in range(m):
         # v_j = box^j r^a L^k, merged; once it vanishes every later one
         # does.  Merging can cancel a log power only below the top one, the
@@ -134,8 +140,8 @@ def surface_expansion(L: DiffOperator, g: PositionFunction) -> SurfaceExpansion:
         raise DiffRegError("seed must be radial-only")
     omega = sphere_area(n)
     # (eps_pow, log_pow) -> {j: coefficient of (-p^2)^j}
-    acc: Dict[Tuple[int | Fraction, int], Dict[int, Coefficient]] = {}
-    dropped: List[Tuple[int | Fraction, int]] = []  # first dropped order per bracket
+    acc: dict[tuple[int | Fraction, int], dict[int, Coefficient]] = {}
+    dropped: list[tuple[int | Fraction, int]] = []  # first dropped order per bracket
 
     for m, cm in L.coeffs:
         if m == 0:
@@ -164,13 +170,16 @@ def surface_expansion(L: DiffOperator, g: PositionFunction) -> SurfaceExpansion:
     return SurfaceExpansion(n, tuple(entries), eps_pow, log_pow)
 
 
-@dataclass(frozen=True)
-class LeadingDivergence:
-    log_pow: int
-    value: MomentumFunction  # per unit log^log_pow(eps M)
+class LeadingDivergence(Record):
+    __slots__ = ("log_pow", "value")
+
+    def __init__(self, log_pow: int, value: MomentumFunction):
+        # value per unit log^log_pow(eps M)
+        object.__setattr__(self, "log_pow", log_pow)
+        object.__setattr__(self, "value", value)
 
 
-def leading_divergence(se: SurfaceExpansion) -> Optional[LeadingDivergence]:
+def leading_divergence(se: SurfaceExpansion) -> LeadingDivergence | None:
     """Highest log power at eps^0, or None ('finite') when no log entry
     survives there."""
     best = None

@@ -1,10 +1,20 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from diffreg.algebra import (
+    LocalTerm,
+    MomentumFunction,
+    MomentumTerm,
+    PositionFunction,
+    RadialTerm,
+    position_term,
+)
 from diffreg.coeffs import (
     GAMMA_E,
     LN2,
@@ -13,11 +23,15 @@ from diffreg.coeffs import (
     ZERO,
     ZETA3,
     Coefficient,
+    Record,
     gamma_exact,
     polygamma,
     sphere_area,
 )
 from diffreg.errors import DiffRegError, SymbolSetError
+from diffreg.quotient import Character, IdealElement, diagram_audit
+from diffreg.regulate import find_representation, mass_shift
+from diffreg.surface import leading_divergence, surface_expansion
 
 from conftest import coefficients
 
@@ -247,3 +261,95 @@ class TestSpecialValues:
         for k in range(3):
             with pytest.raises(TypeError):
                 polygamma(k, 0.5)
+
+
+def _sample_records():
+    """One value of every record class, built the way the package builds
+    them."""
+    rep = find_representation(position_term(4, 1, -4))
+    se = surface_expansion(rep.L, rep.g)
+    audit = diagram_audit(
+        IdealElement(position_term(4, 1, -2), position_term(4, 1, -2)), Character(1.5, 4, 2.0)
+    )
+    f = PositionFunction.build(
+        4, [RadialTerm(GAMMA_E, Fraction(-3, 2), 1)], [LocalTerm(PI, 1)], ["flag"]
+    )
+    F = MomentumFunction.build(4, [MomentumTerm(LN2, -2, 1)], [(ZETA3, 1)])
+    return [PI, *f.radial, *f.local, f, *F.terms, F, rep.L, se, leading_divergence(se),
+            rep, mass_shift(rep, LN2), audit.character, audit.elem, audit]
+
+
+RECORDS = _sample_records()
+
+
+def _fields(x):
+    return tuple(getattr(x, name) for name in type(x).__slots__)
+
+
+records = pytest.mark.parametrize("x", RECORDS, ids=lambda x: type(x).__name__)
+
+
+class TestRecord:
+    """The immutable values compare, hash, print and pickle as their
+    field tuple, and only a record of the same class equals a record."""
+
+    def test_every_record_class_is_sampled(self):
+        assert {type(x) for x in RECORDS} == set(Record.__subclasses__())
+
+    @records
+    @pytest.mark.parametrize("dup", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trips(self, x, dup):
+        y = dup(x)
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x)
+
+    def test_equal_only_to_its_class(self):
+        assert PositionFunction.build(4) != MomentumFunction.build(4)
+        for x in RECORDS:
+            assert x != _fields(x) and _fields(x) != x
+
+    @records
+    def test_equal_records_hash_equal(self, x):
+        y = type(x)(*_fields(x))
+        assert y is not x and y == x and hash(y) == hash(x) == hash(_fields(x))
+
+    @records
+    def test_fields_refuse_assignment_and_deletion(self, x):
+        name = type(x).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.extra = None
+        assert not hasattr(x, "__dict__")
+
+    @records
+    def test_keyword_construction(self, x):
+        assert type(x)(**dict(zip(type(x).__slots__, _fields(x)))) == x
+
+    @records
+    def test_repr_names_every_field(self, x):
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(type(x).__slots__, _fields(x)))
+        assert repr(x) == f"{type(x).__name__}({fields})"
+
+    @pytest.mark.parametrize("make", [
+        lambda: RadialTerm(ONE, -2, -1),
+        lambda: MomentumTerm(ONE, -2, -1),
+        lambda: LocalTerm(ONE, -1),
+        lambda: Character(math.nan, 4),
+        lambda: Character(1.0, 4, math.inf),
+    ])
+    def test_init_rejects_bad_field(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_init_rejects_dimension_mismatch(self):
+        with pytest.raises(DiffRegError, match="share a dimension"):
+            IdealElement(position_term(3, 1, -1), position_term(4, 1, -2))
+
+    def test_init_makes_integral_exponent_int(self):
+        t = RadialTerm(ONE, Fraction(4, 2))
+        assert t.rpow == 2 and type(t.rpow) is int

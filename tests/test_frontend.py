@@ -794,15 +794,17 @@ class TestCli:
         assert any("distributional" in fl for fl in doc["flags"])
 
 
-# run in a fresh interpreter: reports which of numpy and scipy are loaded
-# after the imports and after each subcommand, with its exit code and
-# envelope
+# run in a fresh interpreter started with -S, so that no module imported by
+# site hides one the package imports: reports which of numpy, scipy,
+# dataclasses, inspect and typing are loaded after the imports and after
+# each subcommand, with its exit code and envelope
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 import diffreg, diffreg.cli
 
 def loaded():
-    return [m for m in ("numpy", "scipy") if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "dataclasses", "inspect", "typing")
+            if m in sys.modules]
 
 out = {"import": loaded(), "runs": []}
 for argv in json.loads(sys.argv[1]):
@@ -828,26 +830,40 @@ class TestRuntimeImports:
         ["audit", "--a", "r^-2", "--b", "r^-3/2", "--p0", "1", "--dim", "4"],
     ]
 
-    def test_no_subcommand_loads_numpy_or_scipy(self, capsys):
-        # the oracle runs on the standard library, so no subcommand loads
-        # numpy or scipy: neither the exact ones nor those that run
-        # quadrature, nor an audit whose terms take the numeric route
+    @pytest.fixture(scope="class")
+    def probe(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", _LOAD_PROBE, json.dumps(self.RUNS)],
+            [sys.executable, "-S", "-c", _LOAD_PROBE, json.dumps(self.RUNS)],
             env=env, capture_output=True, text=True, check=True,
         )
-        out = json.loads(proc.stdout)
-        assert out["import"] == []
-        assert [(code, mods) for code, _, mods in out["runs"]] == [(0, [])] * len(self.RUNS)
-        routes = [doc["symbolic"]["terms"]["route"] for _, doc, _ in out["runs"]
+        return json.loads(proc.stdout)
+
+    def loaded(self, probe, names):
+        """The modules of names loaded after the imports, then after each run."""
+        steps = [probe["import"]] + [mods for _, _, mods in probe["runs"]]
+        return [[m for m in mods if m in names] for mods in steps]
+
+    def test_no_subcommand_loads_numpy_or_scipy(self, probe, capsys):
+        # the oracle runs on the standard library, so no subcommand loads
+        # numpy or scipy: neither the exact ones nor those that run
+        # quadrature, nor an audit whose terms take the numeric route
+        assert self.loaded(probe, ("numpy", "scipy")) == [[]] * (len(self.RUNS) + 1)
+        assert [code for code, _, _ in probe["runs"]] == [0] * len(self.RUNS)
+        routes = [doc["symbolic"]["terms"]["route"] for _, doc, _ in probe["runs"]
                   if doc["command"] == "audit"]
         assert "numeric" not in routes[0] and "numeric" in routes[1]
         # a fresh process gives the same envelope as a warm one
-        doc = out["runs"][self.RUNS.index(["oracle", "--fn", "r^-2", "--p", "2"])][1]
+        doc = probe["runs"][self.RUNS.index(["oracle", "--fn", "r^-2", "--p", "2"])][1]
         assert doc == run_json(capsys, "oracle", "--fn", "r^-2", "--p", "2")[1]
+
+    def test_no_subcommand_loads_dataclasses_inspect_or_typing(self, probe):
+        # the values are __slots__ records and the annotations use builtin
+        # generics, so neither the import nor any subcommand loads these
+        assert self.loaded(probe, ("dataclasses", "inspect", "typing")) == (
+            [[]] * (len(self.RUNS) + 1))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
