@@ -283,6 +283,15 @@ def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> dict[int, Coef
 
 
 # -- numeric evaluation ------------------------------------------------
+# L is formed as 2 (log r + log M) or 2 (log p - log M), never as the log of
+# a square, which leaves the floats long before r, p or M do.  An overflow or
+# a non-finite sum is out of range.
+
+
+def _finite(total: float, at: str) -> float:
+    if not math.isfinite(total):
+        raise EvaluationError(f"no finite value at {at}: outside the floating-point range")
+    return total
 
 
 def eval_position(f: PositionFunction, r: float, Mval: float) -> float:
@@ -293,11 +302,14 @@ def eval_position(f: PositionFunction, r: float, Mval: float) -> float:
         raise EvaluationError("mass must be positive")
     if f.local:
         raise EvaluationError("cannot evaluate delta-type terms pointwise")
-    lg = math.log(r * r * Mval * Mval)
+    lg = 2.0 * (math.log(r) + math.log(Mval))
     total = 0.0
-    for t in f.radial:
-        total += t.coeff.evalf() * r ** float(t.rpow) * lg ** t.logpow
-    return total
+    try:
+        for t in f.radial:
+            total += t.coeff.evalf() * r ** float(t.rpow) * lg ** t.logpow
+    except OverflowError:
+        total = math.inf
+    return _finite(total, f"r={r!r}, M={Mval!r}")
 
 
 def eval_momentum(F: MomentumFunction, p: float, Mval: float) -> float:
@@ -307,13 +319,16 @@ def eval_momentum(F: MomentumFunction, p: float, Mval: float) -> float:
         raise EvaluationError("p must be positive")
     if Mval <= 0:
         raise EvaluationError("mass must be positive")
-    lg = math.log(p * p / (Mval * Mval))
+    lg = 2.0 * (math.log(p) - math.log(Mval))
     total = 0.0
-    for t in F.terms:
-        total += t.coeff.evalf() * p ** float(t.ppow) * lg ** t.logpow
-    for c, j in F.local_poly:
-        total += c.evalf() * (-(p * p)) ** j
-    return total
+    try:
+        for t in F.terms:
+            total += t.coeff.evalf() * p ** float(t.ppow) * lg ** t.logpow
+        for c, j in F.local_poly:
+            total += c.evalf() * (-(p * p)) ** j
+    except OverflowError:
+        total = math.inf
+    return _finite(total, f"p={p!r}, M={Mval!r}")
 
 
 def radial_derivative(f: PositionFunction, r: float, Mval: float = 1.0) -> float:
@@ -321,13 +336,16 @@ def radial_derivative(f: PositionFunction, r: float, Mval: float = 1.0) -> float
     derivative c r^(a-1) (a log^k + 2k log^(k-1))."""
     if r <= 0:
         raise EvaluationError("r must be positive")
-    lg = math.log(r * r * Mval * Mval)
+    lg = 2.0 * (math.log(r) + math.log(Mval))
     total = 0.0
-    for t in f.radial:
-        a = float(t.rpow)
-        k = t.logpow
-        val = a * lg ** k
-        if k > 0:
-            val += 2.0 * k * lg ** (k - 1)
-        total += t.coeff.evalf() * r ** (a - 1.0) * val
-    return total
+    try:
+        for t in f.radial:
+            a = float(t.rpow)
+            k = t.logpow
+            val = a * lg ** k
+            if k > 0:
+                val += 2.0 * k * lg ** (k - 1)
+            total += t.coeff.evalf() * r ** (a - 1.0) * val
+    except OverflowError:
+        total = math.inf
+    return _finite(total, f"r={r!r}, M={Mval!r}")

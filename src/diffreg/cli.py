@@ -160,11 +160,12 @@ def _cmd_apply(args, report):
 def _cmd_regulate(args, report):
     target = parse_position(args.target, args.dim)
     rep = find_representation(target, args.max_box)
+    operator, seed = format_operator(rep.L), format_position(rep.g)
     report.set_symbolic(
-        f"operator: {format_operator(rep.L)}; seed: {format_position(rep.g)}",
+        f"operator: {operator}; seed: {seed}",
         {
-            "operator": format_operator(rep.L),
-            "seed": format_position(rep.g),
+            "operator": operator,
+            "seed": seed,
             "seed_terms": _position_terms(rep.g),
             "note": rep.note,
         },
@@ -301,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("regulate", help="find a representation (L, g)")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--max-box", type=int, default=4, dest="max_box")
+    sp.add_argument("--max-box", type=int, default=4)
     common(sp)
 
     sp = sub.add_parser("transform", help="exact Fourier transform")
     grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--rep-target", dest="rep_target")
+    grp.add_argument("--rep-target")
     grp.add_argument("--fn")
     sp.add_argument("--at", type=_finite_float, default=None)
-    sp.add_argument("--max-box", type=int, default=4, dest="max_box")
+    sp.add_argument("--max-box", type=int, default=4)
     sp.add_argument("--mass", type=_finite_float, default=1.0)
     sp.add_argument("--tol", type=_finite_float, default=1e-5)
     common(sp)
@@ -318,24 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--eps", type=_finite_float, required=True)
     sp.add_argument("--p", type=_finite_float, default=1.0)
-    sp.add_argument("--max-box", type=int, default=4, dest="max_box")
-    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--max-box", type=int, default=4)
+    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3)
     sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("verify", help="defect-identity table over an eps grid")
     sp.add_argument("--target", required=True)
     sp.add_argument("--p", type=_finite_float, required=True)
-    sp.add_argument("--eps-grid", required=True, dest="eps_grid")
-    sp.add_argument("--max-box", type=int, default=4, dest="max_box")
-    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3, dest="tol_defect")
+    sp.add_argument("--eps-grid", required=True)
+    sp.add_argument("--max-box", type=int, default=4)
+    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3)
     sp.add_argument("--mass", type=_finite_float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("cs", help="mass-scale derivative M dF/dM")
     sp.add_argument("--target", required=True)
     sp.add_argument("--p", type=_finite_float, required=True)
-    sp.add_argument("--max-box", type=int, default=4, dest="max_box")
+    sp.add_argument("--max-box", type=int, default=4)
     sp.add_argument("--mass", type=_finite_float, default=1.0)
     sp.add_argument("--tol", type=_finite_float, default=1e-5)
     common(sp)

@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .coeffs import LN2, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
+from .operators import multiply_by_symbol, operator_symbol
 
 MAX_EXACT_LOGPOW = 3
 
@@ -133,8 +134,6 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
 def fourier_formal(rep) -> MomentumFunction:
     """Transform of a representation (L, g) by formal integration by parts:
     the operator symbol times the exact transform of the seed."""
-    from .operators import multiply_by_symbol, operator_symbol
-
     base = fourier_base(rep.g)
     return multiply_by_symbol(base, operator_symbol(rep.L, rep.g.dim))
 

@@ -32,18 +32,18 @@ import re
 from fractions import Fraction
 
 from .algebra import LocalTerm, MomentumFunction, MomentumTerm, PositionFunction, RadialTerm
-from .coeffs import ONE, Coefficient
+from .coeffs import ONE, SYMBOL_NAMES, Coefficient
 from .errors import ParseError
 from .operators import DiffOperator, apply_operator
 
 _SCAN = re.compile(
     r"\s*(log\(\s*r\s*\^\s*2\s*\*\s*M\s*\^\s*2\s*\)"
     r"|log\(\s*p\s*\^\s*2\s*/\s*M\s*\^\s*2\s*\)"
-    r"|\d+|pi|gammaE|ln2|zeta3|delta|box|\S)"
+    r"|\d+|" + "|".join(SYMBOL_NAMES) + r"|delta|box|\S)"
 )
 # the one-character tokens that are not a bad character, besides digits
 _CHARS = "+-*/^()rp"
-_SYMBOLS = {"pi": 0, "gammaE": 1, "ln2": 2, "zeta3": 3}
+_SYMBOLS = {name: i for i, name in enumerate(SYMBOL_NAMES)}
 _NO_MONO = (0, 0, 0, 0)
 
 # parentheses may nest this deep: the reader recurses once per level, and

@@ -37,103 +37,53 @@ def format_coefficient(c: Coefficient) -> str:
                         for mono, q in c.terms])
 
 
-def _coeff_factor(c: Coefficient) -> tuple:
-    """(sign_str, factor_str or None): a coefficient rendered as a leading
-    factor of a product term.  Multi-monomial coefficients get parentheses."""
-    if len(c.terms) > 1:
-        return "+", f"({format_coefficient(c)})"
-    mono, q = c.terms[0]
-    sign = "-" if q < 0 else "+"
-    body = _format_monomial(mono, q)
-    return sign, body if body else None
-
-
 def _join_terms(rendered: list[tuple]) -> str:
-    if not rendered:
-        return "0"
-    out = ""
-    for i, (sign, body) in enumerate(rendered):
-        if i == 0:
-            out = ("-" if sign == "-" else "") + body
-        else:
-            out += (" - " if sign == "-" else " + ") + body
-    return out
+    """(sign, body) pairs joined by " + " and " - "; a leading "+" is
+    dropped and an empty sum reads 0."""
+    out = "".join(f" {sign} {body}" for sign, body in rendered)
+    return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
 
-def _power_suffix(var: str, pw: int | Fraction) -> list[str]:
-    if pw == 0:
-        return []
-    return [f"{var}^{pw}"]
+def _term(c: Coefficient, factors: list[str], divisor: str | None = None) -> tuple:
+    """(sign, body) of the product c * factors [/ divisor]: a unit
+    coefficient is left out, one of several monomials gets parentheses."""
+    if len(c.terms) > 1:
+        sign, lead = "+", f"({format_coefficient(c)})"
+    else:
+        mono, q = c.terms[0]
+        sign, lead = "-" if q < 0 else "+", _format_monomial(mono, q)
+    body = "*".join(factors if factors and lead == "1" else [lead, *factors])
+    return sign, body if divisor is None else f"{body}/{divisor}"
 
 
-def _product(sign: str, factors: list[str], divisors: list[str]) -> tuple:
-    if not factors:
-        factors = ["1"]
-    if len(factors) > 1 and factors[0] == "1":
-        factors = factors[1:]
-    body = "*".join(factors)
-    for d in divisors:
-        body += f"/{d}"
-    return sign, body
+def _power(name: str, k: int) -> list[str]:
+    """name^k as a list of factors: none at k = 0, the bare name at k = 1."""
+    return [] if k == 0 else [name] if k == 1 else [f"{name}^{k}"]
 
 
-def _power_log_term(coeff: Coefficient, pw: int | Fraction, logpow: int, var: str,
-                    log: str) -> tuple:
-    """c var^pw log^logpow as a (sign, body) product; an integer negative
-    power is written as a divisor."""
-    sign, cfac = _coeff_factor(coeff)
-    factors = [cfac] if cfac else []
-    if logpow == 1:
-        factors.append(log)
-    elif logpow > 1:
-        factors.append(f"{log}^{logpow}")
-    divisors = []
-    if pw > 0:
-        factors += _power_suffix(var, pw)
-    elif pw < 0:
-        if pw.denominator == 1:
-            divisors.append(f"{var}^{-pw}")
-        else:
-            factors += _power_suffix(var, pw)
-    return _product(sign, factors, divisors)
+def _power_log(c: Coefficient, pw: int | Fraction, k: int, var: str, log: str) -> tuple:
+    """c var^pw log^k; a negative integer power is written as a divisor."""
+    if pw < 0 and pw.denominator == 1:
+        return _term(c, _power(log, k), f"{var}^{-pw}")
+    return _term(c, _power(log, k) + ([f"{var}^{pw}"] if pw else []))
+
+
+def _box(c: Coefficient, k: int, *extra: str) -> tuple:
+    """c box^k followed by the extra factors."""
+    return _term(c, [*_power("box", k), *extra])
 
 
 def format_position(f: PositionFunction) -> str:
-    rendered = [_power_log_term(t.coeff, t.rpow, t.logpow, "r", _LOG_R) for t in f.radial]
-    for t in f.local:
-        sign, cfac = _coeff_factor(t.coeff)
-        factors = [cfac] if cfac else []
-        if t.boxpow == 1:
-            factors.append("box")
-        elif t.boxpow > 1:
-            factors.append(f"box^{t.boxpow}")
-        factors.append("delta")
-        rendered.append(_product(sign, factors, []))
-    return _join_terms(rendered)
+    return _join_terms([_power_log(t.coeff, t.rpow, t.logpow, "r", _LOG_R) for t in f.radial]
+                       + [_box(t.coeff, t.boxpow, "delta") for t in f.local])
 
 
 def format_momentum(F: MomentumFunction) -> str:
-    rendered = [_power_log_term(t.coeff, t.ppow, t.logpow, "p", _LOG_P) for t in F.terms]
-    for c, j in F.local_poly:
-        coeff = c if j % 2 == 0 else -1 * c
-        sign, cfac = _coeff_factor(coeff)
-        factors = [cfac] if cfac else []
-        if j > 0:
-            factors += _power_suffix("p", 2 * j)
-        if not factors:
-            factors = ["1"]
-        rendered.append(_product(sign, factors, []))
-    return _join_terms(rendered)
+    """The polynomial part c (-p^2)^j is written as (-1)^j c p^(2j)."""
+    return _join_terms([_power_log(t.coeff, t.ppow, t.logpow, "p", _LOG_P) for t in F.terms]
+                       + [_power_log(c if j % 2 == 0 else -1 * c, 2 * j, 0, "p", _LOG_P)
+                          for c, j in F.local_poly])
 
 
 def format_operator(L: DiffOperator) -> str:
-    rendered = []
-    for k, c in sorted(L.coeffs, reverse=True):
-        sign, cfac = _coeff_factor(c)
-        factors = [cfac] if cfac else []
-        if k == 1:
-            factors.append("box")
-        elif k > 1:
-            factors.append(f"box^{k}")
-        rendered.append(_product(sign, factors, []))
-    return _join_terms(rendered)
+    return _join_terms([_box(c, k) for k, c in sorted(L.coeffs, reverse=True)])

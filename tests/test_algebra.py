@@ -278,6 +278,32 @@ class TestEvaluation:
         fd = (eval_position(f, r + h, M) - eval_position(f, r - h, M)) / (2 * h)
         assert radial_derivative(f, r, M) == pytest.approx(fd, rel=1e-8)
 
+    def test_log_at_far_scales(self):
+        # L = 2 (log p - log M): neither p^2 nor M^2 is formed, so no square
+        # overflows to inf or underflows to 0 before the log
+        F = momentum_term(4, 1, 0, 1)
+        assert eval_momentum(F, 1e200, 1.0) == pytest.approx(400 * math.log(10), rel=1e-14)
+        assert eval_momentum(F, 1.0, 1e-200) == pytest.approx(400 * math.log(10), rel=1e-14)
+        assert eval_momentum(F, 1e300, 1e300) == 0.0
+        f = position_term(4, 1, 0, 1)
+        assert eval_position(f, 1e-200, 1.0) == pytest.approx(-400 * math.log(10), rel=1e-14)
+        assert eval_position(f, 1.0, 1e200) == pytest.approx(400 * math.log(10), rel=1e-14)
+        assert radial_derivative(f, 1e-200, 1e-200) == pytest.approx(2e200, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: eval_momentum(momentum_term(4, 1, 3, 0), 1e200, 1.0),  # p^3 overflows
+            lambda: eval_momentum(MomentumFunction.build(4, local_poly=[(ONE, 1)]), 1e200, 1.0),
+            lambda: eval_position(position_term(4, 1, -2, 0), 1e-200, 1.0),
+            lambda: radial_derivative(position_term(4, 1, -2, 0), 1e-200),
+        ],
+        ids=["power_overflow", "poly_inf", "position_overflow", "derivative_overflow"],
+    )
+    def test_out_of_range_raises(self, evaluate):
+        with pytest.raises(EvaluationError, match="outside the floating-point range"):
+            evaluate()
+
 
 nonzero_rationals = small_rationals.filter(bool)
 

@@ -29,7 +29,7 @@ from diffreg.algebra import (
 )
 from diffreg import cli
 from diffreg.cli import build_parser, main
-from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
+from diffreg.coeffs import Coefficient, GAMMA_E, LN2, ONE, PI, ZETA3
 from diffreg.errors import ConvergenceError, ParseError
 from diffreg.fourier import fourier_base, fourier_formal, inverse_fourier_base
 from diffreg.operators import DiffOperator
@@ -291,6 +291,61 @@ class TestRoundTrip:
         f = delta_term(4, Fraction(3, 2), boxpow=1)
         assert format_position(f) == "3/2*box*delta"
         assert parse_position("3/2*box*delta", 4) == f
+
+
+def _print_golden_values():
+    q = Coefficient.rational
+    f1 = PositionFunction.build(
+        4,
+        [RadialTerm(ONE, -4, 0), RadialTerm(q(-1), -2, 1),
+         RadialTerm(PI - LN2, Fraction(-3, 2), 2), RadialTerm(q(Fraction(3, 2)), Fraction(1, 3), 0)],
+        [LocalTerm(ONE, 0), LocalTerm(q(-2) * PI, 2)],
+    )
+    f2 = PositionFunction.build(
+        3,
+        [RadialTerm(q(-5), -1, 3), RadialTerm(PI * PI, 1, 1), RadialTerm(-1 * (GAMMA_E + q(2)), 2, 0),
+         RadialTerm(q(Fraction(-7, 3)) * ZETA3, Fraction(-5, 2), 1)],
+        [LocalTerm(-1 * ONE, 1), LocalTerm(LN2 - ONE, 3)],
+    )
+    F1 = MomentumFunction.build(
+        4,
+        [MomentumTerm(ONE, -2, 0), MomentumTerm(-1 * PI, 2, 1), MomentumTerm(ZETA3, Fraction(-1, 2), 0)],
+        [(ONE, 0), (ONE, 1), (q(3), 2), (GAMMA_E, 3)],
+    )
+    F2 = MomentumFunction.build(
+        3,
+        [MomentumTerm(q(-1), -1, 2), MomentumTerm(q(Fraction(1, 2)), 1, 0), MomentumTerm(PI + ZETA3, 4, 1)],
+        [(q(-2), 0), (LN2 - ONE, 1)],
+    )
+    return [
+        (format_position, f1, "1/r^4 - log(r^2*M^2)/r^2 + (-ln2 + pi)*log(r^2*M^2)^2*r^-3/2"
+                              " + 3/2*r^1/3 + delta - 2*pi*box^2*delta"),
+        (format_position, f2, "-7/3*zeta3*log(r^2*M^2)*r^-5/2 - 5*log(r^2*M^2)^3/r^1"
+                              " + pi^2*log(r^2*M^2)*r^1 + (-2 - gammaE)*r^2 - box*delta"
+                              " + (-1 + ln2)*box^3*delta"),
+        (format_position, PositionFunction.build(4), "0"),
+        (format_momentum, F1, "1/p^2 + zeta3*p^-1/2 - pi*log(p^2/M^2)*p^2 + 1 - p^2 + 3*p^4"
+                              " - gammaE*p^6"),
+        (format_momentum, F2, "-log(p^2/M^2)^2/p^1 + 1/2*p^1 + (zeta3 + pi)*log(p^2/M^2)*p^4"
+                              " - 2 + (1 - ln2)*p^2"),
+        (format_momentum, MomentumFunction.build(4), "0"),
+        (format_operator, DiffOperator.build({0: -1, 1: 1, 3: ONE + PI}), "(1 + pi)*box^3 + box - 1"),
+        (format_operator, DiffOperator.build({0: PI, 2: -1 * (GAMMA_E + LN2), 4: Fraction(-1, 3)}),
+         "-1/3*box^4 + (-ln2 - gammaE)*box^2 + pi"),
+        (format_operator, DiffOperator.build({}), "0"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fmt, value, golden", _print_golden_values(),
+    ids=["position", "position_r1", "position_zero", "momentum", "momentum_p1",
+         "momentum_zero", "operator", "operator_box0", "operator_zero"],
+)
+def test_print_golden(fmt, value, golden):
+    """The printed bytes of every term shape: unit and multi-monomial
+    coefficients, negative integer powers as divisors, fractional powers,
+    log, box and delta factors, the polynomial part and the empty sum."""
+    assert fmt(value) == golden
 
 
 _SPACE = st.sampled_from(["", " ", "  ", "\n", " \n  "])
@@ -677,17 +732,47 @@ class TestCli:
             # a negative tolerance gives a check that can never pass, or none
             ["surface", "--target", "r^-4", "--eps", "0.05", "--tol-defect", "-1"],
             ["transform", "--fn", "r^-2", "--at", "1", "--tol", "-1"],
+            # the value's p^6 leaves the floats
+            ["transform", "--rep-target", "r^-6", "--at", "1e200"],
+            ["cs", "--target", "r^-6", "--p", "1e200"],
         ],
         ids=["dim0", "max_box0", "eps_grid", "p0_zero", "p_nan", "p_inf",
              "at_nan", "tol_nan", "eps_minus_inf", "mass_inf", "p0_nan", "eps_nan",
              "tol_defect_inf", "eps_grid_nan", "p_out_of_range", "p_overflow",
-             "dim_above_range", "tol_defect_negative", "tol_negative"],
+             "dim_above_range", "tol_defect_negative", "tol_negative",
+             "at_overflow", "cs_p_overflow"],
     )
     def test_bad_input_gives_domain_envelope(self, capsys, argv):
         code, doc = run_json(capsys, *argv)
         assert code == 2
         assert doc["status"] == "error"
         assert doc["error"]["code"] == "domain"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--fn", "r^-2", "--at", "1", "--mass", "1e-200"],
+            ["transform", "--rep-target", "r^-4", "--at", "1e200"],
+            ["cs", "--target", "r^-4", "--p", "1e300"],
+        ],
+        ids=["tiny_mass", "far_at", "far_p"],
+    )
+    def test_far_scales_give_finite_values(self, capsys, argv):
+        # the log of p^2/M^2 is taken as 2 (log p - log M), so no square
+        # leaves the floats first
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["numeric_checks"]
+        for check in doc["numeric_checks"]:
+            assert math.isfinite(float(check["actual"]))
+
+    def test_far_at_matches_log_shift(self, capsys):
+        # F(p) = F(1) - 2 pi^2 ln p^2 / 2 for the transform of r^-4 in 4 dims
+        _, near = run_json(capsys, "transform", "--rep-target", "r^-4", "--at", "1")
+        _, far = run_json(capsys, "transform", "--rep-target", "r^-4", "--at", "1e200")
+        f1 = float(near["numeric_checks"][0]["actual"])
+        expected = f1 - 2 * math.pi ** 2 * math.log(1e200)
+        assert float(far["numeric_checks"][0]["actual"]) == pytest.approx(expected, rel=1e-12)
 
     def test_reused_parser_matches_fresh_parser(self, capsys):
         # main reuses one parser per process; no parse may leak into the next
