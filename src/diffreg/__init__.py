@@ -3,7 +3,7 @@ functions by differential operators, transforming them by formal
 integration by parts, and accounting exactly for the dropped epsilon-ball
 surface terms."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .algebra import (
     LocalTerm,

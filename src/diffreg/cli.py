@@ -7,11 +7,11 @@ Exit codes: 0 ok, 1 numeric check failure, 2 usage or parse error,
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
 import math
+import os
 import sys
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .algebra import eval_momentum, scale
@@ -39,7 +39,7 @@ class _NonFinite(str):
 
 
 def _finite_float(text: str):
-    """argparse type of every float option."""
+    """The type of every float option."""
     value = float(text)
     return value if math.isfinite(value) else _NonFinite(text)
 
@@ -278,110 +278,190 @@ def _cmd_oracle(args, report):
     )
 
 
-# -- argument plumbing -------------------------------------------------
+# -- the option table -----------------------------------------------------
 
+_REQUIRED = object()
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: no action appends and no default is
-    mutable, so parses leave no state behind."""
-    ap = argparse.ArgumentParser(prog="diffreg", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.allow_abbrev = False  # or --tol would stand for --tol-defect
-        sp.add_argument("--dim", type=int, default=4)
-        fmt = sp.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true")
-        fmt.add_argument("--text", action="store_true")
-
-    sp = sub.add_parser("apply", help="apply an operator to a function")
-    sp.add_argument("--op", required=True)
-    sp.add_argument("--fn", required=True)
-    common(sp)
-
-    sp = sub.add_parser("regulate", help="find a representation (L, g)")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--max-box", type=int, default=4)
-    common(sp)
-
-    sp = sub.add_parser("transform", help="exact Fourier transform")
-    grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--rep-target")
-    grp.add_argument("--fn")
-    sp.add_argument("--at", type=_finite_float, default=None)
-    sp.add_argument("--max-box", type=int, default=4)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    sp.add_argument("--tol", type=_finite_float, default=1e-5)
-    common(sp)
-
-    sp = sub.add_parser("surface", help="epsilon-ball surface expansion")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--eps", type=_finite_float, required=True)
-    sp.add_argument("--p", type=_finite_float, default=1.0)
-    sp.add_argument("--max-box", type=int, default=4)
-    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="defect-identity table over an eps grid")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--p", type=_finite_float, required=True)
-    sp.add_argument("--eps-grid", required=True)
-    sp.add_argument("--max-box", type=int, default=4)
-    sp.add_argument("--tol-defect", type=_finite_float, default=1e-3)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("cs", help="mass-scale derivative M dF/dM")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--p", type=_finite_float, required=True)
-    sp.add_argument("--max-box", type=int, default=4)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    sp.add_argument("--tol", type=_finite_float, default=1e-5)
-    common(sp)
-
-    sp = sub.add_parser("audit", help="commuting-diagram residual report")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--p0", type=_finite_float, required=True)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("oracle", help="numeric transform only")
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--p", type=_finite_float, required=True)
-    sp.add_argument("--eps", type=_finite_float, default=None)
-    sp.add_argument("--mass", type=_finite_float, default=1.0)
-    common(sp)
-
-    return ap
-
-
-_HANDLERS = {
-    "apply": _cmd_apply,
-    "regulate": _cmd_regulate,
-    "transform": _cmd_transform,
-    "surface": _cmd_surface,
-    "verify": _cmd_verify,
-    "cs": _cmd_cs,
-    "audit": _cmd_audit,
-    "oracle": _cmd_oracle,
+# subcommand -> (handler, help, {option: (type, default)}).  An option's
+# dest is its name without the leading "--", each "-" read as "_"; a
+# default of _REQUIRED makes the option required, and an option whose
+# default is None stays out of the inputs when it is not given.  Every
+# subcommand also takes one of the flags --json and --text, and transform
+# takes exactly one of its _ONE_OF pair.
+_DIM = {"--dim": (int, 4)}
+_TABLE = {
+    "apply": (_cmd_apply, "apply an operator to a function",
+              {"--op": (str, _REQUIRED), "--fn": (str, _REQUIRED), **_DIM}),
+    "regulate": (_cmd_regulate, "find a representation (L, g)",
+                 {"--target": (str, _REQUIRED), "--max-box": (int, 4), **_DIM}),
+    "transform": (_cmd_transform, "exact Fourier transform",
+                  {"--fn": (str, None), "--rep-target": (str, None),
+                   "--at": (_finite_float, None), "--max-box": (int, 4),
+                   "--mass": (_finite_float, 1.0), "--tol": (_finite_float, 1e-5), **_DIM}),
+    "surface": (_cmd_surface, "epsilon-ball surface expansion",
+                {"--target": (str, _REQUIRED), "--eps": (_finite_float, _REQUIRED),
+                 "--p": (_finite_float, 1.0), "--max-box": (int, 4),
+                 "--tol-defect": (_finite_float, 1e-3), "--mass": (_finite_float, 1.0), **_DIM}),
+    "verify": (_cmd_verify, "defect-identity table over an eps grid",
+               {"--target": (str, _REQUIRED), "--p": (_finite_float, _REQUIRED),
+                "--eps-grid": (str, _REQUIRED), "--max-box": (int, 4),
+                "--tol-defect": (_finite_float, 1e-3), "--mass": (_finite_float, 1.0), **_DIM}),
+    "cs": (_cmd_cs, "mass-scale derivative M dF/dM",
+           {"--target": (str, _REQUIRED), "--p": (_finite_float, _REQUIRED),
+            "--max-box": (int, 4), "--mass": (_finite_float, 1.0),
+            "--tol": (_finite_float, 1e-5), **_DIM}),
+    "audit": (_cmd_audit, "commuting-diagram residual report",
+              {"--a": (str, _REQUIRED), "--b": (str, _REQUIRED),
+               "--p0": (_finite_float, _REQUIRED), "--mass": (_finite_float, 1.0), **_DIM}),
+    "oracle": (_cmd_oracle, "numeric transform only",
+               {"--fn": (str, _REQUIRED), "--p": (_finite_float, _REQUIRED),
+                "--eps": (_finite_float, None), "--mass": (_finite_float, 1.0), **_DIM}),
 }
+_ONE_OF = {"transform": ("--fn", "--rep-target")}
+_EXCLUDES = {"--json": "--text", "--text": "--json", "--fn": "--rep-target", "--rep-target": "--fn"}
+_KINDS = {int: "integer", _finite_float: "number"}
+
+
+class _UsageError(Exception):
+    """A command line that the option table does not read (exit 2)."""
+
+
+def _read_args(command: str, argv: list[str]) -> dict:
+    """The dest -> value map of one command line, read against the option
+    table: "command", then every option of the subcommand, given or at its
+    default.  An option takes its value as `--opt value` or `--opt=value`,
+    and the last repeat wins; a separate value may not begin with "--".
+    An abbreviated option is unrecognized."""
+    if not command:
+        named = argv and not argv[0].startswith("-")
+        raise _UsageError((f"invalid subcommand {argv[0]!r}" if named else "no subcommand")
+                          + f" (choose from {', '.join(_TABLE)})")
+    options = _TABLE[command][2]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if _EXCLUDES.get(name) in given:
+            raise _UsageError(f"argument {name}: not allowed with argument {_EXCLUDES[name]}")
+        if name in ("--json", "--text"):
+            if eq:
+                raise _UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            given[name] = True
+            continue
+        spec = options.get(name)
+        if spec is None:
+            raise _UsageError(f"unrecognized arguments: {token}")
+        if not eq:
+            text = next(tokens, "--")
+            if text.startswith("--"):
+                raise _UsageError(f"argument {name}: expected one argument")
+        try:
+            given[name] = spec[0](text)
+        except ValueError:
+            raise _UsageError(f"{name}: invalid {_KINDS[spec[0]]} {text!r}") from None
+    if command in _ONE_OF and not any(name in given for name in _ONE_OF[command]):
+        raise _UsageError(f"one of the arguments {' '.join(_ONE_OF[command])} is required")
+    missing = [name for name, (_, default) in options.items()
+               if default is _REQUIRED and name not in given]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    values = {"command": command}
+    for name, (_, default) in options.items():
+        values[name[2:].replace("-", "_")] = given.get(name, default)
+    return values
+
+
+def _usage(command: str) -> str:
+    """The usage line of a subcommand, or of diffreg when command is empty."""
+    if not command:
+        return f"usage: diffreg {{{','.join(_TABLE)}}} [options]"
+    words = ["usage: diffreg", command]
+    for name, (_, default) in _TABLE[command][2].items():
+        word = f"{name} {name[2:].upper().replace('-', '_')}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join([*words, "[--json | --text]"])
+
+
+def _help(command: str) -> str:
+    """The --help text of a subcommand, or of diffreg when command is empty."""
+    if not command:
+        rows = [f"  {name:<10} {text}" for name, (_, text, _) in _TABLE.items()]
+        return "\n".join([_usage(""), "", __doc__.strip(), "", "subcommands:", *rows, "",
+                          "diffreg <subcommand> --help lists the options of one."])
+    _, text, options = _TABLE[command]
+    rows = []
+    for name, (_, default) in options.items():
+        note = ("required" if default is _REQUIRED else "" if default is None
+                else f"default {default:g}")
+        rows.append(f"  {name:<16} {note}".rstrip())
+    if command in _ONE_OF:
+        rows.append(f"  (exactly one of {' and '.join(_ONE_OF[command])})")
+    rows += ["  --json | --text  the envelope as JSON, or as text (the default)",
+             "  -h, --help       print this help"]
+    return "\n".join([_usage(command), "", text, "", "options:", *rows])
+
+
+# -- the envelope writer ---------------------------------------------------
+
+
+def _json(o, indent: str = "\n") -> str:
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for the
+    values an envelope holds: str keys, and str, int, finite float, bool,
+    None, list and dict values.  json.dumps runs its pure-Python encoder
+    whenever indent is set; here only the strings go through the C
+    encoder."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        return "{" + ",".join([f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                               for k, v in sorted(o.items())]) + indent + "}"
+    if isinstance(o, list):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        return "[" + ",".join([inner + _json(v, inner) for v in o]) + indent + "]"
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    return int.__repr__(o) if isinstance(o, int) else float.__repr__(o)
+
+
+def _emit(text: str, code: int) -> int:
+    """Write text and a newline to sys.stdout, looked up at each call, and
+    return code.  A reader that closed the pipe early gets no traceback:
+    the rest of the output goes to the null device, and the exit code
+    stays the command's."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _TABLE else ""
+    as_json = "--json" in argv
+    if "-h" in argv or "--help" in argv:
+        return _emit(_help(command), 0)
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("json", "text") and v is not None
-    }
-    report = _Report(args.command, inputs)
+        values = _read_args(command, argv)
+    except _UsageError as exc:
+        if not as_json:
+            prog = f"diffreg {command}" if command else "diffreg"
+            sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+            return 2
+        report = _Report(command, {})
+        report.error = {"code": "usage", "message": str(exc)}
+        return _emit(_json(report.as_dict()), 2)
+    args = SimpleNamespace(**values)
+    inputs = {k: v for k, v in sorted(values.items()) if v is not None}
+    report = _Report(command, inputs)
     code = 0
     try:
         for key, value in inputs.items():
@@ -389,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
             _check_finite(name, value)
             if key in ("tol", "tol_defect") and value < 0:
                 raise ValueError(f"{name} must not be negative, got {value!r}")
-        _HANDLERS[args.command](args, report)
+        _TABLE[command][0](args, report)
         if not all(c["pass"] for c in report.checks):
             code = 1
     except ParseError as exc:
@@ -407,11 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError comes from argument checks on out-of-range input
         report.error = {"code": "domain", "message": str(exc)}
         code = 2
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text())
-    return code
+    return _emit(_json(report.as_dict()) if as_json else report.render_text(), code)
 
 
 def entry() -> None:

@@ -275,7 +275,7 @@ def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> tuple[float, float]
     lo, b = pts
     value = err = 0.0
     for x in (b, lo) if lo else (b,):
-        ell = 2.0 * math.log(x * Mval)
+        ell = 2.0 * (math.log(x) + math.log(Mval))
         for c, s, k in terms:
             if x == b:
                 power, moments = c * _scale(math.pi, p, s + n), _panel_moments(n, s, k)
@@ -353,7 +353,7 @@ def _tail(terms, p, n, Mval, b) -> tuple[float, float]:
     is out of range, even where its transform is a float.  f comes as the
     terms (c, a, k) that _radial_transform reads."""
     pb = math.pi if b == math.pi / p else p * b
-    ell = 2.0 * math.log(b * Mval)
+    ell = 2.0 * (math.log(b) + math.log(Mval))
     fine = diff = floor = 0.0
     for c, a, k in terms:
         if b ** float(a) * abs(ell) ** k == math.inf:

@@ -74,8 +74,9 @@ class SurfaceExpansion(Record):
         return not self.entries
 
     def eval_at(self, eps: float, p: float, Mval: float) -> float:
-        """Numeric value of the collected entries at finite eps."""
-        lg = math.log(eps * Mval)
+        """Numeric value of the collected entries at finite eps; log(eps M)
+        is taken as log eps + log M, so no product underflows first."""
+        lg = math.log(eps) + math.log(Mval)
         total = 0.0
         for (m, k), v in self.entries:
             total += eval_momentum(v, p, Mval) * eps ** float(m) * lg ** k

@@ -28,7 +28,7 @@ from diffreg.algebra import (
     scale,
 )
 from diffreg import cli
-from diffreg.cli import build_parser, main
+from diffreg.cli import main
 from diffreg.coeffs import Coefficient, GAMMA_E, LN2, ONE, PI, ZETA3
 from diffreg.errors import ConvergenceError, ParseError
 from diffreg.fourier import fourier_base, fourier_formal, inverse_fourier_base
@@ -492,7 +492,44 @@ def run_json(capsys, *argv):
     # strict JSON (RFC 8259): no bare NaN or Infinity
     doc = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(doc, SCHEMA)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     return code, doc
+
+
+_LEAVES = st.one_of(
+    st.text(),  # non-ASCII and control characters among them
+    st.builds(cli._NonFinite, st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 1e308, -0.0, 1e-5, 0.1]),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24)
+_NUMBER_TEXT = st.none() | st.floats(allow_nan=False).map(lambda x: format(x, ".17g"))
+_ENVELOPES = st.fixed_dictionaries(
+    {"command": st.sampled_from(["", *cli._TABLE]),
+     "version": st.text(max_size=8),
+     "inputs": st.dictionaries(st.sampled_from(["command", "dim", "p", "fn", "eps", "mass"]),
+                               _LEAVES, max_size=6),
+     "symbolic": st.fixed_dictionaries({"text": st.text(), "terms": _VALUES}),
+     "numeric_checks": st.lists(st.fixed_dictionaries(
+         {"name": st.text(), "expected": _NUMBER_TEXT, "actual": _NUMBER_TEXT,
+          "abs_err": _NUMBER_TEXT, "rel_err": _NUMBER_TEXT, "pass": st.booleans()}), max_size=3),
+     "flags": st.lists(st.text(), max_size=2),
+     "status": st.sampled_from(["ok", "error"])},
+    optional={"error": st.fixed_dictionaries(
+        {"code": st.sampled_from(["parse", "domain", "numeric", "usage"]), "message": st.text()},
+        optional={"partial": _NUMBER_TEXT, "err_estimate": _NUMBER_TEXT})},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES | _ENVELOPES)
+def test_envelope_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestCli:
@@ -537,7 +574,7 @@ class TestCli:
         assert [(t["rpow"], t["logpow"]) for t in terms] == [("-1001", 0), ("-1001", 1), ("-1001", 2)]
         assert terms[2]["coeff"] == str(math.prod((-1 - 2 * i) * (1 - 2 * i) for i in range(500)))
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        assert digest == "0b09789258488f6b526be5370e6c161fde469e3af7db67ed07543e697ada3cdf"
+        assert digest == "493fe7782ab58a2bb80932cd098357c70768ba7dd9afec9ac88f97b14077cc45"
 
     def test_apply_box_power_past_the_printable(self, capsys):
         # box^2000 is computed, and its coefficients have more digits than
@@ -557,7 +594,7 @@ class TestCli:
             "numeric_checks": [],
             "status": "error",
             "symbolic": {"terms": [], "text": ""},
-            "version": "0.1.0",
+            "version": "0.2.0",
         }
 
     def test_cs(self, capsys):
@@ -754,12 +791,14 @@ class TestCli:
             ["transform", "--fn", "r^-2", "--at", "1", "--mass", "1e-200"],
             ["transform", "--rep-target", "r^-4", "--at", "1e200"],
             ["cs", "--target", "r^-4", "--p", "1e300"],
+            ["surface", "--target", "r^-4", "--eps", "1e-150", "--mass", "1e-200"],
         ],
-        ids=["tiny_mass", "far_at", "far_p"],
+        ids=["tiny_mass", "far_at", "far_p", "tiny_eps_mass"],
     )
     def test_far_scales_give_finite_values(self, capsys, argv):
-        # the log of p^2/M^2 is taken as 2 (log p - log M), so no square
-        # leaves the floats first
+        # the log of p^2/M^2 is taken as 2 (log p - log M), and log(eps M)
+        # as log eps + log M, so no square or product leaves the floats
+        # first
         code, doc = run_json(capsys, *argv)
         assert code == 0
         assert doc["numeric_checks"]
@@ -775,13 +814,14 @@ class TestCli:
         assert float(far["numeric_checks"][0]["actual"]) == pytest.approx(expected, rel=1e-12)
 
     def test_reused_parser_matches_fresh_parser(self, capsys):
-        # main reuses one parser per process; no parse may leak into the next
+        # main reads every command line against one option table; no read
+        # may leak into the next, so a second pass gives the same outputs
         runs = [
             ["transform", "--rep-target", "r^-4", "--at", "1", "--json"],
             ["transform", "--fn", "r^-2", "--dim", "3", "--json"],
             ["regulate", "--target", "r^-6", "--max-box", "2", "--json"],
             ["oracle", "--fn", "r^-2", "--p", "nan", "--json"],
-            ["regulate", "--json"],  # missing --target: argparse usage error
+            ["regulate", "--json"],  # missing --target: usage error
             ["cs", "--target", "r^-4", "--p", "2", "--text"],
         ]
 
@@ -790,11 +830,8 @@ class TestCli:
             cap = capsys.readouterr()
             return code, cap.out, cap.err
 
+        fresh = [run(argv) for argv in runs]
         reused = [run(argv) for argv in runs]
-        fresh = []
-        for argv in runs:
-            build_parser.cache_clear()
-            fresh.append(run(argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0]
 
@@ -855,6 +892,93 @@ class TestCli:
         assert main([command, *self.VALID[command], option, "1"]) == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+    # (argv, phrase of the message): each names what is wrong
+    USAGE = [
+        (["regulate", "--target", "r^-4", "--text"],
+         "argument --json: not allowed with argument --text"),
+        (["transform", "--fn", "r^-2", "--rep-target", "r^-4"],
+         "argument --rep-target: not allowed with argument --fn"),
+        (["transform", "--at", "1"], "one of the arguments --fn --rep-target is required"),
+        (["surface", "--target", "r^-4"], "the following arguments are required: --eps"),
+        (["audit", "--a", "r^-2"], "the following arguments are required: --b, --p0"),
+        (["regulate", "--target", "r^-4", "--max", "2"], "unrecognized arguments: --max"),
+        (["regulate", "--target=r^-4", "--max-box=2", "--di=3"], "unrecognized arguments: --di=3"),
+        (["frobnicate", "--fn", "r^-2"], "invalid subcommand 'frobnicate'"),
+        ([], "no subcommand (choose from apply, regulate,"),
+        (["regulate", "--target", "r^-4", "--dim", "four"], "--dim: invalid integer 'four'"),
+        (["regulate", "--target", "r^-4", "--max-box=2.5"], "--max-box: invalid integer '2.5'"),
+        (["oracle", "--fn", "r^-2", "--p", "x"], "--p: invalid number 'x'"),
+        (["transform", "--fn", "r^-2", "--at=1e"], "--at: invalid number '1e'"),
+        (["oracle", "--fn", "r^-2", "--p"], "argument --p: expected one argument"),
+        (["oracle", "--fn", "--p", "1"], "argument --fn: expected one argument"),
+        (["regulate", "--target", "r^-4", "--text=yes"],
+         "argument --text: ignored explicit argument 'yes'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", USAGE)
+    def test_usage_error_gives_usage_envelope(self, capsys, argv, message):
+        code = main([*argv, "--json"])
+        cap = capsys.readouterr()
+        doc = json.loads(cap.out)
+        jsonschema.validate(doc, SCHEMA)
+        assert code == 2 and cap.err == ""
+        assert doc["status"] == "error"
+        assert doc["error"]["code"] == "usage"
+        assert message in doc["error"]["message"]
+        assert "_finite_float" not in doc["error"]["message"]
+
+    @pytest.mark.parametrize("argv, message", [case for case in USAGE if "--text" not in case[0]])
+    def test_usage_error_text_goes_to_stderr(self, capsys, argv, message):
+        code = main(argv)
+        cap = capsys.readouterr()
+        assert code == 2 and cap.out == ""
+        usage, error = cap.err.splitlines()
+        assert usage.startswith("usage: diffreg ")
+        assert error.startswith("diffreg") and message in error.split(": error: ")[1]
+
+    def test_option_values(self, capsys):
+        # --opt value and --opt=value read alike, the last repeat wins, and
+        # a value may begin with a single "-"
+        spaced = run_json(capsys, "oracle", "--fn", "r^-1", "--fn", "r^-2", "--p", "0.5",
+                          "--mass", "1", "--dim", "3", "--p", "2")
+        joined = run_json(capsys, "oracle", "--fn=r^-2", "--p=2", "--dim=3")
+        assert spaced == joined
+        assert spaced[1]["inputs"] == {"command": "oracle", "dim": 3, "fn": "r^-2",
+                                       "mass": 1.0, "p": 2.0}
+        code, doc = run_json(capsys, "transform", "--fn", "r^-2", "--at", "1", "--tol", "-1")
+        assert (code, doc["error"]["code"]) == (2, "domain")
+        code, doc = run_json(capsys, "oracle", "--fn", "r^-2", "--p", "1", "--eps", "-inf")
+        assert doc["inputs"]["eps"] == "-inf"
+        assert (code, doc["error"]["code"]) == (2, "domain")
+
+    @pytest.mark.parametrize("command", [None, *cli._TABLE])
+    def test_help(self, capsys, command):
+        for flag in ("-h", "--help"):
+            argv = [flag] if command is None else [command, "--json", flag]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: diffreg ")
+            names = list(cli._TABLE) if command is None else list(cli._TABLE[command][2])
+            assert all(name in out for name in names)
+
+    def test_closed_stdout_is_quiet(self, capsys):
+        # a reader that closes the pipe before the envelope is written: no
+        # traceback, and the command's own exit code
+        argv = ["verify", "--target", "r^-4", "--p", "1", "--eps-grid", "0.1,0.05", "--json"]
+        code = main(argv)
+        capsys.readouterr()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "diffreg.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, "")
+
     @pytest.mark.parametrize("argv", [["surface", "--eps", "0.1"],
                                       ["verify", "--p", "1", "--eps-grid", "0.2,0.1"]])
     def test_oracle_refuses_before_exact_work(self, capsys, monkeypatch, argv):
@@ -881,15 +1005,15 @@ class TestCli:
 
 # run in a fresh interpreter started with -S, so that no module imported by
 # site hides one the package imports: reports which of numpy, scipy,
-# dataclasses, inspect and typing are loaded after the imports and after
-# each subcommand, with its exit code and envelope
+# dataclasses, inspect, typing, argparse and gettext are loaded after the
+# imports and after each subcommand, with its exit code and envelope
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 import diffreg, diffreg.cli
 
 def loaded():
-    return [m for m in ("numpy", "scipy", "dataclasses", "inspect", "typing")
-            if m in sys.modules]
+    return [m for m in ("numpy", "scipy", "dataclasses", "inspect", "typing", "argparse",
+                        "gettext") if m in sys.modules]
 
 out = {"import": loaded(), "runs": []}
 for argv in json.loads(sys.argv[1]):
@@ -950,6 +1074,10 @@ class TestRuntimeImports:
         assert self.loaded(probe, ("dataclasses", "inspect", "typing")) == (
             [[]] * (len(self.RUNS) + 1))
 
+    def test_no_subcommand_loads_argparse_or_gettext(self, probe):
+        # the option table is read by cli's own reader
+        assert self.loaded(probe, ("argparse", "gettext")) == [[]] * (len(self.RUNS) + 1)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -966,6 +1094,32 @@ class TestReadme:
         ns = {}
         exec(compile(tour, str(README), "exec"), ns)
         assert ns["lead"].log_pow == 1
+
+    def test_option_table(self):
+        # the README's option table is the CLI's: every option of each
+        # subcommand but --dim, its default, and transform's --fn or
+        # --rep-target
+        text = README.read_text()
+        block = text.split("| subcommand | options (default) |\n| --- | --- |\n")[1]
+        readme = {}
+        for row in block.split("\n\n")[0].splitlines():
+            command, cell = re.fullmatch(r"\| `(\w+)` \| (.*) \|", row).groups()
+            readme[command] = {}
+            for item in cell.split(", "):
+                default = re.search(r"\((.+)\)$", item)
+                name = " or ".join(re.findall(r"`(--[\w-]+)`", item))
+                readme[command][name] = float(default.group(1)) if default else None
+        table = {}
+        for command, (_, _, options) in cli._TABLE.items():
+            pair = cli._ONE_OF.get(command, ())
+            table[command] = {}
+            for name, (_, default) in options.items():
+                if name != "--dim":
+                    name = " or ".join(pair) if name in pair else name
+                    table[command][name] = None if default is cli._REQUIRED else default
+        assert readme == table
+        dim = re.search(r"All take `--dim`\s+\(default (\d+)\)", text).group(1)
+        assert all(options["--dim"] == (int, int(dim)) for _, _, options in cli._TABLE.values())
 
     def test_cli_tour(self, capsys):
         lines = [line for block in self.blocks("sh") for line in block.splitlines()
