@@ -5,15 +5,18 @@ Everything the exact layer produces (sphere areas, transform constants,
 polygamma values at integer and half-integer arguments) lives in this ring,
 so equality of symbolic results is decidable by normal-form comparison.
 
-Normal form: ``Coefficient.terms`` is a tuple of (monomial, value) pairs with
-the monomials strictly increasing, no zero value, and every value a
-``Fraction``.  The arithmetic takes its operands in normal form and keeps
-only the work that preserving it needs: a sum with an empty operand is the
-other operand; a product by a rational scalar scales the values in place; a
-product by, or a division by, a single monomial shifts every monomial by one
-vector, which keeps their order and creates no zero.  Only a sum of two
-nonempty operands and a product of two many-monomial operands merge through
-a dict and sort.
+Normal form: a ``Coefficient`` holds its values as int numerators ``nums``
+over one shared denominator ``den``, one per monomial of ``monos``, with
+den > 0, gcd(den, *nums) = 1, the monomials strictly increasing and no
+numerator 0.  A product is int products and one ``gcd``, a sum aligns the
+two denominators, and a product by a rational scalar, a negation and a
+division by one monomial keep the monomials (or shift them all by one
+vector, which keeps their order and creates no zero).  Only a sum of two
+nonempty operands and a product of two many-monomial operands merge
+through a dict and sort.  ``Coefficient.terms``, the record field that
+``repr``, ``hash`` and pickle read, is the same value as (monomial,
+``Fraction``) pairs; it is built from the ints on first read and kept, and
+the arithmetic and ``==`` read only the ints.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import attrgetter
 
 from .errors import DiffRegError, SymbolSetError
@@ -37,12 +41,11 @@ SYMBOL_NAMES = ("pi", "gammaE", "ln2", "zeta3")
 _ONE_MONO: Monomial = (0, 0, 0, 0)
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
+def _ratio(q) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational."""
+    if isinstance(q, (int, Fraction)):
+        return q.numerator, q.denominator
+    raise TypeError(f"expected exact rational, got {type(q).__name__}")
 
 
 def as_exponent(x) -> int | Fraction:
@@ -97,14 +100,41 @@ class Record:
         return type(self), self._fields(self)
 
 
-class Coefficient(Record):
-    """Normalized sum of monomials: tuple of (exponents, rational) pairs,
+class _IntForm:
+    """The int form of a Coefficient, in slots that are not record fields."""
+
+    __slots__ = ("monos", "nums", "den")
+
+
+class Coefficient(_IntForm, Record):
+    """Normalized sum of monomials, compared in its int form; its one
+    record field ``terms`` is the tuple of (exponents, Fraction) pairs,
     sorted by exponent tuple, with no zero rationals."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...] = ()):
-        object.__setattr__(self, "terms", terms)
+        den = math.lcm(*[q.denominator for _, q in terms])
+        _set_terms(self, terms)
+        _set_monos(self, tuple([m for m, _ in terms]))
+        _set_nums(self, tuple([q.numerator * (den // q.denominator) for _, q in terms]))
+        _set_den(self, den)
+
+    def __getattr__(self, name):
+        # the terms slot is left empty by the arithmetic and filled here
+        if name != "terms":
+            raise AttributeError(name)
+        den = self.den
+        terms = tuple([(m, Fraction(x, den)) for m, x in zip(self.monos, self.nums)])
+        _set_terms(self, terms)
+        return terms
+
+    def __eq__(self, other):
+        if other.__class__ is Coefficient:
+            return self.nums == other.nums and self.den == other.den and self.monos == other.monos
+        return NotImplemented
+
+    __hash__ = Record.__hash__
 
     # -- constructors -------------------------------------------------
 
@@ -115,67 +145,88 @@ class Coefficient(Record):
 
     @classmethod
     def rational(cls, q) -> "Coefficient":
-        q = as_fraction(q)
-        if q == 0:
-            return cls()
-        return cls(((_ONE_MONO, q),))
+        n, d = _ratio(q)
+        return from_ints((_ONE_MONO,), (n,), d) if n else ZERO
 
     @classmethod
     def monomial(cls, q, pi=0, gammaE=0, ln2=0, zeta3=0) -> "Coefficient":
-        q = as_fraction(q)
-        if q == 0:
-            return cls()
+        n, d = _ratio(q)
+        if not n:
+            return ZERO
         if min(pi, gammaE, ln2, zeta3) < 0:
             raise DiffRegError("monomial exponents must be non-negative")
-        return cls((((pi, gammaE, ln2, zeta3), q),))
+        return from_ints(((pi, gammaE, ln2, zeta3),), (n,), d)
 
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        if not other.terms:
+    def __add__(self, other) -> "Coefficient":
+        if other.__class__ is not Coefficient:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Coefficient.rational(other)
+        b = other.nums
+        if not b:
             return self
-        if not self.terms:
+        a = self.nums
+        if not a:
             return other
-        acc = dict(self.terms)
-        for m, q in other.terms:
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        acc = dict(zip(self.monos, a if fa == 1 else [x * fa for x in a]))
+        for m, x in zip(other.monos, b):
+            x *= fb
             if m in acc:
-                q = acc[m] + q
-                if not q:
+                x += acc[m]
+                if not x:
                     del acc[m]
                     continue
-            acc[m] = q
-        return Coefficient(tuple(sorted(acc.items())))
+            acc[m] = x
+        items = sorted(acc.items())
+        return from_ints(tuple([m for m, _ in items]), [x for _, x in items], da * fa)
 
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Coefficient":
+        if other.__class__ is not Coefficient and not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other) -> "Coefficient":
+        return -self + other
+
     def __neg__(self) -> "Coefficient":
-        return Coefficient(tuple((m, -q) for m, q in self.terms))
+        return from_ints(self.monos, [-x for x in self.nums], self.den)
 
     def __mul__(self, other) -> "Coefficient":
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not Coefficient:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return ZERO
             if other == 1:
                 return self
-            return Coefficient(tuple((m, q * other) for m, q in self.terms))
-        a, b = self.terms, other.terms
-        if len(a) == 1:
+            n = other.numerator
+            return from_ints(self.monos, [x * n for x in self.nums], self.den * other.denominator)
+        a, b = self, other
+        if len(a.nums) == 1:
             a, b = b, a
-        if len(b) == 1:
+        if len(b.nums) == 1:
             # shifting every monomial by one vector keeps the order, and a
-            # product of nonzero rationals is nonzero
-            (s0, s1, s2, s3), r = b[0]
-            return Coefficient(tuple(
-                ((m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3), q * r)
-                for m, q in a
-            ))
+            # product of nonzero ints is nonzero
+            s, r = b.monos[0], b.nums[0]
+            monos = a.monos
+            if s != _ONE_MONO:
+                s0, s1, s2, s3 = s
+                monos = tuple([(m[0] + s0, m[1] + s1, m[2] + s2, m[3] + s3) for m in monos])
+            return from_ints(monos, [x * r for x in a.nums], a.den * b.den)
         acc: dict = {}
-        for m1, q1 in a:
-            for m2, q2 in b:
+        for m1, x1 in zip(a.monos, a.nums):
+            for m2, x2 in zip(b.monos, b.nums):
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                acc[m] = acc[m] + q1 * q2 if m in acc else q1 * q2
-        return Coefficient.from_dict(acc)
+                acc[m] = acc[m] + x1 * x2 if m in acc else x1 * x2
+        items = sorted(kv for kv in acc.items() if kv[1])
+        return from_ints(tuple([m for m, _ in items]), [x for _, x in items], a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -199,40 +250,48 @@ class Coefficient(Record):
     def divide(self, other) -> "Coefficient":
         """Divide by a nonzero rational, or by a single-monomial coefficient
         whose monomial divides every monomial of self."""
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, other)  # ZeroDivisionError at 0
-        if len(other.terms) != 1:
-            raise DiffRegError("division only by a single monomial")
-        (mono, q) = other.terms[0]
-        out = []
-        for m, c in self.terms:
-            newm = tuple(a - b for a, b in zip(m, mono))
-            if min(newm) < 0:
-                raise DiffRegError(f"monomial {mono} does not divide {m}")
-            out.append((newm, c / q))
-        # a shift by one vector keeps the order and creates no zero
-        return Coefficient(tuple(out))
+        monos = self.monos
+        if other.__class__ is Coefficient:
+            if len(other.nums) != 1:
+                raise DiffRegError("division only by a single monomial")
+            mono, n, d = other.monos[0], other.nums[0], other.den
+            if mono != _ONE_MONO:
+                # a shift by one vector keeps the order and creates no zero
+                monos = tuple([tuple([a - b for a, b in zip(m, mono)]) for m in monos])
+                for m, newm in zip(self.monos, monos):
+                    if min(newm) < 0:
+                        raise DiffRegError(f"monomial {mono} does not divide {m}")
+        else:
+            n, d = _ratio(other)
+            if not n:
+                raise ZeroDivisionError("division by zero")
+        if n < 0:
+            n, d = -n, -d
+        return from_ints(monos, [x * d for x in self.nums], self.den * n)
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return all(m == _ONE_MONO for m, _ in self.terms)
+        return all(m == _ONE_MONO for m in self.monos)
 
     def rational_value(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise DiffRegError("coefficient is not rational")
-        return self.terms[0][1]
+        return Fraction(self.nums[0], self.den)
 
     def evalf(self) -> float:
-        """Floating value; terms summed in normalized order."""
+        """Floating value; terms summed in normalized order.  Each term
+        starts from num / den, which int true division rounds correctly, as
+        float(Fraction) does."""
         total = 0.0
-        for m, q in self.terms:
-            v = float(q)
+        den = self.den
+        for m, x in zip(self.monos, self.nums):
+            v = x / den
             for exp, sym in zip(m, _SYMBOL_VALUES):
                 if exp:
                     v *= sym ** exp
@@ -243,6 +302,27 @@ class Coefficient(Record):
         from .printer import format_coefficient
 
         return format_coefficient(self)
+
+
+_new = object.__new__
+_set_terms = Coefficient.terms.__set__
+_set_monos = _IntForm.monos.__set__
+_set_nums = _IntForm.nums.__set__
+_set_den = _IntForm.den.__set__
+
+
+def from_ints(monos: tuple, nums, den: int) -> Coefficient:
+    """A Coefficient from nonzero numerators over den > 0, one per
+    monomial of monos, with their common factor divided out."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    c = _new(Coefficient)
+    _set_monos(c, monos)
+    _set_nums(c, tuple(nums))
+    _set_den(c, den)
+    return c
 
 
 ZERO = Coefficient()
@@ -260,7 +340,7 @@ def _lattice(x) -> tuple[int, bool]:
     """(m, half) with x = m + half/2, for x on the positive (half-)integer
     lattice, the one set where the exact layer's constants stay inside
     the symbol set."""
-    x = as_fraction(x)
+    x = Fraction(*_ratio(x))
     if x <= 0 or (2 * x).denominator != 1:
         raise SymbolSetError(
             f"argument {x} is not a positive integer or half-integer; "

@@ -14,15 +14,17 @@ Grammar (whitespace-insensitive):
 One ``findall`` turns the text into plain string tokens (the log tokens
 are atomic); a token's line and column are found by scanning again, only
 for an error.  A value is a kind (scalar, position, momentum or operator),
-a dict ``{(key, monomial): Fraction}`` with no zero entry, and flags.  A key
+a dict ``{(key, monomial): (numerator, denominator)}`` of int pairs with no
+zero entry (the pairs are reduced only when the value's coefficients are
+built, and a denominator may be negative), and flags.  A key
 is (power, log power) of r or p, (box power, 0) for an operator, (0, 0) for
 a scalar, or an int, the box power on a delta.  One loop reads an expr, and
 recurses only at '('.  The plain leaves of a term fold into an int
 numerator and denominator (every sign included), a monomial over (pi,
 gammaE, ln2, zeta3) and a key; a parenthesised factor joins as a dict, and
 a divisor, a plain rational or a single rational power, folds into the
-leaves.  Each ``Coefficient`` is built once per key when ``parse_*``
-returns; only ``box * f`` builds ``f`` on the way, to apply the operator
+leaves.  Each ``Coefficient`` is built once per key, in its int form,
+when ``parse_*`` returns; only ``box * f`` builds ``f`` on the way, to apply the operator
 with its resonance deltas and flags.
 """
 
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import LocalTerm, MomentumFunction, MomentumTerm, PositionFunction, RadialTerm
-from .coeffs import ONE, SYMBOL_NAMES, Coefficient
+from .coeffs import ONE, SYMBOL_NAMES, from_ints
 from .errors import ParseError
 from .operators import DiffOperator, apply_operator
 
@@ -54,14 +57,18 @@ _MAX_NESTING = 100
 _MAX_DIGITS = 1000
 
 
-def _merge(acc: dict, km, q: Fraction) -> None:
-    """acc[km] += q, dropping the entry when the sum cancels."""
+def _merge(acc: dict, km, n: int, d: int) -> None:
+    """acc[km] += n/d, dropping the entry when the sum cancels; a sum is
+    reduced, so that a long sum keeps small ints."""
     if km in acc:
-        q += acc[km]
-        if not q:
+        n0, d0 = acc[km]
+        n, d = n * d0 + n0 * d, d * d0
+        if not n:
             del acc[km]
             return
-    acc[km] = q
+        g = gcd(n, d)
+        n, d = n // g, d // g
+    acc[km] = n, d
 
 
 def _key(a, b):
@@ -80,19 +87,25 @@ def _has_delta(terms: dict) -> bool:
 
 def _product(a: dict, b: dict) -> dict:
     out: dict = {}
-    for (k1, m1), q1 in a.items():
-        for (k2, m2), q2 in b.items():
+    for (k1, m1), (n1, d1) in a.items():
+        for (k2, m2), (n2, d2) in b.items():
             m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-            _merge(out, (_key(k1, k2), m), q1 * q2)
+            _merge(out, (_key(k1, k2), m), n1 * n2, d1 * d2)
     return out
 
 
 def _coefficients(terms: dict) -> dict:
     """key -> Coefficient: the one place a value's coefficients are built."""
     by_key: dict = {}
-    for (key, m), q in terms.items():
-        by_key.setdefault(key, []).append((m, q))
-    return {key: Coefficient(tuple(sorted(pairs))) for key, pairs in by_key.items()}
+    for (key, m), nd in terms.items():
+        by_key.setdefault(key, []).append((m, nd))
+    out = {}
+    for key, pairs in by_key.items():
+        pairs.sort()
+        den = lcm(*[d for _, (_, d) in pairs])
+        out[key] = from_ints(tuple([m for m, _ in pairs]),
+                            [n * (den // d) for _, (n, d) in pairs], den)
+    return out
 
 
 def _position(dim: int, coeffs: dict, flags) -> PositionFunction:
@@ -200,8 +213,10 @@ class _Reader:
         """box * f: the operator value applied to f, as a dict and flags."""
         L = DiffOperator.build({key[0]: c for key, c in _coefficients(op).items()})
         g = apply_operator(L, f)
-        out = {((t.rpow, t.logpow), m): q for t in g.radial for m, q in t.coeff.terms}
-        out.update(((t.boxpow, m), q) for t in g.local for m, q in t.coeff.terms)
+        out = {((t.rpow, t.logpow), m): (x, t.coeff.den)
+               for t in g.radial for m, x in zip(t.coeff.monos, t.coeff.nums)}
+        out.update(((t.boxpow, m), (x, t.coeff.den))
+                   for t in g.local for m, x in zip(t.coeff.monos, t.coeff.nums))
         return out, g.flags
 
     def expr(self, i: int, depth: int):
@@ -268,14 +283,14 @@ class _Reader:
                         self.fail(f"expected ')', found {toks[i]!r}", i)
                     i += 1
                     if div:
-                        q, (x, _) = self.divisor(fkind, group, i)
-                        num, den, fkey, group = num * q.denominator, den * q.numerator, (-x, 0), None
+                        (qn, qd), (x, _) = self.divisor(fkind, group, i)
+                        num, den, fkey, group = num * qd, den * qn, (-x, 0), None
                 else:
                     self.fail(f"unexpected token {t!r}", i - 1)
                 # fold the factor into the term, with the product's kind rules
                 if fkind != "scalar" and tkind != "scalar":
                     if tkind == "operator" and fkind == "position":
-                        op = {((e, 0), tuple(mono)): Fraction(num, den)} if num else {}
+                        op = {((e, 0), tuple(mono)): (num, den)} if num else {}
                         if acc is not None:
                             op = _product(acc, op)
                         f = _position(self.dim, _coefficients(group) if group is not None
@@ -314,10 +329,9 @@ class _Reader:
                 else:
                     self.fail("cannot combine operator value here", i)
             if num and acc != {}:
-                entries = {(0 if delta else (e, k), tuple(mono)):
-                           Fraction(num, den)}
-                for km, q in (entries if acc is None else _product(acc, entries)).items():
-                    _merge(terms, km, q)
+                entries = {(0 if delta else (e, k), tuple(mono)): (num, den)}
+                for km, (n, d) in (entries if acc is None else _product(acc, entries)).items():
+                    _merge(terms, km, n, d)
             t = toks[i]
             if t != "+" and t != "-":
                 return kind, terms, flags, i

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .algebra import MomentumFunction, PositionFunction
 from .coeffs import SYMBOL_NAMES, Coefficient
@@ -16,11 +17,14 @@ _LOG_R = "log(r^2*M^2)"
 _LOG_P = "log(p^2/M^2)"
 
 
-def _format_monomial(mono, q: Fraction) -> str:
+def _format_monomial(mono, num: int, den: int) -> str:
+    """The monomial with the value num/den, its sign left out."""
     parts: list[str] = []
-    if abs(q) != 1 or not any(mono):
+    if abs(num) != den or not any(mono):
+        g = gcd(num, den)
         try:
-            parts.append(str(abs(q)))
+            q = str(abs(num) // g)
+            parts.append(q if den == g else f"{q}/{str(den // g)}")
         except ValueError:  # the interpreter caps int-to-text conversion
             raise DiffRegError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
                                "digits: too long to print") from None
@@ -33,8 +37,8 @@ def _format_monomial(mono, q: Fraction) -> str:
 
 
 def format_coefficient(c: Coefficient) -> str:
-    return _join_terms([("-" if q < 0 else "+", _format_monomial(mono, q))
-                        for mono, q in c.terms])
+    return _join_terms([("-" if x < 0 else "+", _format_monomial(m, x, c.den))
+                        for m, x in zip(c.monos, c.nums)])
 
 
 def _join_terms(rendered: list[tuple]) -> str:
@@ -47,11 +51,11 @@ def _join_terms(rendered: list[tuple]) -> str:
 def _term(c: Coefficient, factors: list[str], divisor: str | None = None) -> tuple:
     """(sign, body) of the product c * factors [/ divisor]: a unit
     coefficient is left out, one of several monomials gets parentheses."""
-    if len(c.terms) > 1:
+    if len(c.nums) > 1:
         sign, lead = "+", f"({format_coefficient(c)})"
     else:
-        mono, q = c.terms[0]
-        sign, lead = "-" if q < 0 else "+", _format_monomial(mono, q)
+        x = c.nums[0]
+        sign, lead = "-" if x < 0 else "+", _format_monomial(c.monos[0], x, c.den)
     body = "*".join(factors if factors and lead == "1" else [lead, *factors])
     return sign, body if divisor is None else f"{body}/{divisor}"
 

@@ -33,7 +33,7 @@ from diffreg.quotient import Character, IdealElement, diagram_audit
 from diffreg.regulate import find_representation, mass_shift
 from diffreg.surface import leading_divergence, surface_expansion
 
-from conftest import coefficients
+from conftest import coefficients, monomials, small_rationals
 
 
 class TestRingAxioms:
@@ -155,6 +155,104 @@ class TestNormalForm:
             (_shift(m, mono, -1), q / r) for m, q in a.terms
         )
         assert got.terms == c.terms
+
+
+class TestIntForm:
+    """The int form behind ``terms``: numerators over one shared
+    denominator, against the dict-of-Fraction reference."""
+
+    @staticmethod
+    def assert_int_normal(c):
+        assert type(c.den) is int and c.den > 0
+        assert all(type(x) is int and x != 0 for x in c.nums)
+        assert len(c.nums) == len(c.monos)
+        assert math.gcd(c.den, *c.nums) == 1
+        assert all(x < y for x, y in zip(c.monos, c.monos[1:]))
+        assert c.terms == tuple((m, Fraction(x, c.den)) for m, x in zip(c.monos, c.nums))
+        assert_normal(c)
+
+    def check(self, got, want_pairs):
+        self.assert_int_normal(got)
+        assert got.terms == _reference(want_pairs)
+
+    @given(operand_pairs())
+    def test_sum_difference_negation(self, ab):
+        a, b = ab
+        self.check(a + b, a.terms + b.terms)
+        self.check(a - b, a.terms + tuple((m, -q) for m, q in b.terms))
+        self.check(-a, tuple((m, -q) for m, q in a.terms))
+
+    @given(coefficients(), coefficients())
+    def test_product(self, a, b):
+        self.check(a * b, ((_shift(m1, m2), q1 * q2) for m1, q1 in a.terms for m2, q2 in b.terms))
+
+    @given(coefficients(), st.integers(min_value=-30, max_value=30) | nonzero_rationals
+           | st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)))
+    def test_scalar_product(self, a, s):
+        for got in (a * s, s * a):
+            self.check(got, ((m, q * s) for m, q in a.terms))
+
+    @given(coefficients(), ring_monomials, small_rationals.filter(bool))
+    def test_divide(self, c, mono, r):
+        a = c * Coefficient.monomial(r, *mono)
+        self.check(a.divide(Coefficient.monomial(r, *mono)), c.terms)
+        self.check(a.divide(r), ((m, q / r) for m, q in a.terms))
+        self.check(a.divide(r.numerator), ((m, q / r.numerator) for m, q in a.terms))
+
+    @given(coefficients(max_terms=2), st.integers(min_value=0, max_value=3))
+    def test_power(self, a, k):
+        want = ONE.terms
+        for _ in range(k):
+            want = _reference((_shift(m1, m2), q1 * q2) for m1, q1 in want for m2, q2 in a.terms)
+        self.check(a ** k, want)
+
+    @given(small_rationals.filter(bool), st.integers(min_value=1, max_value=3))
+    def test_negative_power(self, q, k):
+        self.check(Coefficient.rational(q) ** -k, [((0, 0, 0, 0), 1 / q ** k)])
+
+    @given(coefficients(max_terms=4))
+    def test_evalf_bit_identical_to_the_fraction_sum(self, c):
+        total = 0.0
+        for m, q in c.terms:
+            v = float(q)
+            for exp, sym in zip(m, (PI, GAMMA_E, LN2, ZETA3)):
+                if exp:
+                    v *= sym.evalf() ** exp
+            total += v
+        assert c.evalf().hex() == total.hex()
+
+    @given(st.lists(st.tuples(monomials, small_rationals), max_size=5))
+    def test_constructor_and_ring_agree(self, pairs):
+        built = Coefficient(_reference(pairs))
+        ring = ZERO
+        for m, q in pairs:
+            ring = ring + Coefficient.monomial(q, *m)
+        self.assert_int_normal(built)
+        self.assert_int_normal(ring)
+        assert built == ring and hash(built) == hash(ring) and repr(built) == repr(ring)
+        assert pickle.loads(pickle.dumps(ring)) == built
+
+
+class TestOperands:
+    """Ring arithmetic takes a Coefficient, an int or a Fraction on either
+    side, and any other operand gives TypeError."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x: PI * x, lambda x: x * PI, lambda x: PI + x, lambda x: x + PI,
+        lambda x: PI - x, lambda x: x - PI,
+    ])
+    @pytest.mark.parametrize("x", [2.0, 1.0, math.nan, 1j, "1", None])
+    def test_unsupported_operand_is_type_error(self, op, x):
+        with pytest.raises(TypeError):
+            op(x)
+
+    @pytest.mark.parametrize("x", [2, -1, 0, Fraction(3, 4)])
+    def test_rational_operand_on_either_side(self, x):
+        c = Coefficient.rational(x)
+        assert PI * x == x * PI == PI * c
+        assert PI + x == x + PI == PI + c
+        assert PI - x == PI - c
+        assert x - PI == c - PI
 
 
 class TestEvalf:
