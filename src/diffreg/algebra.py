@@ -16,7 +16,7 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .coeffs import ZERO, Coefficient, Record, as_exponent
+from .coeffs import Coefficient, Record, as_exponent
 from .errors import (
     DimensionMismatchError,
     DistributionProductError,
@@ -257,7 +257,8 @@ def log_power_map(c: Coefficient, k: int, d: Sequence) -> list[tuple[int, Coeffi
     is how a map that multiplies a power by f(s) acts on log powers, with d_i
     the scaled derivatives of f: box^m, the master formula, L -> L + l,
     d/d log M^2 and the surface bracket.  A rational C(k, i) d_i folds into
-    one factor before the one product by c."""
+    one factor before the one product by c; with c = 1 this is the image of
+    the unit term, the entry of a map's table."""
     return [
         (k - i, c * _times(math.comb(k, i), di))
         for i, di in enumerate(d[: k + 1])
@@ -265,21 +266,45 @@ def log_power_map(c: Coefficient, k: int, d: Sequence) -> list[tuple[int, Coeffi
     ]
 
 
-def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> dict[int, Coefficient]:
-    """The nonzero x[k] with sum_k log_power_map(x[k], k, d) = sum_j y[j] L^j,
-    by back-substitution from the top log power.  With nu the index of the
-    first nonzero d_i, the L^j equation fixes x[j + nu]; the components below
-    nu span the map's kernel and are pinned to zero."""
+def log_power_rows(d: Sequence, top: int) -> tuple:
+    """The back-substitution that inverts log_power_map with this d on log
+    powers 0 .. top, as rows (j, k, pivot, ((i, q), ...)) from the top log
+    power down: the L^j equation fixes x[k] = (y[j] + sum_i q x[i]) / pivot
+    over the x[i] above it, with q = -C(i, i - j) d_(i-j) and pivot
+    C(k, nu) d_nu.  nu, the index of the first nonzero d_i, is k - j; the
+    components below nu span the map's kernel and are pinned to zero.  A
+    map's inverse table holds these rows, so a solve makes no C(i, j) and
+    no negation."""
     nu = next(i for i, di in enumerate(d) if _nonzero(di))
+    return tuple(
+        (j, j + nu, _times(math.comb(j + nu, nu), d[nu]), tuple(
+            (j + i, -_times(math.comb(j + i, i), d[i]))
+            for i in range(nu + 1, min(len(d), top + 1 - j + nu))
+            if _nonzero(d[i])
+        ))
+        for j in range(top, -1, -1)
+    )
+
+
+def back_substitute(y: Mapping[int, Coefficient], rows) -> dict[int, Coefficient]:
+    """The nonzero x of log_power_rows applied to y, one product per row
+    entry whose x is nonzero and one division per nonzero x."""
     x: dict[int, Coefficient] = {}
-    for j in range(max(y, default=-1), -1, -1):
-        rhs = y.get(j, ZERO)
-        for i in range(nu + 1, len(d)):
-            if j + i in x and _nonzero(d[i]):
-                rhs = rhs - x[j + i] * _times(math.comb(j + i, i), d[i])
-        if not rhs.is_zero():
-            x[j + nu] = rhs.divide(_times(math.comb(j + nu, nu), d[nu]))
+    for j, k, pivot, row in rows:
+        acc = y.get(j)
+        for i, q in row:
+            if i in x:
+                v = x[i] * q
+                acc = v if acc is None else acc + v
+        if acc is not None and not acc.is_zero():
+            x[k] = acc.divide(pivot)
     return x
+
+
+def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> dict[int, Coefficient]:
+    """The nonzero x[k] with sum_k log_power_map(x[k], k, d) = sum_j y[j] L^j:
+    the rows of log_power_rows up to the top log power of y, applied."""
+    return back_substitute(y, log_power_rows(d, max(y, default=-1)))
 
 
 # -- numeric evaluation ------------------------------------------------

@@ -176,7 +176,7 @@ def _cmd_regulate(args, report):
 
 
 def _cmd_transform(args, report):
-    if args.rep_target:
+    if args.rep_target is not None:
         target = parse_position(args.rep_target, args.dim)
         F = fourier_formal(find_representation(target, args.max_box))
         fn = None  # divergent target: no direct numeric oracle

@@ -114,10 +114,16 @@ class Coefficient(_IntForm, Record):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Monomial, Fraction], ...] = ()):
-        den = math.lcm(*[q.denominator for _, q in terms])
-        _set_terms(self, terms)
-        _set_monos(self, tuple([m for m, _ in terms]))
-        _set_nums(self, tuple([q.numerator * (den // q.denominator) for _, q in terms]))
+        # any (monomial, rational) pairs: merged, sorted, zeros dropped, so
+        # the value equals the ring-built one; terms is then read from the ints
+        acc: dict = {}
+        for m, q in terms:
+            q = Fraction(*_ratio(q))
+            acc[m] = acc[m] + q if m in acc else q
+        items = sorted(kv for kv in acc.items() if kv[1])
+        den = math.lcm(*[q.denominator for _, q in items])
+        _set_monos(self, tuple([m for m, _ in items]))
+        _set_nums(self, tuple([q.numerator * (den // q.denominator) for _, q in items]))
         _set_den(self, den)
 
     def __getattr__(self, name):
@@ -140,8 +146,7 @@ class Coefficient(_IntForm, Record):
 
     @classmethod
     def from_dict(cls, d: Mapping[Monomial, Fraction]) -> "Coefficient":
-        items = tuple(sorted((m, q) for m, q in d.items() if q != 0))
-        return cls(items)
+        return cls(tuple(d.items()))
 
     @classmethod
     def rational(cls, q) -> "Coefficient":

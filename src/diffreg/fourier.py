@@ -24,10 +24,11 @@ from .algebra import (
     MomentumTerm,
     PositionFunction,
     RadialTerm,
+    back_substitute,
     log_power_map,
-    log_power_solve,
+    log_power_rows,
 )
-from .coeffs import LN2, Coefficient, gamma_exact, polygamma
+from .coeffs import LN2, ONE, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
 from .operators import multiply_by_symbol, operator_symbol
 
@@ -98,35 +99,58 @@ def master_coefficients(aprime: Fraction, n: int, depth: int) -> tuple[Coefficie
     return tuple(out)
 
 
+# the window exponents -n < a < 0 of dims 2-10 with log powers 0-3 take 180
+# entries; the rest is room for other dims
+@lru_cache(maxsize=256, typed=True)
+def _fourier_unit(n: int, a: int | Fraction, k: int) -> tuple[tuple[int, Coefficient], ...]:
+    """The transform of the unit term r^a L^k at p^(-a-n), as (log power,
+    coefficient) pairs: the log-power map of (-1)^k with d = (C, C', ...),
+    C(k, i) and the sign folded in.  a is an exponent in its as_exponent
+    normal form; a term outside the exact class raises on every call."""
+    C = master_coefficients(Fraction(-a, 2), n, k)
+    return tuple(log_power_map(-ONE if k % 2 else ONE, k, C))
+
+
 def fourier_base(g: PositionFunction) -> MomentumFunction:
-    """Exact transform of a Fourier-safe function: c r^(-2a') log^k maps to
-    the log-power map of (-1)^k c with d = (C, C', ...) at p^(2a'-n); local
-    terms to the polynomial part, coeff * box^j delta -> coeff * (-p^2)^j."""
+    """Exact transform of a Fourier-safe function: c r^a log^k maps to c
+    times the _fourier_unit image of r^a log^k, one product per output log
+    power; local terms to the polynomial part, coeff * box^j delta -> coeff
+    * (-p^2)^j."""
     n = g.dim
     terms = []
     for t in g.radial:
-        # a' stays an exact rational, the table's key; p^(2a'-n) = p^(-rpow-n)
-        k = t.logpow
-        C = master_coefficients(Fraction(-t.rpow, 2), n, k)
-        c = -t.coeff if k % 2 else t.coeff
-        terms += [MomentumTerm(cj, -t.rpow - n, j) for j, cj in log_power_map(c, k, C)]
+        c, ppow = t.coeff, -t.rpow - n
+        terms += [MomentumTerm(c * q, ppow, j) for j, q in _fourier_unit(n, t.rpow, t.logpow)]
     poly = [(t.coeff, t.boxpow) for t in g.local]
     return MomentumFunction.build(n, terms, poly, g.flags)
 
 
+# the image exponents -n < ppow < 0 of dims 2-10 with top log powers 0-3
+# take 180 entries; the rest is room for other dims
+@lru_cache(maxsize=256, typed=True)
+def _inverse_rows(n: int, ppow: int | Fraction, top: int) -> tuple:
+    """The algebra.log_power_rows that invert fourier_base's map at p^ppow
+    on log powers 0 .. top, with the sign (-1)^k of each seed log power k
+    folded into its pivot and into the entries that read it."""
+    C = master_coefficients(Fraction(ppow + n, 2), n, top)
+    return tuple(
+        (j, k, -pivot if k % 2 else pivot, tuple((i, -q if i % 2 else q) for i, q in row))
+        for j, k, pivot, row in log_power_rows(C, top)
+    )
+
+
 def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
     """Inverse transform on the image class: per momentum exponent, the
-    inverse log-power map (``algebra.log_power_solve``) with fourier_base's
-    d = (C, C', ...), then the sign (-1)^k of each seed log power k."""
+    back-substitution of its _inverse_rows table, which gives the seed
+    coefficients signed."""
     n = F.dim
     groups: dict = {}
     for t in F.terms:
         groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
     radial = []
     for ppow, levels in groups.items():
-        C = master_coefficients(Fraction(ppow + n, 2), n, max(levels))
-        for k, x in log_power_solve(levels, C).items():
-            radial.append(RadialTerm(-x if k % 2 else x, -ppow - n, k))
+        x = back_substitute(levels, _inverse_rows(n, ppow, max(levels)))
+        radial += [RadialTerm(c, -ppow - n, k) for k, c in x.items()]
     local = [LocalTerm(c, j) for c, j in F.local_poly]
     return PositionFunction.build(n, radial, local, F.flags)
 
@@ -138,23 +162,33 @@ def fourier_formal(rep) -> MomentumFunction:
     return multiply_by_symbol(base, operator_symbol(rep.L, rep.g.dim))
 
 
+# log powers 0-3 of the exact layer, each for both sides; the rest is room
+@lru_cache(maxsize=16)
+def _log_derivative_unit(k: int, sign: int) -> tuple[tuple[int, int], ...]:
+    """d/d log(M^2) of the unit term L^k, the log-power map with d = (0,
+    sign): sign = 1 on the position side, L = log(r^2 M^2), and -1 on the
+    momentum side, L = log(p^2/M^2)."""
+    return tuple(log_power_map(1, k, (0, sign)))
+
+
 def cs_derivative(F: MomentumFunction) -> MomentumFunction:
-    """d/d log(M^2) on the momentum side, the log-power map with d = (0, -1);
-    the M-independent polynomial part drops.  M d/dM is twice this."""
+    """d/d log(M^2) on the momentum side, each term times its
+    _log_derivative_unit image; the M-independent polynomial part drops.
+    M d/dM is twice this."""
     terms = [
-        MomentumTerm(c, t.ppow, j)
+        MomentumTerm(t.coeff * q, t.ppow, j)
         for t in F.terms
-        for j, c in log_power_map(t.coeff, t.logpow, (0, -1))
+        for j, q in _log_derivative_unit(t.logpow, -1)
     ]
     return MomentumFunction.build(F.dim, terms, flags=F.flags)
 
 
 def cs_derivative_position(f: PositionFunction) -> PositionFunction:
-    """d/d log(M^2) on the position side, the log-power map with d = (0, 1);
-    delta-type terms drop."""
+    """d/d log(M^2) on the position side, each term times its
+    _log_derivative_unit image; delta-type terms drop."""
     terms = [
-        RadialTerm(c, t.rpow, j)
+        RadialTerm(t.coeff * q, t.rpow, j)
         for t in f.radial
-        for j, c in log_power_map(t.coeff, t.logpow, (0, 1))
+        for j, q in _log_derivative_unit(t.logpow, 1)
     ]
     return PositionFunction.build(f.dim, terms, flags=f.flags)

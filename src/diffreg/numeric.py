@@ -186,17 +186,17 @@ def _radial_transform(f, p, n, Mval, lo) -> tuple[float, float]:
     if not (p > 0 and Mval > 0):
         raise EvaluationError("p and M must be positive")
     omega = _omega(n)
-    # (float coefficient, exact exponent, log power) of each term, read once
-    terms = [(t.coeff.evalf(), t.rpow, t.logpow) for t in f.radial]
 
     # the real axis up to b, the contour from b.  Far outside the documented
     # p range a scale b^(a+n) leaves the normal floats, the profile
-    # overflows at b, or the contour starts where its phase is lost
-    # (OverflowError)
+    # overflows at b, or the contour starts where its phase is lost; a
+    # coefficient past the floats is out of range too (OverflowError)
     pts = _panel_points(lo, p)
     b = pts[-1]
     main_val = main_err = 0.0
     try:
+        # (float coefficient, exact exponent, log power) of each term, read once
+        terms = [(t.coeff.evalf(), t.rpow, t.logpow) for t in f.radial]
         if lo < b:
             main_val, main_err = _quad_panels(terms, p, n, Mval, pts)
         tail_val, tail_err = _tail(terms, p, n, Mval, b)

@@ -4,8 +4,9 @@ polynomials in the Laplacian, acting exactly on radial power-log functions.
 For r != 0, box^m r^s = c_m(s) r^(s-2m) with c_m(s) = prod_{i<m}
 (s-2i)(s-2i+n-2), so box^m acts on a term c r^s L^k in one step: the
 log-power map of ``algebra`` with d = :func:`box_derivatives`, of which the
-map reads the first k + 1 entries.  No power is reached by iterating the
-Laplacian.  At the resonance exponent a = 2-n the log-free part of the
+map reads the first k + 1 entries.  The image of each unit term r^s L^k is
+an entry of the _box_unit table, so a term costs one product per output log
+power.  No power is reached by iterating the Laplacian.  At the resonance exponent a = 2-n the log-free part of the
 Laplacian additionally produces -(n-2) Omega_{n-1} delta^n(x) (Gauss
 theorem); box^m meets it at step i0 = (s - (2-n))/2 of a block r^s, whose
 content there is the same map for box^i0.  For log powers >= 1 at the
@@ -117,13 +118,25 @@ def apply_laplacian(f: PositionFunction) -> PositionFunction:
     return apply_operator(DiffOperator.box(), f)
 
 
+# the window exponents -n < s < 0 of dims 2-10 with log powers 0-3 and
+# m <= 4 (the resonance steps include m = 0) take 900 entries; the rest is
+# room for other exponents
+@lru_cache(maxsize=1024, typed=True)
+def _box_unit(s: int | Fraction, k: int, m: int, n: int) -> tuple[tuple[int, int | Fraction], ...]:
+    """box^m of the unit term r^s L^k at r^(s - 2m), as (log power,
+    rational) pairs: the log-power map with d = box_derivatives, its C(k, i)
+    folded in.  s is an exponent in its as_exponent normal form."""
+    return tuple(log_power_map(1, k, box_derivatives(s, m, n, k + 1)))
+
+
 def _box_image(s, block: dict[int, Coefficient], m: int, n: int) -> dict[int, Coefficient]:
-    """box^m of sum_k block[k] r^s L^k at r^(s - 2m), merged per log power
+    """box^m of sum_k block[k] r^s L^k at r^(s - 2m), one product per term
+    and output log power from the _box_unit table, merged per log power
     with the zeros dropped."""
-    d = box_derivatives(s, m, n, max(block) + 1)
     out: dict[int, Coefficient] = {}
     for k, c in block.items():
-        for j, cj in log_power_map(c, k, d):
+        for j, q in _box_unit(s, k, m, n):
+            cj = c * q
             out[j] = out[j] + cj if j in out else cj
     return {j: c for j, c in out.items() if not c.is_zero()}
 
@@ -185,6 +198,10 @@ def multiply_by_symbol(F: MomentumFunction, sym: MomentumFunction) -> MomentumFu
     poly = []
     for c, j in sym.local_poly:
         cp = -c if j % 2 else c  # c (-p^2)^j = cp p^(2j)
-        terms += [MomentumTerm(t.coeff * cp, t.ppow + 2 * j, t.logpow) for t in F.terms]
-        poly += [(pc * c, pj + j) for pc, pj in F.local_poly]
+        # a unit symbol coefficient, as for a pure power box^j, needs no product
+        terms += [
+            MomentumTerm(t.coeff if cp == ONE else t.coeff * cp, t.ppow + 2 * j, t.logpow)
+            for t in F.terms
+        ]
+        poly += [(pc if c == ONE else pc * c, pj + j) for pc, pj in F.local_poly]
     return MomentumFunction.build(F.dim, terms, poly, F.flags + sym.flags)

@@ -8,8 +8,9 @@ Differentiating in the exponent gives, away from the origin,
     box^m [r^s L^j] = sum_i C(j,i) 2^i c_m^(i)(s) r^(s-2m) L^(j-i).
 
 So the seed system splits into one block per target exponent t, with seed
-exponent s = t + 2m, and each block is solved by ``algebra.log_power_solve``
-with d = ``operators.box_derivatives``.  Where s is a root of c_m of order
+exponent s = t + 2m, and each block is solved by back-substitution with
+d = ``operators.box_derivatives``, its rows read from the _seed_rows table
+(``algebra.log_power_rows``).  Where s is a root of c_m of order
 nu (a resonance) the seed's log power rises by nu, as in
 1/x^4 = -1/4 box log(x^2 M^2)/x^2.  The seed log powers below nu span the
 kernel of box^m and are pinned to zero: the scheme's only free parameter is
@@ -26,13 +27,15 @@ resonance lifts its log power above 3.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     MomentumFunction,
     PositionFunction,
     RadialTerm,
+    back_substitute,
     log_power_map,
-    log_power_solve,
+    log_power_rows,
     sub,
 )
 from .coeffs import Coefficient, LN2, ONE, Record
@@ -61,6 +64,16 @@ class Representation(Record):
         object.__setattr__(self, "note", note)
 
 
+# seed exponents -n < s < 0 of dims 2-10 with m <= 4 and top log powers 0-3
+# take at most 720 entries; the rest is room for other dims
+@lru_cache(maxsize=1024, typed=True)
+def _seed_rows(s: int, m: int, n: int, top: int) -> tuple:
+    """The algebra.log_power_rows that invert box^m at the seed exponent s
+    on target log powers 0 .. top, all rational.  They read d up to the top
+    log power plus the order of s as a root of c_m, which is at most 2."""
+    return log_power_rows(box_derivatives(s, m, n, top + 3), top)
+
+
 def find_representation(
     target: PositionFunction, max_box_power: int = 4
 ) -> Representation:
@@ -87,10 +100,8 @@ def find_representation(
         seed = []
         for t, block in blocks.items():
             s = t + 2 * m
-            # the solve reads d up to the top log power plus the order of s
-            # as a root of c_m, which is at most 2
-            x = log_power_solve(block, box_derivatives(s, m, n, max(block) + 3))
-            seed += [RadialTerm(c, s, j) for j, c in x.items()]
+            x = back_substitute(block, _seed_rows(s, m, n, max(block)))
+            seed += [RadialTerm(c, s, k) for k, c in x.items()]
         g = PositionFunction.build(n, seed)
         if any(term_route(t, n) != "exact" for t in g.radial):
             continue  # a resonance lifted a seed log power past the symbol set

@@ -232,6 +232,29 @@ class TestIntForm:
         assert built == ring and hash(built) == hash(ring) and repr(built) == repr(ring)
         assert pickle.loads(pickle.dumps(ring)) == built
 
+    @given(st.lists(st.tuples(monomials, small_rationals | st.integers(-9, 9)), max_size=6))
+    def test_constructor_normalizes_any_pairs(self, pairs):
+        # unsorted, repeated monomials, zero and int values: the same value
+        # as the ring builds, in the same int form and terms
+        built = Coefficient(tuple(pairs))
+        ring = ZERO
+        for m, q in pairs:
+            ring = ring + Coefficient.monomial(q, *m)
+        self.check(built, pairs)
+        assert built == ring and hash(built) == hash(ring) and repr(built) == repr(ring)
+        assert (built - ring).is_zero()
+
+    def test_unsorted_terms_equal_the_ring_value(self):
+        c = Coefficient((((1, 0, 0, 0), Fraction(1)), ((0, 0, 0, 0), Fraction(1))))
+        assert c == ONE + PI and hash(c) == hash(ONE + PI)
+        assert c.terms == (ONE + PI).terms
+        assert Coefficient((((0, 0, 1, 0), Fraction(1, 2)), ((0, 0, 1, 0), Fraction(-1, 2)))) == ZERO
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, "1", None, complex(1, 0)])
+    def test_constructor_refuses_inexact_values(self, value):
+        with pytest.raises(TypeError, match="expected exact rational"):
+            Coefficient((((0, 0, 0, 0), value),))
+
 
 class TestOperands:
     """Ring arithmetic takes a Coefficient, an int or a Fraction on either

@@ -5,17 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffreg.algebra import (
+    LocalTerm,
+    MomentumFunction,
+    MomentumTerm,
     PositionFunction,
     RadialTerm,
+    back_substitute,
     delta_term,
     eval_momentum,
+    log_power_map,
+    log_power_solve,
     momentum_term,
     position_term,
 )
-from diffreg.coeffs import Coefficient, GAMMA_E, LN2, PI
+from diffreg.coeffs import Coefficient, GAMMA_E, LN2, ONE, PI
 from diffreg.errors import DiffRegError, FourierWindowError, SymbolSetError
 from diffreg.fourier import (
     MAX_EXACT_LOGPOW,
+    _fourier_unit,
+    _inverse_rows,
+    _log_derivative_unit,
     cs_derivative,
     cs_derivative_position,
     fourier_base,
@@ -181,11 +190,14 @@ class TestTable:
                     assert repr(got) == repr(master_coefficients.__wrapped__(a, n, depth))
 
     def test_second_transform_is_a_hit(self):
+        # the second transform reads the unit-term table and builds nothing
         g = position_term(5, 1, Fraction(-3), 2)
         first = fourier_base(g)
-        hits = master_coefficients.cache_info().hits
+        hits = _fourier_unit.cache_info().hits
+        misses = master_coefficients.cache_info().misses
         assert fourier_base(g) == first
-        assert master_coefficients.cache_info().hits == hits + 1
+        assert _fourier_unit.cache_info().hits == hits + 1
+        assert master_coefficients.cache_info().misses == misses
 
     def test_int_and_fraction_exponents_share_an_entry(self):
         # both exponents normalize to the int -2, and a' = 1 is keyed as
@@ -195,6 +207,171 @@ class TestTable:
         assert fourier_base(position_term(4, 1, Fraction(-2))) == F
         assert master_coefficients.cache_info().misses <= misses + 1
 
+
+
+# -- the unit-term tables against the generic log-power helpers ------------
+
+WINDOW_KEYS = [(n, a, k) for n in range(2, 11) for a in range(1 - n, 0) for k in range(4)]
+SYMBOLS = Coefficient.rational(Fraction(-3, 7)) + 2 * PI * LN2 + GAMMA_E
+
+
+def ref_fourier_base(g):
+    """fourier_base as the log-power map per term, with no table."""
+    n = g.dim
+    terms = []
+    for t in g.radial:
+        k = t.logpow
+        C = master_coefficients.__wrapped__(Fraction(-t.rpow, 2), n, k)
+        c = -t.coeff if k % 2 else t.coeff
+        terms += [MomentumTerm(cj, -t.rpow - n, j) for j, cj in log_power_map(c, k, C)]
+    return MomentumFunction.build(n, terms, [(t.coeff, t.boxpow) for t in g.local], g.flags)
+
+
+def ref_inverse_fourier_base(F):
+    """inverse_fourier_base as log_power_solve per exponent, then the sign."""
+    n = F.dim
+    groups = {}
+    for t in F.terms:
+        groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
+    radial = []
+    for ppow, levels in groups.items():
+        C = master_coefficients.__wrapped__(Fraction(ppow + n, 2), n, max(levels))
+        for k, x in log_power_solve(levels, C).items():
+            radial.append(RadialTerm(-x if k % 2 else x, -ppow - n, k))
+    local = [LocalTerm(c, j) for c, j in F.local_poly]
+    return PositionFunction.build(n, radial, local, F.flags)
+
+
+def ref_cs_derivative(F):
+    terms = [MomentumTerm(c, t.ppow, j) for t in F.terms
+             for j, c in log_power_map(t.coeff, t.logpow, (0, -1))]
+    return MomentumFunction.build(F.dim, terms, flags=F.flags)
+
+
+def ref_cs_derivative_position(f):
+    terms = [RadialTerm(c, t.rpow, j) for t in f.radial
+             for j, c in log_power_map(t.coeff, t.logpow, (0, 1))]
+    return PositionFunction.build(f.dim, terms, flags=f.flags)
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except DiffRegError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def window_functions(draw):
+    """Fourier-safe functions of dims 2-10: several log powers per window
+    exponent, coefficients over the symbol set, and delta terms."""
+    n = draw(st.integers(2, 10))
+    nonzero = coefficients().filter(lambda c: not c.is_zero())
+    radial = draw(st.lists(st.builds(RadialTerm, nonzero, st.integers(1 - n, -1),
+                                     st.integers(0, MAX_EXACT_LOGPOW)), max_size=6))
+    local = draw(st.lists(st.builds(LocalTerm, nonzero, st.integers(0, 3)), max_size=2))
+    return PositionFunction.build(n, radial, local)
+
+
+@st.composite
+def momentum_functions(draw):
+    """Momentum functions of dims 2-10 on window exponents, whose
+    coefficients need not lie in the image class."""
+    n = draw(st.integers(2, 10))
+    nonzero = coefficients().filter(lambda c: not c.is_zero())
+    terms = draw(st.lists(st.builds(MomentumTerm, nonzero, st.integers(1 - n, -1),
+                                    st.integers(0, MAX_EXACT_LOGPOW)), max_size=6))
+    return MomentumFunction.build(n, terms)
+
+
+class TestUnitTables:
+    """Each map reads a bounded table of its unit-term image; every entry
+    equals the generic log_power_map / log_power_solve result."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_fourier_unit_over_the_key_space(self, n):
+        for _, a, k in [key for key in WINDOW_KEYS if key[0] == n]:
+            C = master_coefficients.__wrapped__(Fraction(-a, 2), n, k)
+            sign = -1 if k % 2 else 1
+            assert repr(_fourier_unit(n, a, k)) == repr(tuple(log_power_map(sign * ONE, k, C)))
+            # one product per output log power is the map of the coefficient
+            got = [(j, SYMBOLS * q) for j, q in _fourier_unit(n, a, k)]
+            assert repr(got) == repr(log_power_map(sign * SYMBOLS, k, C))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_inverse_rows_over_the_key_space(self, n):
+        # the rows solve every unit level, and a dense and a sparse input,
+        # as log_power_solve and the sign do; the forward map gives y back
+        for _, ppow, top in [key for key in WINDOW_KEYS if key[0] == n]:
+            C = master_coefficients.__wrapped__(Fraction(ppow + n, 2), n, top)
+            rows = _inverse_rows(n, ppow, top)
+            inputs = [{j: C[0] * SYMBOLS} for j in range(top + 1)]
+            inputs.append({j: C[0] * (SYMBOLS + j) for j in range(top + 1)})
+            for y in inputs:
+                got = back_substitute(y, rows)
+                want = {k: -x if k % 2 else x for k, x in log_power_solve(y, C).items()}
+                assert repr(sorted(got.items())) == repr(sorted(want.items()))
+                image = {}
+                for k, x in got.items():
+                    for j, c in log_power_map(-x if k % 2 else x, k, C):
+                        image[j] = image[j] + c if j in image else c
+                assert {j: c for j, c in image.items() if not c.is_zero()} == y
+
+    def test_log_derivative_unit(self):
+        for k in range(MAX_EXACT_LOGPOW + 2):
+            for sign in (1, -1):
+                assert _log_derivative_unit(k, sign) == tuple(log_power_map(1, k, (0, sign)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_functions())
+    def test_transforms_match_the_helpers(self, g):
+        F = fourier_base(g)
+        assert repr(F) == repr(ref_fourier_base(g))
+        assert repr(inverse_fourier_base(F)) == repr(ref_inverse_fourier_base(F))
+        assert repr(cs_derivative(F)) == repr(ref_cs_derivative(F))
+        assert repr(cs_derivative_position(g)) == repr(ref_cs_derivative_position(g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(momentum_functions())
+    def test_inverse_off_the_image_class_matches_the_helpers(self, F):
+        # the same value, or the same error at the same log power
+        assert outcome(inverse_fourier_base, F) == outcome(ref_inverse_fourier_base, F)
+
+    @pytest.mark.parametrize(
+        "table, args, exc",
+        [
+            (_fourier_unit, (4, 0, 0), FourierWindowError),
+            (_fourier_unit, (4, -4, 1), FourierWindowError),
+            (_fourier_unit, (4, -2, MAX_EXACT_LOGPOW + 1), SymbolSetError),
+            (_fourier_unit, (4, Fraction(-3, 2), 0), SymbolSetError),
+            (_inverse_rows, (4, 0, 0), FourierWindowError),
+            (_inverse_rows, (4, -2, MAX_EXACT_LOGPOW + 1), SymbolSetError),
+        ],
+    )
+    def test_errors_are_not_cached(self, table, args, exc):
+        size = table.cache_info().currsize
+        for _ in range(2):
+            misses = table.cache_info().misses
+            with pytest.raises(exc):
+                table(*args)
+            assert table.cache_info().misses == misses + 1
+        assert table.cache_info().currsize == size
+
+    def test_second_inverse_is_a_hit(self):
+        F = fourier_base(position_term(6, PI, -4, 3))
+        first = inverse_fourier_base(F)
+        hits = _inverse_rows.cache_info().hits
+        misses = master_coefficients.cache_info().misses
+        assert inverse_fourier_base(F) == first
+        assert _inverse_rows.cache_info().hits == hits + 1
+        assert master_coefficients.cache_info().misses == misses
+
+    def test_int_and_fraction_exponents_share_an_entry(self):
+        fourier_base(position_term(7, 1, -3, 1))
+        misses = _fourier_unit.cache_info().misses
+        fourier_base(position_term(7, 1, Fraction(-3), 1))
+        fourier_base(position_term(7, 1, Fraction(-6, 2), 1))
+        assert _fourier_unit.cache_info().misses == misses
 
 ORACLE_CASES = [
     (4, Fraction(-2), 0),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -1002,6 +1004,100 @@ class TestCli:
         assert code == 0
         assert any("distributional" in fl for fl in doc["flags"])
 
+
+
+# -- the envelope contract over the option table --------------------------
+
+_TYPICAL_FLOATS = st.sampled_from(["1", "3.5", "0.05", "0.2", "2", "1e-3", "1e2"])
+_FLOAT_TEXTS = st.one_of(
+    _TYPICAL_FLOATS, _TYPICAL_FLOATS,
+    st.sampled_from(["-0", "0", "5e-324", "1e308", "-1e308", "1e-300", "-1", "-3.5"]),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "x", "", "1/2", "--p"]),
+    st.floats().map(repr),
+)
+_TERM_TEXTS = st.sampled_from(
+    ["r^-4", "r^-2", "r^-1", "r^2", "r^0", "1/r^3", "r^-3/2", "delta", "box delta",
+     "log(r^2*M^2)/r^4", "-1/4*log(r^2*M^2)/r^2", "pi*r^-6*log(r^2*M^2)^2",
+     "r^-10*log(r^2*M^2)^3", "gammaE*r^-5 + ln2*r^-7", "r^-4*log(r^2*M^2)^4",
+     "r^-60", "zeta3/r^8", "2*delta + r^-2", "r^-5 - 3*r^-6*log(r^2*M^2)"])
+_BROKEN_TEXTS = st.sampled_from(
+    ["", "r^", "r^-4)", "((r", "1/0", "r^-4 +", "log(r^2)", "r^x", "r^-4*delta", "@",
+     "p^-2", "box", "r^-4 r^-2", "1" * 400, "(" * 300 + "r" + ")" * 300])
+# box powers stay at most 2000: the coefficients of box^m r^s grow to about
+# 2m log10(2m) digits, and box_derivatives builds them one factor at a time
+_OP_TEXTS = st.sampled_from(
+    ["box", "box^2", "box^3 + 2*box", "1", "0", "pi*box^4 - 1", "box^500", "box^2000",
+     "box^-1", "box^", "r^-2", ""])
+_DIM_TEXTS = st.one_of(
+    st.sampled_from(["2", "3", "4", "6"]), st.integers(0, 12).map(str),
+    st.sampled_from(["four", "", "1e5", "-0", "4.0"]),
+)
+
+
+def _option_text(name, kind):
+    if name == "--op":
+        return _OP_TEXTS
+    if name == "--eps-grid":
+        return st.lists(_FLOAT_TEXTS, max_size=3).map(",".join)
+    if name == "--max-box":
+        return st.integers(-1, 10**5).map(str) | _DIM_TEXTS
+    if kind is int:
+        return _DIM_TEXTS
+    if kind is str:
+        return _TERM_TEXTS | _TERM_TEXTS | _BROKEN_TEXTS
+    return _FLOAT_TEXTS
+
+
+@st.composite
+def command_lines(draw):
+    """An argv read from cli._TABLE: each option of a subcommand, required
+    or not, given or left out, with extreme number texts, dims 0-12,
+    --max-box up to 1e5 and well-formed or broken term texts; sometimes an
+    unknown option, a missing value or --text beside --json."""
+    command = draw(st.sampled_from(sorted(cli._TABLE)))
+    argv = [command]
+    for name, (kind, default) in cli._TABLE[command][2].items():
+        given_p = 0.95 if default is cli._REQUIRED else 0.4
+        if draw(st.floats(0, 1)) < given_p:
+            value = draw(_option_text(name, kind))
+            argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    if draw(st.floats(0, 1)) < 0.1:
+        argv.append(draw(st.sampled_from(["--text", "--bogus", "--dim", "--p=1", "-x"])))
+    return argv
+
+
+class TestEnvelopeContract:
+    """Every command line gives exactly one schema-valid envelope and an
+    exit code 0-3, and raises nothing."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    def test_every_command_line_gives_one_envelope(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--json"])
+        doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        jsonschema.validate(doc, SCHEMA)
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert err.getvalue() == ""
+        assert code in (0, 1, 2, 3)
+        assert (doc["status"] == "ok") == (code in (0, 1))
+        assert ("error" in doc) == (code in (2, 3))
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # a coefficient past the floats reached the oracle unguarded
+            (["oracle", "--fn", "1" * 400, "--p", "1", "--dim", "3"], "domain"),
+            (["surface", "--target", "1" * 400, "--eps", "2"], "domain"),
+            # an empty --rep-target was read as no --rep-target
+            (["transform", "--rep-target", "", "--max-box", "5"], "parse"),
+        ],
+        ids=["oracle_huge_coefficient", "surface_huge_coefficient", "empty_rep_target"],
+    )
+    def test_found_command_lines(self, capsys, argv, error):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["error"]["code"] == error
 
 # run in a fresh interpreter started with -S, so that no module imported by
 # site hides one the package imports: reports which of numpy, scipy,

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from diffreg.algebra import (
     LocalTerm,
+    MomentumFunction,
+    MomentumTerm,
     PositionFunction,
     RadialTerm,
     delta_term,
@@ -22,6 +24,8 @@ from diffreg.errors import DiffRegError, EvaluationError
 from diffreg.operators import (
     RESONANCE_FLAG,
     DiffOperator,
+    _box_image,
+    _box_unit,
     apply_laplacian,
     apply_operator,
     box_derivatives,
@@ -321,6 +325,61 @@ class TestMatchesIteratedLaplacian:
         assert (got == (DiffRegError, "Laplacian action requires dim >= 2")) == (L.degree > 0)
 
 
+
+def ref_box_image(s, block, m, n):
+    """_box_image as the log-power map per term, with no table."""
+    d = box_derivatives(s, m, n)
+    out = {}
+    for k, c in block.items():
+        for j, cj in log_power_map(c, k, d):
+            out[j] = out[j] + cj if j in out else cj
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+class TestBoxUnitTable:
+    """box^m reads a bounded table of the image of each unit term r^s L^k;
+    every entry equals the generic log_power_map result."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_entries_over_the_key_space(self, n):
+        # window exponents, log powers 0-3 and m <= 4 (m = 0 for the
+        # resonance step), each against the untruncated d
+        c = PI * Fraction(3, 7) + ONE
+        for s in range(1 - n, 0):
+            for m in range(5):
+                d = box_derivatives(s, m, n)
+                for k in range(4):
+                    assert repr(_box_unit(s, k, m, n)) == repr(tuple(log_power_map(1, k, d)))
+                    got = [(j, c * q) for j, q in _box_unit(s, k, m, n)]
+                    assert repr(got) == repr(log_power_map(c, k, d))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_images_match_the_helper(self, data):
+        n = data.draw(st.integers(2, 10))
+        s = data.draw(exponents(n))
+        m = data.draw(st.integers(0, 5))
+        block = data.draw(st.dictionaries(st.integers(0, 3), nonzero_coefficients, min_size=1))
+        assert repr(_box_image(s, block, m, n)) == repr(ref_box_image(s, block, m, n))
+
+    def test_second_application_is_a_hit(self):
+        f = position_term(5, PI, Fraction(-7, 2), 3)
+        first = apply_operator(DiffOperator.box(3), f)
+        hits = _box_unit.cache_info().hits
+        misses = box_derivatives.cache_info().misses
+        assert apply_operator(DiffOperator.box(3), f) == first
+        assert _box_unit.cache_info().hits == hits + 1
+        assert box_derivatives.cache_info().misses == misses
+
+
+@st.composite
+def momentum_functions(draw, n):
+    nonzero = coefficients().filter(lambda c: not c.is_zero())
+    terms = draw(st.lists(st.builds(MomentumTerm, nonzero, st.integers(-n - 4, 4),
+                                    st.integers(0, 3)), max_size=4))
+    poly = draw(st.lists(st.tuples(nonzero, st.integers(0, 3)), max_size=2))
+    return MomentumFunction.build(n, terms, poly)
+
 class TestSymbol:
     def test_box_symbol(self):
         sym = operator_symbol(DiffOperator.box(2), 4)
@@ -337,6 +396,23 @@ class TestSymbol:
         assert eval_momentum(G, p, M) == pytest.approx(
             -(p * p) * eval_momentum(F, p, M), rel=1e-15
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unit_coefficients_skip_the_product(self, data):
+        # a product by every symbol coefficient, units included, gives the
+        # same function as the skip
+        n = data.draw(st.integers(2, 10))
+        F = data.draw(momentum_functions(n))
+        L = data.draw(operators())
+        sym = operator_symbol(L, n)
+        terms, poly = [], []
+        for c, j in sym.local_poly:
+            cp = -c if j % 2 else c
+            terms += [MomentumTerm(t.coeff * cp, t.ppow + 2 * j, t.logpow) for t in F.terms]
+            poly += [(pc * c, pj + j) for pc, pj in F.local_poly]
+        want = MomentumFunction.build(n, terms, poly, F.flags + sym.flags)
+        assert repr(multiply_by_symbol(F, sym)) == repr(want)
 
 
 class TestGaussFlux:

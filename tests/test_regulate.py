@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffreg.algebra import (
     PositionFunction,
     RadialTerm,
     add,
+    back_substitute,
     delta_term,
     eval_momentum,
     log_power_solve,
@@ -17,13 +19,16 @@ from diffreg.fourier import term_route
 from diffreg.errors import DiffRegError, NotRepresentableError
 from diffreg.fourier import fourier_formal
 from diffreg import regulate
-from diffreg.operators import DiffOperator, apply_operator
+from diffreg.operators import DiffOperator, apply_operator, box_derivatives
 from diffreg.regulate import (
+    _seed_rows,
     find_representation,
     log_of_ratio,
     mass_shift,
     shift_mass,
 )
+
+from conftest import coefficients
 
 
 class TestFindRepresentation:
@@ -206,13 +211,15 @@ class TestBlockSolver:
     def test_search_solves_only_inside_the_window(
         self, monkeypatch, terms, max_box, solves, power
     ):
+        # a block's solve is one read of the seed table, hit or miss
         calls = []
+        table = regulate._seed_rows
 
-        def spy(levels, d):
-            calls.append(d)
-            return log_power_solve(levels, d)
+        def spy(*key):
+            calls.append(key)
+            return table(*key)
 
-        monkeypatch.setattr(regulate, "log_power_solve", spy)
+        monkeypatch.setattr(regulate, "_seed_rows", spy)
         target = PositionFunction.build(4, [RadialTerm(ONE, t) for t in terms])
         if power is None:
             with pytest.raises(NotRepresentableError):
@@ -221,6 +228,87 @@ class TestBlockSolver:
             assert find_representation(target, max_box).L == DiffOperator.box(power)
         assert len(calls) == solves
 
+
+
+def ref_seed(target, m):
+    """The seed of target under box^m by log_power_solve per target
+    exponent, with the untruncated d and no table."""
+    n = target.dim
+    blocks = {}
+    for t in target.radial:
+        blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
+    seed = []
+    for t, block in blocks.items():
+        s = t + 2 * m
+        x = log_power_solve(block, box_derivatives(s, m, n))
+        seed += [RadialTerm(c, s, k) for k, c in x.items()]
+    return PositionFunction.build(n, seed)
+
+
+@st.composite
+def regulated_targets(draw):
+    n = draw(st.integers(2, 10))
+    nonzero = coefficients().filter(lambda c: not c.is_zero())
+    terms = draw(st.lists(st.builds(RadialTerm, nonzero, st.integers(-n - 7, -n),
+                                    st.integers(0, 3)), min_size=1, max_size=5))
+    return PositionFunction.build(n, terms)
+
+
+class TestSeedTable:
+    """The seed solve reads a bounded table of the back-substitution rows
+    per (s, m, n, top log power); every seed equals log_power_solve's."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_rows_over_the_key_space(self, n):
+        # seed exponents in the window, m <= 4, top log powers 0-3: each
+        # unit target level and a dense block solve as log_power_solve does
+        # with the untruncated d, and box^m maps the seed back
+        c = PI * Fraction(3, 7) + ONE
+        for s in range(1 - n, 0):
+            for m in range(1, 5):
+                d = box_derivatives(s, m, n)
+                for top in range(4):
+                    rows = _seed_rows(s, m, n, top)
+                    assert all(isinstance(q, (int, Fraction)) for *_, row in rows for _, q in row)
+                    blocks = [{j: c} for j in range(top + 1)]
+                    blocks.append({j: c + j for j in range(top + 1)})
+                    for block in blocks:
+                        got = back_substitute(block, rows)
+                        assert repr(sorted(got.items())) == repr(sorted(log_power_solve(block, d).items()))
+                        g = PositionFunction.build(n, [RadialTerm(x, s, k) for k, x in got.items()])
+                        image = apply_operator(DiffOperator.box(m), g)
+                        assert image.radial == PositionFunction.build(
+                            n, [RadialTerm(y, s - 2 * m, j) for j, y in block.items()]
+                        ).radial
+
+    @settings(max_examples=200, deadline=None)
+    @given(regulated_targets())
+    def test_search_matches_the_helper(self, target):
+        try:
+            rep = find_representation(target)
+        except NotRepresentableError:
+            rep = None
+        n = target.dim
+        m_lo = (-n - min(t.rpow for t in target.radial)) // 2 + 1
+        m_hi = min(4, (-1 - max(t.rpow for t in target.radial)) // 2)
+        for m in range(m_lo, m_hi + 1):
+            g = ref_seed(target, m)
+            if all(term_route(t, n) == "exact" for t in g.radial):
+                assert rep is not None and rep.L == DiffOperator.box(m)
+                assert repr(rep.g) == repr(g)
+                break
+        else:
+            assert rep is None
+
+    def test_second_search_is_a_hit(self):
+        target = add(position_term(5, PI, -9, 1), position_term(5, ONE, -7, 2))
+        first = find_representation(target)
+        hits = _seed_rows.cache_info().hits
+        misses = box_derivatives.cache_info().misses
+        assert find_representation(target) == first
+        # one read per target exponent, at the one m tried
+        assert _seed_rows.cache_info().hits == hits + 2
+        assert box_derivatives.cache_info().misses == misses
 
 class TestMassShift:
     def test_shift_mass_substitution(self):
