@@ -8,6 +8,13 @@ an exact polynomial part stored as c * (-p^2)^j.  One global mass symbol M.
 Exponents (``rpow``, ``ppow``) are kept in one normal form: an ``int`` when
 integral, else a ``Fraction`` with denominator > 1.  Integral exponents, the
 common case, then hash, sort and shift as plain ints.
+
+Every function value is made by its kind's ``from_maps``, from merged maps
+of its terms keyed (power, log power) and by polynomial degree: it sorts,
+drops zeros, folds log-free even non-negative integer momentum powers into
+the polynomial part, and makes each term record once, its slots set
+directly.  ``build`` merges term records into those maps; a producer
+accumulates into them with ``term_map``.
 """
 
 from __future__ import annotations
@@ -77,23 +84,32 @@ class PositionFunction(Record):
     @classmethod
     def build(cls, dim, radial=(), local=(), flags=()) -> "PositionFunction":
         """Canonical constructor: merges like terms, drops zeros, sorts."""
+        return normalize(cls(dim, radial, local, flags))
+
+    @classmethod
+    def from_maps(cls, dim, radial: dict, local: dict, flags=()) -> "PositionFunction":
+        """The normal form from merged maps {(rpow, logpow): coeff} and
+        {boxpow: coeff}: sorted, zeros dropped, each rpow in its
+        as_exponent form, and each term record made once, its slots set
+        directly.  Every producer of the kind ends here."""
         if dim < 1:
             raise ValueError("dimension must be a positive integer")
-        rad: dict = {}
-        for t in radial:
-            key = (t.rpow, t.logpow)
-            rad[key] = rad[key] + t.coeff if key in rad else t.coeff
-        loc: dict = {}
-        for t in local:
-            j = t.boxpow
-            loc[j] = loc[j] + t.coeff if j in loc else t.coeff
-        radial_out = tuple(
-            RadialTerm(c, k[0], k[1]) for k, c in sorted(rad.items()) if not c.is_zero()
-        )
-        local_out = tuple(
-            LocalTerm(c, j) for j, c in sorted(loc.items()) if not c.is_zero()
-        )
-        return cls(dim, radial_out, local_out, tuple(sorted(set(flags))))
+        rad = []
+        for (a, k), c in sorted(radial.items()):
+            if c.nums:
+                t = _new(RadialTerm)
+                _set_rcoeff(t, c)
+                _set_rpow(t, a if type(a) is int else as_exponent(a))
+                _set_rlog(t, k)
+                rad.append(t)
+        loc = []
+        for j, c in sorted(local.items()):
+            if c.nums:
+                t = _new(LocalTerm)
+                _set_lcoeff(t, c)
+                _set_boxpow(t, j)
+                loc.append(t)
+        return _function(cls, _POSITION_SLOTS, dim, rad, loc, flags)
 
     def is_zero(self) -> bool:
         return not self.radial and not self.local
@@ -116,44 +132,71 @@ class MomentumFunction(Record):
 
     @classmethod
     def build(cls, dim, terms=(), local_poly=(), flags=()) -> "MomentumFunction":
-        """Canonical constructor.  Log-free terms with even non-negative
-        integer power are folded into the polynomial part so that every
-        polynomial-in-p^2 piece has a single normal form."""
+        """Canonical constructor: merges like terms, drops zeros, sorts."""
+        local_poly = tuple(local_poly)
+        if any(j < 0 for _, j in local_poly):
+            raise ValueError("polynomial degree must be non-negative")
+        return normalize(cls(dim, terms, local_poly, flags))
+
+    @classmethod
+    def from_maps(cls, dim, terms: dict, local_poly: dict, flags=()) -> "MomentumFunction":
+        """The normal form from merged maps {(ppow, logpow): coeff} and
+        {j: coeff of (-p^2)^j}, as PositionFunction.from_maps.  A log-free
+        term of even non-negative integer power is folded into the
+        polynomial part, so that every polynomial-in-p^2 piece has a single
+        normal form; local_poly takes the folded terms in place."""
         if dim < 1:
             raise ValueError("dimension must be a positive integer")
-        pw: dict = {}
-        poly: dict = {}
-        for c, j in local_poly:
-            if j < 0:
-                raise ValueError("polynomial degree must be non-negative")
-            poly[j] = poly[j] + c if j in poly else c
-        for t in terms:
-            if (
-                t.logpow == 0
-                and type(t.ppow) is int
-                and t.ppow >= 0
-                and t.ppow % 2 == 0
-            ):
-                j = t.ppow // 2
-                sign = 1 if j % 2 == 0 else -1
-                c = sign * t.coeff
-                poly[j] = poly[j] + c if j in poly else c
-            else:
-                key = (t.ppow, t.logpow)
-                pw[key] = pw[key] + t.coeff if key in pw else t.coeff
-        terms_out = tuple(
-            MomentumTerm(c, k[0], k[1]) for k, c in sorted(pw.items()) if not c.is_zero()
-        )
-        poly_out = tuple(
-            (c, j) for j, c in sorted(poly.items()) if not c.is_zero()
-        )
-        return cls(dim, terms_out, poly_out, tuple(sorted(set(flags))))
+        out = []
+        for (a, k), c in sorted(terms.items()):
+            if not c.nums:
+                continue
+            if type(a) is not int:
+                a = as_exponent(a)
+            if not k and type(a) is int and a >= 0 and not a % 2:
+                j = a >> 1
+                c = -c if j % 2 else c  # c p^(2j) = c (-1)^j (-p^2)^j
+                local_poly[j] = local_poly[j] + c if j in local_poly else c
+                continue
+            t = _new(MomentumTerm)
+            _set_mcoeff(t, c)
+            _set_ppow(t, a)
+            _set_mlog(t, k)
+            out.append(t)
+        poly = [(c, j) for j, c in sorted(local_poly.items()) if c.nums]
+        return _function(cls, _MOMENTUM_SLOTS, dim, out, poly, flags)
 
     def is_zero(self) -> bool:
         return not self.terms and not self.local_poly
 
 
 AnyFunction = PositionFunction | MomentumFunction
+
+_new = object.__new__
+
+
+def _setters(cls) -> tuple:
+    # the slot descriptors' setters, which skip the records' refusing __setattr__
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+_set_rcoeff, _set_rpow, _set_rlog = _setters(RadialTerm)
+_set_lcoeff, _set_boxpow = _setters(LocalTerm)
+_set_mcoeff, _set_ppow, _set_mlog = _setters(MomentumTerm)
+_POSITION_SLOTS = _setters(PositionFunction)
+_MOMENTUM_SLOTS = _setters(MomentumFunction)
+
+
+def _function(cls, slots: tuple, dim: int, first: list, second: list, flags) -> AnyFunction:
+    """A function record set through its slots: dim, its two term tuples
+    and its flags, sorted and unique."""
+    f = _new(cls)
+    set_dim, set_first, set_second, set_flags = slots
+    set_dim(f, dim)
+    set_first(f, tuple(first))
+    set_second(f, tuple(second))
+    set_flags(f, tuple(sorted(set(flags))) if flags else ())
+    return f
 
 
 # -- construction helpers ----------------------------------------------
@@ -180,48 +223,60 @@ def momentum_term(dim, coeff, ppow, logpow=0) -> MomentumFunction:
 # -- algebra operations ------------------------------------------------
 
 
+def term_map(items, acc: dict | None = None, neg: bool = False) -> dict:
+    """acc (a new dict when None) with the coefficient of each (key,
+    coefficient) item added to its key's entry, or subtracted with neg:
+    the merged maps that from_maps takes."""
+    acc = {} if acc is None else acc
+    for key, c in items:
+        if key in acc:
+            acc[key] = acc[key] - c if neg else acc[key] + c
+        else:
+            acc[key] = -c if neg else c
+    return acc
+
+
+def _items(f: AnyFunction) -> tuple:
+    """f's terms as two iterables of (key, coefficient), keyed as the maps
+    of its kind's from_maps."""
+    if isinstance(f, PositionFunction):
+        return ((((t.rpow, t.logpow), t.coeff) for t in f.radial),
+                ((t.boxpow, t.coeff) for t in f.local))
+    return ((((t.ppow, t.logpow), t.coeff) for t in f.terms),
+            ((j, c) for c, j in f.local_poly))
+
+
 def normalize(f: AnyFunction) -> AnyFunction:
     """Idempotent canonical form (the constructors already normalize)."""
-    if isinstance(f, PositionFunction):
-        return PositionFunction.build(f.dim, f.radial, f.local, f.flags)
-    return MomentumFunction.build(f.dim, f.terms, f.local_poly, f.flags)
+    return type(f).from_maps(f.dim, *map(term_map, _items(f)), f.flags)
 
 
-def add(f: AnyFunction, g: AnyFunction) -> AnyFunction:
+def _combine(f: AnyFunction, g: AnyFunction, neg: bool) -> AnyFunction:
+    """f + g, or f - g with neg: f's terms and then g's merged into one pair
+    of maps."""
     if type(f) is not type(g):
         raise TypeError("cannot add position and momentum functions")
     if f.dim != g.dim:
         raise DimensionMismatchError(f"dim {f.dim} != dim {g.dim}")
-    flags = f.flags + g.flags
-    if isinstance(f, PositionFunction):
-        return PositionFunction.build(
-            f.dim, f.radial + g.radial, f.local + g.local, flags
-        )
-    return MomentumFunction.build(
-        f.dim, f.terms + g.terms, f.local_poly + g.local_poly, flags
-    )
+    maps = [term_map(items) for items in _items(f)]
+    for acc, items in zip(maps, _items(g)):
+        term_map(items, acc, neg)
+    return type(f).from_maps(f.dim, *maps, f.flags + g.flags)
+
+
+def add(f: AnyFunction, g: AnyFunction) -> AnyFunction:
+    return _combine(f, g, False)
+
+
+def sub(f: AnyFunction, g: AnyFunction) -> AnyFunction:
+    return _combine(f, g, True)
 
 
 def scale(c, f: AnyFunction) -> AnyFunction:
     if isinstance(c, (int, Fraction)):
         c = Coefficient.rational(c)
-    if isinstance(f, PositionFunction):
-        return PositionFunction.build(
-            f.dim,
-            [RadialTerm(c * t.coeff, t.rpow, t.logpow) for t in f.radial],
-            [LocalTerm(c * t.coeff, t.boxpow) for t in f.local],
-            f.flags,
-        )
-    return MomentumFunction.build(
-        f.dim,
-        [MomentumTerm(c * t.coeff, t.ppow, t.logpow) for t in f.terms],
-        [(c * pc, j) for pc, j in f.local_poly],
-        f.flags,
-    )
-
-
-def sub(f: AnyFunction, g: AnyFunction) -> AnyFunction:
-    return add(f, scale(-1, g))
+    maps = [term_map((key, c * x) for key, x in items) for items in _items(f)]
+    return type(f).from_maps(f.dim, *maps, f.flags)
 
 
 def mul(f: PositionFunction, g: PositionFunction) -> PositionFunction:
@@ -230,13 +285,9 @@ def mul(f: PositionFunction, g: PositionFunction) -> PositionFunction:
         raise DimensionMismatchError(f"dim {f.dim} != dim {g.dim}")
     if f.local or g.local:
         raise DistributionProductError("undefined product of distributions")
-    out = []
-    for s in f.radial:
-        for t in g.radial:
-            out.append(
-                RadialTerm(s.coeff * t.coeff, s.rpow + t.rpow, s.logpow + t.logpow)
-            )
-    return PositionFunction.build(f.dim, out, flags=f.flags + g.flags)
+    radial = term_map(((s.rpow + t.rpow, s.logpow + t.logpow), s.coeff * t.coeff)
+                      for s in f.radial for t in g.radial)
+    return PositionFunction.from_maps(f.dim, radial, {}, f.flags + g.flags)
 
 
 # -- the log-power identity --------------------------------------------

@@ -19,14 +19,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    LocalTerm,
     MomentumFunction,
-    MomentumTerm,
     PositionFunction,
     RadialTerm,
     back_substitute,
     log_power_map,
     log_power_rows,
+    term_map,
 )
 from .coeffs import LN2, ONE, Coefficient, gamma_exact, polygamma
 from .errors import DiffRegError, FourierWindowError, SymbolSetError
@@ -117,12 +116,10 @@ def fourier_base(g: PositionFunction) -> MomentumFunction:
     power; local terms to the polynomial part, coeff * box^j delta -> coeff
     * (-p^2)^j."""
     n = g.dim
-    terms = []
-    for t in g.radial:
-        c, ppow = t.coeff, -t.rpow - n
-        terms += [MomentumTerm(c * q, ppow, j) for j, q in _fourier_unit(n, t.rpow, t.logpow)]
-    poly = [(t.coeff, t.boxpow) for t in g.local]
-    return MomentumFunction.build(n, terms, poly, g.flags)
+    terms = term_map(((-t.rpow - n, j), t.coeff * q)
+                     for t in g.radial for j, q in _fourier_unit(n, t.rpow, t.logpow))
+    poly = term_map((t.boxpow, t.coeff) for t in g.local)
+    return MomentumFunction.from_maps(n, terms, poly, g.flags)
 
 
 # the image exponents -n < ppow < 0 of dims 2-10 with top log powers 0-3
@@ -147,12 +144,12 @@ def inverse_fourier_base(F: MomentumFunction) -> PositionFunction:
     groups: dict = {}
     for t in F.terms:
         groups.setdefault(t.ppow, {})[t.logpow] = t.coeff
-    radial = []
+    radial: dict = {}
     for ppow, levels in groups.items():
         x = back_substitute(levels, _inverse_rows(n, ppow, max(levels)))
-        radial += [RadialTerm(c, -ppow - n, k) for k, c in x.items()]
-    local = [LocalTerm(c, j) for c, j in F.local_poly]
-    return PositionFunction.build(n, radial, local, F.flags)
+        radial.update(((-ppow - n, k), c) for k, c in x.items())
+    local = term_map((j, c) for c, j in F.local_poly)
+    return PositionFunction.from_maps(n, radial, local, F.flags)
 
 
 def fourier_formal(rep) -> MomentumFunction:
@@ -175,20 +172,14 @@ def cs_derivative(F: MomentumFunction) -> MomentumFunction:
     """d/d log(M^2) on the momentum side, each term times its
     _log_derivative_unit image; the M-independent polynomial part drops.
     M d/dM is twice this."""
-    terms = [
-        MomentumTerm(t.coeff * q, t.ppow, j)
-        for t in F.terms
-        for j, q in _log_derivative_unit(t.logpow, -1)
-    ]
-    return MomentumFunction.build(F.dim, terms, flags=F.flags)
+    terms = term_map(((t.ppow, j), t.coeff * q)
+                     for t in F.terms for j, q in _log_derivative_unit(t.logpow, -1))
+    return MomentumFunction.from_maps(F.dim, terms, {}, F.flags)
 
 
 def cs_derivative_position(f: PositionFunction) -> PositionFunction:
     """d/d log(M^2) on the position side, each term times its
     _log_derivative_unit image; delta-type terms drop."""
-    terms = [
-        RadialTerm(t.coeff * q, t.rpow, j)
-        for t in f.radial
-        for j, q in _log_derivative_unit(t.logpow, 1)
-    ]
-    return PositionFunction.build(f.dim, terms, flags=f.flags)
+    terms = term_map(((t.rpow, j), t.coeff * q)
+                     for t in f.radial for j, q in _log_derivative_unit(t.logpow, 1))
+    return PositionFunction.from_maps(f.dim, terms, {}, f.flags)

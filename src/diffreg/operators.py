@@ -6,12 +6,12 @@ For r != 0, box^m r^s = c_m(s) r^(s-2m) with c_m(s) = prod_{i<m}
 log-power map of ``algebra`` with d = :func:`box_derivatives`, of which the
 map reads the first k + 1 entries.  The image of each unit term r^s L^k is
 an entry of the _box_unit table, so a term costs one product per output log
-power.  No power is reached by iterating the Laplacian.  At the resonance exponent a = 2-n the log-free part of the
-Laplacian additionally produces -(n-2) Omega_{n-1} delta^n(x) (Gauss
-theorem); box^m meets it at step i0 = (s - (2-n))/2 of a block r^s, whose
-content there is the same map for box^i0.  For log powers >= 1 at the
-resonance the at-origin content is not determined here and the result
-carries a flag instead.
+power.  No power is reached by iterating the Laplacian.  At the resonance
+exponent a = 2-n the log-free part of the Laplacian additionally produces
+-(n-2) Omega_{n-1} delta^n(x) (Gauss theorem); box^m meets it at step
+i0 = (s - (2-n))/2 of a block r^s, whose content there is the same map for
+box^i0.  For log powers >= 1 at the resonance the at-origin content is not
+determined here and the result carries a flag instead.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    LocalTerm,
     MomentumFunction,
-    MomentumTerm,
     PositionFunction,
     RadialTerm,
     log_power_map,
+    term_map,
 )
 from .coeffs import ONE, Coefficient, Record, sphere_area
 from .errors import DiffRegError
@@ -151,23 +150,22 @@ def apply_operator(L: DiffOperator, f: PositionFunction) -> PositionFunction:
     raise to box^(k-1-i0) delta^n(x), and a log part sets the flag."""
     n = f.dim
     if not L.coeffs:
-        return PositionFunction.build(n)
+        return PositionFunction.from_maps(n, {}, {})
     if L.degree and n < 2:
         raise DiffRegError("Laplacian action requires dim >= 2")
     blocks: dict[int | Fraction, dict[int, Coefficient]] = {}
     for t in f.radial:
         blocks.setdefault(t.rpow, {})[t.logpow] = t.coeff
-    radial: list[RadialTerm] = []
-    local: list[LocalTerm] = []
+    radial: dict = {}
+    local: dict = {}
     flags = list(f.flags)
     for k, c in L.coeffs:
         # a pure power box^k, the common case, needs no product by c
-        radial += [
-            RadialTerm(cj if c == ONE else c * cj, s - 2 * k, j)
-            for s, block in blocks.items()
-            for j, cj in _box_image(s, block, k, n).items()
-        ]
-        local += [LocalTerm(c * t.coeff, t.boxpow + k) for t in f.local]
+        unit = c == ONE
+        term_map((((s - 2 * k, j), cj if unit else c * cj)
+                  for s, block in blocks.items()
+                  for j, cj in _box_image(s, block, k, n).items()), radial)
+        term_map(((t.boxpow + k, t.coeff if unit else c * t.coeff) for t in f.local), local)
     for s, block in blocks.items():
         if type(s) is not int or (s - 2 + n) % 2:
             continue
@@ -179,29 +177,27 @@ def apply_operator(L: DiffOperator, f: PositionFunction) -> PositionFunction:
             flags.append(RESONANCE_FLAG)
         if 0 in image and n != 2:
             cdelta = image[0] * Fraction(-(n - 2)) * sphere_area(n)
-            local += [LocalTerm(c * cdelta, k - 1 - i0) for k, c in L.coeffs if k > i0]
-    return PositionFunction.build(n, radial, local, flags)
+            term_map(((k - 1 - i0, c * cdelta) for k, c in L.coeffs if k > i0), local)
+    return PositionFunction.from_maps(n, radial, local, flags)
 
 
 def operator_symbol(L: DiffOperator, n: int) -> MomentumFunction:
     """Fourier symbol under F[f](p) = int e^{ip.x} f(x) d^n x: box -> -p^2,
     so sigma(sum c_k box^k) = sum c_k (-p^2)^k, returned as an exact
     polynomial in p^2."""
-    return MomentumFunction.build(n, local_poly=[(c, k) for k, c in L.coeffs])
+    return MomentumFunction.from_maps(n, {}, term_map(L.coeffs))
 
 
 def multiply_by_symbol(F: MomentumFunction, sym: MomentumFunction) -> MomentumFunction:
     """Multiply a momentum function by a pure polynomial-in-p^2 symbol."""
     if sym.terms:
         raise DiffRegError("symbol must be a polynomial in p^2")
-    terms = []
-    poly = []
+    terms: dict = {}
+    poly: dict = {}
     for c, j in sym.local_poly:
         cp = -c if j % 2 else c  # c (-p^2)^j = cp p^(2j)
         # a unit symbol coefficient, as for a pure power box^j, needs no product
-        terms += [
-            MomentumTerm(t.coeff if cp == ONE else t.coeff * cp, t.ppow + 2 * j, t.logpow)
-            for t in F.terms
-        ]
-        poly += [(pc if c == ONE else pc * c, pj + j) for pc, pj in F.local_poly]
-    return MomentumFunction.build(F.dim, terms, poly, F.flags + sym.flags)
+        term_map((((t.ppow + 2 * j, t.logpow), t.coeff if cp == ONE else t.coeff * cp)
+                  for t in F.terms), terms)
+        term_map(((pj + j, pc if c == ONE else pc * c) for pc, pj in F.local_poly), poly)
+    return MomentumFunction.from_maps(F.dim, terms, poly, F.flags + sym.flags)

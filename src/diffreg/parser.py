@@ -24,8 +24,9 @@ numerator and denominator (every sign included), a monomial over (pi,
 gammaE, ln2, zeta3) and a key; a parenthesised factor joins as a dict, and
 a divisor, a plain rational or a single rational power, folds into the
 leaves.  Each ``Coefficient`` is built once per key, in its int form,
-when ``parse_*`` returns; only ``box * f`` builds ``f`` on the way, to apply the operator
-with its resonance deltas and flags.
+when ``parse_*`` returns, and the key map goes to the kind's ``from_maps``,
+which makes each term record once; only ``box * f`` builds ``f`` on the
+way, to apply the operator with its resonance deltas and flags.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import LocalTerm, MomentumFunction, MomentumTerm, PositionFunction, RadialTerm
+from .algebra import MomentumFunction, PositionFunction
 from .coeffs import ONE, SYMBOL_NAMES, from_ints
 from .errors import ParseError
 from .operators import DiffOperator, apply_operator
@@ -109,13 +110,10 @@ def _coefficients(terms: dict) -> dict:
 
 
 def _position(dim: int, coeffs: dict, flags) -> PositionFunction:
-    radial, local = [], []
-    for key, c in coeffs.items():
-        if type(key) is tuple:
-            radial.append(RadialTerm(c, key[0], key[1]))
-        else:
-            local.append(LocalTerm(c, key))
-    return PositionFunction.build(dim, radial, local, flags)
+    # a power's key is (rpow, logpow), a delta's its box power
+    radial = {key: c for key, c in coeffs.items() if type(key) is tuple}
+    local = {key: c for key, c in coeffs.items() if type(key) is int}
+    return PositionFunction.from_maps(dim, radial, local, flags)
 
 
 class _Reader:
@@ -358,7 +356,7 @@ def parse_position(text: str, dim: int) -> PositionFunction:
 
 def parse_momentum(text: str, dim: int) -> MomentumFunction:
     coeffs, _ = _read(text, dim, "momentum", "a momentum-space")
-    return MomentumFunction.build(dim, [MomentumTerm(c, e, k) for (e, k), c in coeffs.items()])
+    return MomentumFunction.from_maps(dim, coeffs, {})
 
 
 def parse_operator(text: str, dim: int = 4) -> DiffOperator:

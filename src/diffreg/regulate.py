@@ -32,11 +32,11 @@ from functools import lru_cache
 from .algebra import (
     MomentumFunction,
     PositionFunction,
-    RadialTerm,
     back_substitute,
     log_power_map,
     log_power_rows,
     sub,
+    term_map,
 )
 from .coeffs import Coefficient, LN2, ONE, Record
 from .errors import DiffRegError, NotRepresentableError
@@ -97,12 +97,12 @@ def find_representation(
     m_lo = (-n - min(blocks)) // 2 + 1
     m_hi = min(max_box_power, (-1 - max(blocks)) // 2)
     for m in range(m_lo, m_hi + 1):
-        seed = []
+        seed: dict = {}
         for t, block in blocks.items():
             s = t + 2 * m
             x = back_substitute(block, _seed_rows(s, m, n, max(block)))
-            seed += [RadialTerm(c, s, k) for k, c in x.items()]
-        g = PositionFunction.build(n, seed)
+            seed.update(((s, k), c) for k, c in x.items())
+        g = PositionFunction.from_maps(n, seed, {})
         if any(term_route(t, n) != "exact" for t in g.radial):
             continue  # a resonance lifted a seed log power past the symbol set
         L = DiffOperator.box(m)
@@ -137,12 +137,10 @@ def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:
     two_l = 2 * ln_lambda
     top = max((t.logpow for t in f.radial), default=0)
     d = [two_l ** i for i in range(top + 1)]
-    out = [
-        RadialTerm(c, t.rpow, j)
-        for t in f.radial
-        for j, c in log_power_map(t.coeff, t.logpow, d)
-    ]
-    return PositionFunction.build(f.dim, out, f.local, f.flags)
+    out = term_map(((t.rpow, j), c)
+                   for t in f.radial for j, c in log_power_map(t.coeff, t.logpow, d))
+    local = term_map((t.boxpow, t.coeff) for t in f.local)
+    return PositionFunction.from_maps(f.dim, out, local, f.flags)
 
 
 def log_of_ratio(ratio) -> Coefficient:

@@ -159,7 +159,7 @@ def surface_expansion(L: DiffOperator, g: PositionFunction) -> SurfaceExpansion:
 
     entries = []
     for key in sorted(acc):
-        val = MomentumFunction.build(n, local_poly=[(c, j) for j, c in acc[key].items()])
+        val = MomentumFunction.from_maps(n, {}, acc[key])
         if not val.is_zero():
             entries.append((key, val))
     if not dropped:

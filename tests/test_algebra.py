@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from diffreg.algebra import (
     LocalTerm,
@@ -24,13 +24,25 @@ from diffreg.algebra import (
     scale,
     sub,
 )
-from diffreg.coeffs import GAMMA_E, LN2, ONE, PI, ZERO, Coefficient
+from diffreg.coeffs import GAMMA_E, LN2, ONE, PI, ZERO, Coefficient, as_exponent
 from diffreg.errors import (
     DimensionMismatchError,
     DistributionProductError,
     EvaluationError,
+    NotRepresentableError,
 )
-from diffreg.fourier import master_coefficients
+from diffreg.fourier import (
+    cs_derivative,
+    cs_derivative_position,
+    fourier_base,
+    inverse_fourier_base,
+    master_coefficients,
+)
+from diffreg.operators import DiffOperator, apply_operator, multiply_by_symbol, operator_symbol
+from diffreg.parser import parse_momentum, parse_position
+from diffreg.printer import format_momentum, format_position
+from diffreg.regulate import find_representation
+from diffreg.surface import surface_expansion
 
 from conftest import coefficients, small_rationals
 
@@ -385,3 +397,164 @@ class TestLogPowerIdentity:
             c.divide(0)
         with pytest.raises(ZeroDivisionError):
             ZERO.divide(Fraction(0))
+
+
+# -- every producer ends in the one constructor of its kind -------------
+
+
+def _assert_normal_form(f):
+    """normalize is the identity on f, and f is as from_maps leaves it:
+    keys strictly increasing, no zero coefficient, exponents in their
+    as_exponent form, flags sorted and unique, and on the momentum side no
+    log-free even non-negative integer power among the terms."""
+    assert normalize(f) == f
+    if isinstance(f, PositionFunction):
+        powers = [(t.coeff, (t.rpow, t.logpow)) for t in f.radial]
+        local = [(t.coeff, t.boxpow) for t in f.local]
+    else:
+        powers = [(t.coeff, (t.ppow, t.logpow)) for t in f.terms]
+        local = list(f.local_poly)
+        assert not any(k == 0 and type(a) is int and a >= 0 and a % 2 == 0
+                       for _, (a, k) in powers)
+    for keys in ([k for _, k in powers], [j for _, j in local]):
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    for c, _ in powers + local:
+        assert type(c) is Coefficient and not c.is_zero()
+    for _, (a, k) in powers:
+        assert type(a) is type(as_exponent(a)) and type(k) is int and k >= 0
+    assert f.flags == tuple(sorted(set(f.flags)))
+
+
+@st.composite
+def window_functions(draw, with_local=True):
+    """A position function in dims 2-6 whose every radial term has an exact
+    transform: an integral rpow in -n < rpow < 0 and a log power <= 3."""
+    n = draw(st.integers(2, 6))
+    radial = [RadialTerm(draw(coefficients()), draw(st.integers(1 - n, -1)), draw(logpows))
+              for _ in range(draw(st.integers(0, 4)))]
+    local = [LocalTerm(draw(coefficients()), draw(st.integers(0, 2)))
+             for _ in range(draw(st.integers(0, 2)) if with_local else 0)]
+    return PositionFunction.build(n, radial, local)
+
+
+operators = st.builds(
+    lambda cs: DiffOperator.build(dict(enumerate(cs))),
+    st.lists(st.one_of(st.just(ONE), coefficients()), max_size=4),
+)
+
+
+class TestProducersNormalForm:
+    """Each producer returns its own normal form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_functions(), operators)
+    def test_transforms_and_operators(self, g, L):
+        F = fourier_base(g)
+        for out in (F, inverse_fourier_base(F), cs_derivative(F),
+                    cs_derivative_position(g), apply_operator(L, g),
+                    multiply_by_symbol(F, operator_symbol(L, g.dim)),
+                    parse_position(format_position(g), g.dim),
+                    parse_momentum(format_momentum(F), g.dim)):
+            _assert_normal_form(out)
+
+    @settings(max_examples=60, deadline=None)
+    @given(position_functions(), operators)
+    def test_operators_on_fractional_exponents(self, f, L):
+        _assert_normal_form(apply_operator(L, f))
+        _assert_normal_form(cs_derivative_position(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(window_functions(with_local=False), st.integers(1, 3))
+    def test_representation_and_surface(self, seed, m):
+        target = PositionFunction.build(
+            seed.dim, apply_operator(DiffOperator.box(m), seed).radial)
+        try:
+            rep = find_representation(target)
+        except NotRepresentableError:
+            return
+        _assert_normal_form(rep.g)
+        for _, value in surface_expansion(rep.L, rep.g).entries:
+            _assert_normal_form(value)
+
+    @given(position_functions(), position_functions(), small_rationals)
+    def test_vector_space(self, f, g, a):
+        for out in (add(f, g), sub(f, g), scale(a, f), normalize(f)):
+            _assert_normal_form(out)
+
+    @given(momentum_functions(), momentum_functions(), small_rationals)
+    def test_vector_space_momentum(self, F, G, a):
+        for out in (add(F, G), sub(F, G), scale(a, F), normalize(F)):
+            _assert_normal_form(out)
+
+    def test_cs_derivative_folds_a_log_free_even_power(self):
+        # d/d log M^2 of p^2 L is -p^2, the polynomial (-p^2)^1
+        F = cs_derivative(parse_momentum("p^2*log(p^2/M^2)", 4))
+        _assert_normal_form(F)
+        assert F == MomentumFunction(4, (), ((ONE, 1),))
+
+    def test_parsed_integral_powers_fold(self):
+        # p^0 and p^(-1/2 + 9/2) = p^4, reached through fractional exponents
+        F = parse_momentum("p^0*p^0*log(p^2/M^2)^0 + p^-1/2/p^-9/2", 4)
+        _assert_normal_form(F)
+        assert F == MomentumFunction(4, (), ((ONE, 0), (ONE, 2)))
+
+
+class TestOneRecordPerTerm:
+    def test_warm_producers_run_no_public_term_init(self, monkeypatch):
+        # each output term record is made once, with its slots set directly,
+        # not through RadialTerm, LocalTerm or MomentumTerm and a re-merge
+        text = "3*r^-6*log(r^2*M^2) + 1/2*r^-6 - pi*r^-7*log(r^2*M^2)^2 + box*delta"
+        f = parse_position(text, 4)
+        target = PositionFunction.build(4, f.radial)
+        rep = find_representation(target)
+        L = DiffOperator.build({0: PI, 1: ONE, 2: Coefficient.rational(Fraction(1, 3))})
+        calls = [lambda: parse_position(text, 4), lambda: fourier_base(rep.g),
+                 lambda: apply_operator(L, f), lambda: apply_operator(rep.L, rep.g),
+                 lambda: find_representation(target)]
+        warm = [call() for call in calls]
+        count = []
+        for cls in (RadialTerm, LocalTerm, MomentumTerm):
+            def counting(self, *args, _init=cls.__init__):
+                count.append(type(self).__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for call, value in zip(calls, warm):
+            count.clear()
+            assert call() == value
+            assert count == []
+        RadialTerm(ONE, -2)
+        assert count == ["RadialTerm"]  # the patch counts
+
+
+class TestSub:
+    @given(position_functions(), position_functions())
+    def test_is_add_of_the_negation(self, f, g):
+        assert sub(f, g) == add(f, scale(-1, g))
+
+    @given(momentum_functions(), momentum_functions())
+    def test_is_add_of_the_negation_momentum(self, F, G):
+        assert sub(F, G) == add(F, scale(-1, G))
+
+    def test_makes_no_product(self, monkeypatch):
+        f = add(position_term(4, PI, -2, 1), delta_term(4, 3, 1))
+        g = add(position_term(4, LN2, -2, 1), position_term(4, 2, -3))
+        want = sub(f, g)
+        count = []
+        original = Coefficient.__mul__
+
+        def counting(self, other):
+            count.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Coefficient, "__mul__", counting)
+        monkeypatch.setattr(Coefficient, "__rmul__", counting)
+        assert sub(f, g) == want and count == []
+        assert want == PositionFunction.build(4, [
+            RadialTerm(-2 * ONE, -3), RadialTerm(PI - LN2, -2, 1)], [LocalTerm(3 * ONE, 1)])
+
+    def test_refuses_mixed_kinds_and_dims(self):
+        with pytest.raises(TypeError):
+            sub(position_term(4, 1, -2), momentum_term(4, 1, -2))
+        with pytest.raises(DimensionMismatchError):
+            sub(position_term(4, 1, -2), position_term(3, 1, -2))

@@ -1081,7 +1081,9 @@ class TestEnvelopeContract:
         assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         assert err.getvalue() == ""
         assert code in (0, 1, 2, 3)
-        assert (doc["status"] == "ok") == (code in (0, 1))
+        # exit 1 is a failed numeric check, whose envelope reads "error"
+        assert (doc["status"] == "ok") == (code == 0)
+        assert (code == 1) == (doc["status"] == "error" and "error" not in doc)
         assert ("error" in doc) == (code in (2, 3))
 
     @pytest.mark.parametrize(
