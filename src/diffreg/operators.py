@@ -83,7 +83,9 @@ class DiffOperator(Record):
         return DiffOperator.build(acc)
 
 
-@lru_cache(maxsize=256)
+# typed, so that an integral Fraction s never hands its Fraction entries to
+# an int s, whose tables must hold ints
+@lru_cache(maxsize=256, typed=True)
 def box_derivatives(
     s: int | Fraction, m: int, n: int, depth: int | None = None
 ) -> tuple[int | Fraction, ...]:

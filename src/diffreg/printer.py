@@ -17,23 +17,30 @@ _LOG_R = "log(r^2*M^2)"
 _LOG_P = "log(p^2/M^2)"
 
 
+# monomial -> the text of its symbol factors, filled on first use up to
+# this many entries
+_SYMBOL_TEXT: dict = {}
+_SYMBOL_TABLE_SIZE = 256
+
+
 def _format_monomial(mono, num: int, den: int) -> str:
     """The monomial with the value num/den, its sign left out."""
-    parts: list[str] = []
-    if abs(num) != den or not any(mono):
-        g = gcd(num, den)
-        try:
-            q = str(abs(num) // g)
-            parts.append(q if den == g else f"{q}/{str(den // g)}")
-        except ValueError:  # the interpreter caps int-to-text conversion
-            raise DiffRegError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
-                               "digits: too long to print") from None
-    for name, exp in zip(SYMBOL_NAMES, mono):
-        if exp == 1:
-            parts.append(name)
-        elif exp > 1:
-            parts.append(f"{name}^{exp}")
-    return "*".join(parts)
+    text = _SYMBOL_TEXT.get(mono)
+    if text is None:
+        text = "*".join([name if exp == 1 else f"{name}^{exp}"
+                         for name, exp in zip(SYMBOL_NAMES, mono) if exp > 0])
+        if len(_SYMBOL_TEXT) < _SYMBOL_TABLE_SIZE:
+            _SYMBOL_TEXT[mono] = text
+    if abs(num) == den and any(mono):
+        return text
+    g = gcd(num, den)
+    try:
+        q = str(abs(num) // g)
+        q = q if den == g else f"{q}/{str(den // g)}"
+    except ValueError:  # the interpreter caps int-to-text conversion
+        raise DiffRegError(f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                           "digits: too long to print") from None
+    return f"{q}*{text}" if text else q
 
 
 def format_coefficient(c: Coefficient) -> str:
