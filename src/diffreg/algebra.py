@@ -352,12 +352,6 @@ def back_substitute(y: Mapping[int, Coefficient], rows) -> dict[int, Coefficient
     return x
 
 
-def log_power_solve(y: Mapping[int, Coefficient], d: Sequence) -> dict[int, Coefficient]:
-    """The nonzero x[k] with sum_k log_power_map(x[k], k, d) = sum_j y[j] L^j:
-    the rows of log_power_rows up to the top log power of y, applied."""
-    return back_substitute(y, log_power_rows(d, max(y, default=-1)))
-
-
 # -- numeric evaluation ------------------------------------------------
 # L is formed as 2 (log r + log M) or 2 (log p - log M), never as the log of
 # a square, which leaves the floats long before r, p or M do.  An overflow or

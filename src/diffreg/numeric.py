@@ -16,14 +16,14 @@ splits at b = max(lo, pi/p), where lo is 0 or the truncation radius:
 
 Both pieces are moment tables.  With l = log(x^2 M^2) at an end x, a term
 c r^a L^k contributes c x^(a+n) times a polynomial in l whose coefficients
-depend on the dim, the exponent a, k and p x alone, not on M or c: one end
-series at p x = pi or p eps (_end_series; at pi the table _panel_moments),
-and the node sums of the unit terms on the contour (_tail_moment, over the
-Hankel kernel of _contour_table).  The start is pi for every tail from b =
-pi/p, so a transform does scalar work only, over bounded lru_cache tables
-that fill once per key in a process; a truncation radius below pi/p sums
-the end series at p eps uncached, and one beyond pi/p starts the contour
-elsewhere, a new table entry.
+depend on the dim, the exponent a, k and p x alone, not on M or c: the
+panel's end series at p x (_end_series), and the node sums of the unit
+terms on the contour (_tail_moment, over the Hankel kernel of
+_contour_table).  From b = pi/p one bounded lru_cache table per unit term,
+_start_moments, holds the panel's end at b and the contour, so a transform
+does scalar work only; a truncation radius below pi/p takes off its end
+series at p eps, summed uncached, and one beyond pi/p starts the contour
+elsewhere, new _tail_moment entries.
 
 All of it is deterministic pure Python, its Gauss-Laguerre rules and Hankel
 kernel included, and serves dims up to 10.
@@ -197,9 +197,10 @@ def _radial_transform(f, p, n, Mval, lo) -> tuple[float, float]:
     try:
         # (float coefficient, exact exponent, log power) of each term, read once
         terms = [(t.coeff.evalf(), t.rpow, t.logpow) for t in f.radial]
-        if lo < b:
+        # the tail holds a panel from r = 0: a truncation radius takes off [0, lo]
+        if 0 < lo < b:
             main_val, main_err = _quad_panels(terms, p, n, Mval, pts)
-        tail_val, tail_err = _tail(terms, p, n, Mval, b)
+        tail_val, tail_err = _tail(terms, p, n, Mval, pts)
         value = omega * (main_val + tail_val)
         err = omega * (main_err + tail_err)
     except OverflowError:
@@ -257,47 +258,35 @@ def _scale(pb: float, p: float, e) -> float:
 
 
 def _quad_panels(terms, p, n, Mval, pts: Sequence[float]) -> tuple[float, float]:
-    """int_lo^b f A_n(pr) r^(n-1) dr over pts = [lo, b], b = pi/p, in closed
-    form, for the terms (c, s, k) of f read by _radial_transform.  With
-    A_n(z) = sum_j alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), a
-    term c r^s L^k, L = log(r^2 M^2), leaves int r^sig L^k dr, sig =
-    s+n-1+2j, whose antiderivative r^(sig+1)/(sig+1) sum_i (-2/(sig+1))^i
-    k!/(k-i)! L^(k-i), or L^(k+1)/(2(k+1)) at sig = -1, is taken at both
-    ends; at r = 0 it vanishes, since sig > -1 where f is integrable.  At an
-    end x it is c x^(s+n) times a polynomial in l = log(x^2 M^2): one end
-    series at p x = pi or p lo (_end_series), the table _panel_moments at
-    the upper end, and summed uncached at a truncation radius lo > 0, so
-    that no radius enters the shared table.  The upper end's scale follows
-    _scale's range rule; at lo, x^(s+n) may underflow to 0, and that end is
-    then negligible.  The estimate sums |c x^(s+n) l^d| bound_d over both
-    ends: the series remainder plus the roundoff floor on the moduli, which
-    covers the cancellation between the ends."""
-    lo, b = pts
+    """Minus the antiderivative at the truncation radius lo < pi/p of pts =
+    [lo, b]: the real-axis piece [lo, b] less the antiderivative at b that
+    _tail holds.  Each term (c, s, k) read by _radial_transform gives c
+    lo^(s+n) times the end series at p lo, summed per call so that no
+    radius enters a shared table; lo^(s+n) may underflow to 0, a negligible
+    end.  The estimate sums |c lo^(s+n) l^d| bound_d."""
+    lo = pts[0]
+    ell = 2.0 * (math.log(lo) + math.log(Mval))
     value = err = 0.0
-    for x in (b, lo) if lo else (b,):
-        ell = 2.0 * (math.log(x) + math.log(Mval))
-        for c, s, k in terms:
-            if x == b:
-                power, moments = c * _scale(math.pi, p, s + n), _panel_moments(n, s, k)
-            else:
-                # s + n summed exactly: float(s) + n would lose digits where it nears 0
-                power, moments = -c * x ** float(s + n), _end_series(n, s, k, p * x)
-            for coef, bound in moments:
-                value += power * coef
-                err += abs(power) * bound
-                power *= ell
+    for c, s, k in terms:
+        # s + n summed exactly: float(s) + n would lose digits where it nears 0
+        power = -c * lo ** float(s + n)
+        for coef, bound in _end_series(n, s, k, p * lo):
+            value += power * coef
+            err += abs(power) * bound
+            power *= ell
     return value, err
 
 
 def _end_series(n: int, rpow, k: int, z: float) -> tuple[tuple[float, float], ...]:
-    """The antiderivative of _quad_panels for the unit term r^rpow L^k at an
-    end x with p x = z: pairs (coefficient, bound) of l^d, d = 0..k+1, l =
-    log(x^2 M^2), with the antiderivative equal to x^(rpow+n) sum_d
-    coefficient l^d.  The series in j runs at the exact e2 = rpow+n+2j, past
-    e2 = 0, whose term alpha_j z^(2j) l^(k+1)/(2k+2) is the only one of
-    degree k+1, until the last term of every power of l is below eps of its
-    moduli.  A bound is that last term plus the roundoff floor on the
-    moduli."""
+    """The antiderivative of r^rpow L^k A_n(pr) r^(n-1), L = log(r^2 M^2),
+    at an end x with p x = z, as x^(rpow+n) sum_d coefficient l^d, l =
+    log(x^2 M^2), d = 0..k+1: pairs (coefficient, bound).  A_n(z) = sum_j
+    alpha_j z^(2j), alpha_j = -alpha_{j-1} / (2j (n+2j-2)), leaves int
+    r^sig L^k dr, sig = rpow+n-1+2j, with antiderivative r^(sig+1)/(sig+1)
+    sum_i (-2/(sig+1))^i k!/(k-i)! L^(k-i), or L^(k+1)/(2(k+1)) at sig =
+    -1, 0 at r = 0 where the term is integrable.  The series in j runs until
+    the last term of every power of l is below eps of its moduli; a bound is
+    that last term plus the roundoff floor on the moduli."""
     coef = [0.0] * (k + 2)
     size = [0.0] * (k + 2)
     last = [0.0] * (k + 2)
@@ -325,47 +314,61 @@ def _end_series(n: int, rpow, k: int, z: float) -> tuple[tuple[float, float], ..
     return tuple((c, r + _ROUNDOFF * m) for c, m, r in zip(coef, size, last))
 
 
-@lru_cache(maxsize=256)
-def _panel_moments(n: int, rpow, k: int) -> tuple[tuple[float, float], ...]:
-    """_end_series at the panel's upper end p b = pi, shared by every
-    transform: the piece [0, pi/p] is b^(rpow+n) sum_d coefficient l^d."""
-    return _end_series(n, rpow, k, math.pi)
-
-
-def _tail(terms, p, n, Mval, b) -> tuple[float, float]:
-    """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p.  With
-    J_nu = Re H1_nu it is the real part of int_0^inf h(u) e^{-u} du, h =
-    (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu H1_nu(z) e^{-iz} r^(n-1) at z = p r:
-    the scaled H1 e^{-iz} (_hankel_scaled) takes the factor e^{ipb} e^{-u} out
-    exactly, which leaves a smooth, non-oscillating h for Gauss-Laguerre
-    nodes.  With r = b (z/pb) and L = l + 2 log(z/pb), l = log(b^2 M^2), a
-    term c r^a L^k gives c b^(a+n) sum_j C(k, j) l^(k-j) T_j, where T_j,
-    the node sum of the unit term (z/pb)^a (2 log(z/pb))^j on the kernel,
-    depends on n, the start p b and a alone: the table _tail_moment.  The
-    start is pi exactly when b = pi/p, as for every untruncated transform
-    and every truncation radius below pi/p; the real-axis piece still ends
-    at b, and the up to 1-ulp gap between p (pi/p) and pi is within the
-    phase term of the floor.  The estimate is |Q60 - Q40| plus a floor on
-    sum w |h|, bounded term by term from the tables' (triangle inequality):
-    the roundoff floor, and the rounding of the phase p b, which moves the
-    lower end by up to eps b.  The profile itself must be a float at b: a
-    term c r^a L^k that overflows there (r^-1 log^3 in dim 2 at p = 1e300)
-    is out of range, even where its transform is a float.  f comes as the
-    terms (c, a, k) that _radial_transform reads."""
+def _tail(terms, p, n, Mval, pts: Sequence[float]) -> tuple[float, float]:
+    """int_b^inf f A_n(pr) r^(n-1) dr on the contour r = b + iu/p, pts =
+    [lo, b], plus the antiderivative at b where a panel [lo, b] ends there.
+    With J_nu = Re H1_nu the contour integral is the real part of
+    int_0^inf h(u) e^{-u} du, h = (i/p) e^{ipb} f Gamma(n/2) (2/z)^nu
+    H1_nu(z) e^{-iz} r^(n-1) at z = p r: the scaled H1 e^{-iz}
+    (_hankel_scaled) takes e^{ipb} e^{-u} out exactly, which leaves a
+    smooth, non-oscillating h for Gauss-Laguerre nodes.  With r = b (z/pb)
+    and L = l + 2 log(z/pb), l = log(b^2 M^2), a term c r^a L^k gives c
+    b^(a+n) sum_d C(k, d) l^d T_(k-d), T_j the node sum of the unit term
+    (z/pb)^a (2 log(z/pb))^j on the kernel (_tail_moment).  The start is pi
+    when b = pi/p (within 1 ulp of p b, inside the floor's phase term), and
+    a panel's end at b has the same b^(a+n) and l: _start_moments holds
+    both.  The estimate is |Q60 - Q40| plus a floor on sum w |h| from the
+    tables: roundoff and the rounding of p b, which moves the lower end by
+    up to eps b; plus the panel's bounds.  A term that overflows at b (r^-1
+    log^3 in dim 2 at p = 1e300) is out of range.  f comes as the terms (c,
+    a, k) that _radial_transform reads."""
+    lo, b = pts
     pb = math.pi if b == math.pi / p else p * b
     ell = 2.0 * (math.log(b) + math.log(Mval))
-    fine = diff = floor = 0.0
+    value = diff = err = 0.0
     for c, a, k in terms:
         if b ** float(a) * abs(ell) ** k == math.inf:
             raise OverflowError
-        s = c * _scale(pb, p, a + n)
-        for j in range(k + 1):
-            q60, q_diff, q_floor = _tail_moment(n, pb, a, j)
-            w = s * math.comb(k, j) * ell ** (k - j)
-            fine += w * q60
+        w = c * _scale(pb, p, a + n)
+        for coef, q_diff, bound in (_start_moments(n, a, k) if lo < b
+                                    else _contour_moments(n, pb, a, k)):
+            value += w * coef
             diff += w * q_diff
-            floor += abs(w) * q_floor
-    return fine.real, abs(diff) + floor
+            err += abs(w) * bound
+            w *= ell
+    return value, abs(diff) + err
+
+
+def _contour_moments(n: int, pb: float, rpow, k: int) -> list[tuple[float, complex, float]]:
+    """The contour's share of the l^d coefficient of a term r^rpow L^k, d =
+    0..k (see _tail): C(k, d) times Re Q60, Q60 - Q40 and the floor."""
+    out = []
+    for d in range(k + 1):
+        q60, q_diff, q_floor = _tail_moment(n, pb, rpow, k - d)
+        c = math.comb(k, d)
+        out.append((c * q60.real, c * q_diff, c * q_floor))
+    return out
+
+
+# the window exponents of dims 2-10 with log powers 0-3 take 180 entries
+@lru_cache(maxsize=256)
+def _start_moments(n: int, rpow, k: int) -> tuple[tuple[float, complex, float], ...]:
+    """The panel [0, b] and the contour from b = pi/p of the unit term
+    r^rpow L^k: (value, Q60 - Q40, bound) of b^(rpow+n) l^d, d = 0..k+1, the
+    sums of the end series' pair at pi and _contour_moments' triple."""
+    tail = _contour_moments(n, math.pi, rpow, k) + [(0.0, 0j, 0.0)]
+    return tuple((coef + v, q_diff, bound + floor)
+                 for (coef, bound), (v, q_diff, floor) in zip(_end_series(n, rpow, k, math.pi), tail))
 
 
 @lru_cache(maxsize=64)

@@ -83,7 +83,8 @@ class SurfaceExpansion(Record):
         return total
 
 
-@lru_cache(maxsize=256)
+# typed: an integral Fraction a must not hand its Fraction entries to an int a
+@lru_cache(maxsize=256, typed=True)
 def _seed_brackets(n: int, a: int | Fraction, k: int, m: int):
     """The brackets B_0 .. B_(m-1) of the unit seed r^a L^k under box^m in
     n dimensions, as a bounded table: (entries, dropped).  An entry

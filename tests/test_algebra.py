@@ -15,7 +15,6 @@ from diffreg.algebra import (
     eval_momentum,
     eval_position,
     log_power_map,
-    log_power_solve,
     momentum_term,
     mul,
     normalize,
@@ -45,6 +44,7 @@ from diffreg.regulate import find_representation
 from diffreg.surface import surface_expansion
 
 from conftest import coefficients, small_rationals
+from algebra_reference import log_power_solve
 
 exponents = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 2))
 logpows = st.integers(0, 3)

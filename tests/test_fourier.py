@@ -14,7 +14,6 @@ from diffreg.algebra import (
     delta_term,
     eval_momentum,
     log_power_map,
-    log_power_solve,
     momentum_term,
     position_term,
 )
@@ -40,6 +39,7 @@ from diffreg.printer import format_momentum
 from diffreg.regulate import find_representation
 
 from conftest import coefficients, small_rationals
+from algebra_reference import log_power_solve
 
 
 class TestExactValues:

@@ -26,7 +26,6 @@ from diffreg.numeric import (
     _laguerre_rule,
     _panel_points,
     _quad_panels,
-    _tail,
     angular_kernel,
     finite_diff_lnM,
     hankel_numeric,
@@ -272,6 +271,41 @@ class TestAccuracyGrid:
         assert abs(val - want) <= err
 
 
+def _panel_piece(terms, p, n, Mval, pts):
+    """The real-axis piece [lo, b], b = pi/p, of the terms (c, s, k): the
+    antiderivative at b from its end series at pi, as _start_moments reads
+    it, less its value at lo from _quad_panels."""
+    lo, b = pts
+    ell = 2.0 * (math.log(b) + math.log(Mval))
+    value = err = 0.0
+    for c, s, k in terms:
+        power = c * numeric._scale(math.pi, p, s + n)
+        for coef, bound in numeric._end_series(n, s, k, math.pi):
+            value += power * coef
+            err += abs(power) * bound
+            power *= ell
+    if lo:
+        lo_val, lo_err = _quad_panels(terms, p, n, Mval, pts)
+        value, err = value + lo_val, err + lo_err
+    return value, err
+
+
+def _contour_piece(a, k, p, n, Mval, b):
+    """The contour from b of the unit term r^a L^k, from its _tail_moment
+    entries as _tail sums them (_contour_moments), but without the panel's
+    end at b that a tail from the start pi adds."""
+    pb = math.pi if b == math.pi / p else p * b
+    ell = 2.0 * (math.log(b) + math.log(Mval))
+    w = numeric._scale(pb, p, a + n)
+    value = diff = floor = 0.0
+    for v, q_diff, q_floor in numeric._contour_moments(n, pb, a, k):
+        value += w * v
+        diff += w * q_diff
+        floor += abs(w) * q_floor
+        w *= ell
+    return value, abs(diff) + floor
+
+
 class TestOriginPanel:
     # the real-axis piece [lo, b], b = pi/p, of r^s log^k(r^2 M^2), in
     # closed form: from r = 0 for s just above -n, and from truncation
@@ -321,7 +355,7 @@ class TestOriginPanel:
                         tol = 1e-11 * math.factorial(k) * max(1, 2 / m) ** (k + 1) if a else 1e-12
                         for M in (0.5, 1.0, 2.0):
                             # the unit term r^(e-n) L^k as (coefficient, exponent, log power)
-                            val, err = _quad_panels([(1.0, e - n, k)], p, n, M, [a, b])
+                            val, err = _panel_piece([(1.0, e - n, k)], p, n, M, [a, b])
                             logm = 2 * mp.log(M)
 
                             def g(t):
@@ -403,7 +437,7 @@ class TestContour:
                 for p in (1e-3, 1e2):
                     for a, k in ((1 - n, 3), (-1, 0), (-1, 3)):
                         for M in (0.5, 2.0):
-                            val, err = _tail([(1.0, Fraction(a), k)], p, n, M, pb / p)
+                            val, err = _contour_piece(Fraction(a), k, p, n, M, pb / p)
                             terms = [K / p * (z / p) ** (a + n - 1)
                                      * mp.log((z / p) ** 2 * M * M) ** k
                                      for z, K in zip(zs, kern)]
@@ -435,7 +469,7 @@ class TestContour:
             return counted
 
         monkeypatch.setattr(numeric, "_vector_integrand", counting)
-        for table in (numeric._contour_table, numeric._tail_moment, numeric._panel_moments):
+        for table in (numeric._contour_table, numeric._tail_moment, numeric._start_moments):
             table.cache_clear()
         f = add(position_term(4, 1, Fraction(-2), 1), position_term(4, 3, Fraction(-3, 2), 2))
         # the start pi (untruncated, and eps below pi/p), then p eps = 6
@@ -451,7 +485,7 @@ class TestContour:
         assert [call() for call in calls] == first
         assert len(sizes) == 10
         # the entries are shared between transforms, so they are read-only
-        for entry in (numeric._tail_moment(4, math.pi, -2, 1), numeric._panel_moments(4, -2, 1)):
+        for entry in (numeric._tail_moment(4, math.pi, -2, 1), numeric._start_moments(4, -2, 1)):
             with pytest.raises(TypeError):
                 entry[0] = 0.0
 
@@ -523,7 +557,7 @@ class TestContour:
                         for M in (0.5, 1.0, 2.0):
                             h = r ** a * (2.0 * np.log(r * M)) ** k * kernel
                             ref = float((h @ weights).real)
-                            val, err = _tail([(1.0, Fraction(a), k)], p, n, M, b)
+                            val, err = _contour_piece(Fraction(a), k, p, n, M, b)
                             assert abs(val - ref) <= 0.1 * err, (pb, p, a, k, M)
 
 
@@ -660,16 +694,63 @@ class TestTables:
 
     def test_truncation_radius_leaves_the_shared_table(self):
         # the end series at a truncation radius below pi/p is summed per
-        # call: no radius enters or evicts an entry of the upper end's table
+        # call: no radius enters or evicts an entry of any table in the
+        # module, the start-pi table among them
         f = add(position_term(4, 1, Fraction(-2), 1),
                 position_term(4, Fraction(-3, 7), Fraction(-6), 3))
         p = 0.7
         truncated_ft_numeric(f, p, 4, 1.0, 1.0)
-        before = numeric._panel_moments.cache_info()
+        tables = [v for v in vars(numeric).values() if hasattr(v, "cache_info")]
+        assert numeric._start_moments in tables
+        before = [t.cache_info() for t in tables]
+        first = [numeric._start_moments(4, t.rpow, t.logpow) for t in f.radial]
         for i in range(50):
             truncated_ft_numeric(f, p, 4, 1.0, (i + 1) / 51 * math.pi / p)
-        after = numeric._panel_moments.cache_info()
-        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        after = [t.cache_info() for t in tables]
+        assert [(i.currsize, i.misses) for i in after] == [(i.currsize, i.misses) for i in before]
+        # the entries read at pi are the same objects: none was evicted and
+        # built again
+        assert all(numeric._start_moments(4, t.rpow, t.logpow) is entry
+                   for t, entry in zip(f.radial, first))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+    def test_start_entry_is_the_panel_and_the_contour(self, n):
+        # each entry of the start-pi table is built from the panel's end at
+        # pi (_end_series) and the contour from pi (_tail_moment): for
+        # l^d, d = 0..k, the panel's coefficient plus C(k, d) Re Q60 of the
+        # log power k - d, C(k, d) (Q60 - Q40), and the panel's bound plus
+        # C(k, d) floor; the top power k + 1 is the panel's alone
+        for a in [Fraction(a) for a in range(-n - 2, 1)] + [Fraction(1, 3) - n]:
+            for k in range(4):
+                entry = numeric._start_moments(n, a, k)
+                panel = numeric._end_series(n, a, k, math.pi)
+                assert len(entry) == len(panel) == k + 2
+                for d, ((coef, bound), got) in enumerate(zip(panel, entry)):
+                    if d == k + 1:
+                        assert got == (coef, 0j, bound)
+                        continue
+                    q60, q_diff, q_floor = numeric._tail_moment(n, math.pi, a, k - d)
+                    c = math.comb(k, d)
+                    assert got == (coef + c * q60.real, c * q_diff, bound + c * q_floor)
+                # shared between transforms, so read-only down to its rows
+                with pytest.raises(TypeError):
+                    entry[0][0] = 0.0
+
+    @pytest.mark.parametrize("n, a, k", [(2, -1, 3), (4, -2, 1), (4, -6, 2), (7, Fraction(-13, 2), 0)])
+    def test_truncation_radius_at_the_start(self, n, a, k):
+        # at eps = pi/p exactly there is no real-axis piece, so the start-pi
+        # table, which holds the panel's end at b, is not read: the
+        # transform is the contour from pi alone, as in the node reference,
+        # and its estimate carries no panel bounds (with them, dim 2
+        # r^-1 log^3 at p = 0.01 would read 1.5e-7 against 4.7e-9)
+        f = position_term(n, 1, Fraction(a), k)
+        for p in (1e-2, 0.7, 3.0, 50.0):
+            for M in (0.5, 2.0):
+                status, ref, ref_err = _reference_transform(f, p, n, M, math.pi / p)
+                val, err = truncated_ft_numeric(f, p, n, M, math.pi / p)
+                assert status == "ok", (p, M)
+                assert abs(val - ref) <= 0.1 * err, (p, M)
+                assert err <= 10.0 * ref_err, (p, M)
 
     def test_per_transform_work_needs_no_numpy(self):
         # the oracle runs on the standard library: in a fresh interpreter

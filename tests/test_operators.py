@@ -14,7 +14,6 @@ from diffreg.algebra import (
     RadialTerm,
     delta_term,
     log_power_map,
-    log_power_solve,
     position_term,
     add,
     scale,
@@ -36,6 +35,7 @@ from diffreg.operators import (
 from diffreg.numeric import gauss_flux_numeric
 
 from conftest import coefficients
+from algebra_reference import log_power_solve
 
 
 def sympy_box(a: Fraction, k: int, n: int):

@@ -11,7 +11,6 @@ from diffreg.algebra import (
     back_substitute,
     delta_term,
     eval_momentum,
-    log_power_solve,
     position_term,
 )
 from diffreg.coeffs import Coefficient, LN2, ONE, PI
@@ -29,6 +28,7 @@ from diffreg.regulate import (
 )
 
 from conftest import coefficients
+from algebra_reference import log_power_solve
 
 
 class TestFindRepresentation:

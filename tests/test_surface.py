@@ -163,6 +163,17 @@ class TestHigherOrder:
         assert sorted(lengths) == sorted(math.floor(Fraction(2 - n - s.rpow, 2)) + rep.L.degree
                                          for s in rep.g.radial)
 
+    def test_bracket_table_keeps_int_exponents(self):
+        # the table is typed: an integral Fraction exponent is its own key,
+        # so an int exponent reads int entries whatever was cached before
+        surface._seed_brackets.cache_clear()
+        fresh = repr(surface._seed_brackets(4, -2, 1, 2))
+        surface._seed_brackets(4, Fraction(-2), 1, 2)
+        assert repr(surface._seed_brackets(4, -2, 1, 2)) == fresh
+        surface._seed_brackets.cache_clear()
+        surface._seed_brackets(4, Fraction(-2), 1, 2)
+        assert repr(surface._seed_brackets(4, -2, 1, 2)) == fresh
+
     @pytest.mark.parametrize("t, m", [(-20, 9), (-22, 10)])
     def test_deep_target_matches_the_reference(self, t, m):
         # box^9 and box^10 in dim 4: the kernel series needs 9 and 10 terms
