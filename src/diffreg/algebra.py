@@ -32,54 +32,41 @@ from .errors import (
 
 
 class RadialTerm(Record):
+    """coeff * r^rpow * log(r^2 M^2)^logpow, rpow an int when integral."""
+
     __slots__ = ("coeff", "rpow", "logpow")
 
     def __init__(self, coeff: Coefficient, rpow: int | Fraction, logpow: int = 0):
-        # coeff * r^rpow * log(r^2 M^2)^logpow, rpow an int when integral
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "rpow", as_exponent(rpow))
-        object.__setattr__(self, "logpow", logpow)
         if logpow < 0:
             raise ValueError("logpow must be non-negative")
+        super().__init__(coeff, as_exponent(rpow), logpow)
 
 
 class LocalTerm(Record):
+    """coeff * box^boxpow delta^n(x)."""
+
     __slots__ = ("coeff", "boxpow")
 
     def __init__(self, coeff: Coefficient, boxpow: int = 0):
-        # coeff * box^boxpow delta^n(x)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "boxpow", boxpow)
         if boxpow < 0:
             raise ValueError("boxpow must be non-negative")
+        super().__init__(coeff, boxpow)
 
 
 class MomentumTerm(Record):
+    """coeff * p^ppow * log(p^2/M^2)^logpow, ppow an int when integral."""
+
     __slots__ = ("coeff", "ppow", "logpow")
 
     def __init__(self, coeff: Coefficient, ppow: int | Fraction, logpow: int = 0):
-        # coeff * p^ppow * log(p^2/M^2)^logpow, ppow an int when integral
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "ppow", as_exponent(ppow))
-        object.__setattr__(self, "logpow", logpow)
         if logpow < 0:
             raise ValueError("logpow must be non-negative")
+        super().__init__(coeff, as_exponent(ppow), logpow)
 
 
 class PositionFunction(Record):
     __slots__ = ("dim", "radial", "local", "flags")
-
-    def __init__(
-        self,
-        dim: int,
-        radial: tuple[RadialTerm, ...] = (),
-        local: tuple[LocalTerm, ...] = (),
-        flags: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "radial", radial)
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "flags", flags)
+    _defaults = {"radial": (), "local": (), "flags": ()}
 
     @classmethod
     def build(cls, dim, radial=(), local=(), flags=()) -> "PositionFunction":
@@ -116,19 +103,10 @@ class PositionFunction(Record):
 
 
 class MomentumFunction(Record):
-    __slots__ = ("dim", "terms", "local_poly", "flags")
+    """Its polynomial part local_poly holds pairs (coeff, j): coeff * (-p^2)^j."""
 
-    def __init__(
-        self,
-        dim: int,
-        terms: tuple[MomentumTerm, ...] = (),
-        local_poly: tuple[tuple[Coefficient, int], ...] = (),  # coeff * (-p^2)^j
-        flags: tuple[str, ...] = (),
-    ):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "local_poly", local_poly)
-        object.__setattr__(self, "flags", flags)
+    __slots__ = ("dim", "terms", "local_poly", "flags")
+    _defaults = {"terms": (), "local_poly": (), "flags": ()}
 
     @classmethod
     def build(cls, dim, terms=(), local_poly=(), flags=()) -> "MomentumFunction":

@@ -63,13 +63,37 @@ def as_exponent(x) -> int | Fraction:
 
 class Record:
     """Base of the package's immutable values.  A subclass declares its
-    fields, in order, as a tuple ``__slots__`` and sets them in its
-    ``__init__`` with ``object.__setattr__``; the base compares, hashes,
-    prints and pickles a record as its tuple of field values.  Records are
-    equal only when their classes are the same and their fields are equal,
-    so a record never equals a tuple or a record of another class."""
+    fields, in order, as a tuple ``__slots__``, and the values of fields
+    that may be left out in a ``_defaults`` mapping; the one constructor,
+    ``Record.__init__``, binds positional then keyword arguments to the
+    fields in order.  A subclass that checks or normalises its arguments
+    does so in a short ``__init__`` that then calls this one.  The base
+    compares, hashes, prints and pickles a record as its tuple of field
+    values.  Records are equal only when their classes are the same and
+    their fields are equal, so a record never equals a tuple or a record of
+    another class."""
 
     __slots__ = ()
+    _defaults: Mapping = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} fields, not {len(args)}")
+        for field, value in zip(names, args):
+            object.__setattr__(self, field, value)
+        for field in names[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {field!r}")
+            object.__setattr__(self, field, value)
+        if kwargs:
+            field = next(iter(kwargs))
+            kind = "given twice" if field in names else "unknown"
+            raise TypeError(f"{type(self).__name__}() got field {field!r} {kind}")
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

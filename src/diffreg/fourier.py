@@ -160,7 +160,7 @@ def fourier_formal(rep) -> MomentumFunction:
 
 
 # log powers 0-3 of the exact layer, each for both sides; the rest is room
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _log_derivative_unit(k: int, sign: int) -> tuple[tuple[int, int], ...]:
     """d/d log(M^2) of the unit term L^k, the log-power map with d = (0,
     sign): sign = 1 on the position side, L = log(r^2 M^2), and -1 on the

@@ -46,7 +46,7 @@ from .surface import angular_series
 _LAG_N = 60  # contour nodes; the estimate compares them with 40
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _laguerre_rule(n: int, alpha: float = 0.0) -> tuple[tuple[float, ...], ...]:
     """Gauss-Laguerre nodes and weights for the weight x^alpha e^-x, from the
     three-term recurrence of the orthonormal Laguerre polynomials q_k: each
@@ -223,7 +223,7 @@ def _radial_transform(f, p, n, Mval, lo) -> tuple[float, float]:
     return value, err
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _omega(n: int) -> float:
     """The sphere area Omega_{n-1} as a float, one per dim."""
     return sphere_area(n).evalf()
@@ -361,7 +361,7 @@ def _contour_moments(n: int, pb: float, rpow, k: int) -> list[tuple[float, compl
 
 
 # the window exponents of dims 2-10 with log powers 0-3 take 180 entries
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _start_moments(n: int, rpow, k: int) -> tuple[tuple[float, complex, float], ...]:
     """The panel [0, b] and the contour from b = pi/p of the unit term
     r^rpow L^k: (value, Q60 - Q40, bound) of b^(rpow+n) l^d, d = 0..k+1, the
@@ -371,7 +371,7 @@ def _start_moments(n: int, rpow, k: int) -> tuple[tuple[float, complex, float], 
                  for (coef, bound), (v, q_diff, floor) in zip(_end_series(n, rpow, k, math.pi), tail))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _contour_table(n: int, pb: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """The contour from p r = pb, shared by every tail that starts there:
     the nodes z = pb + i x_k (the 60 Gauss-Laguerre nodes, then the 40),
@@ -389,7 +389,7 @@ def _contour_table(n: int, pb: float) -> tuple[tuple[complex, ...], tuple[comple
 
 # the window exponents of dims 2-10 with log powers 0-3 take 180 entries at
 # the start pi; the rest is room for starts past pi and other exponents
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def _tail_moment(n: int, pb: float, rpow, j: int) -> tuple[complex, complex, float]:
     """The moments of the unit term (z/pb)^rpow (2 log(z/pb))^j on the
     contour table (n, pb): its 60-node sum Q60 of h, Q60 - Q40, and the

@@ -38,9 +38,7 @@ class DiffOperator(Record):
     """sum_k c_k box^k with exact coefficients; stored sparse and sorted."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[tuple[int, Coefficient], ...] = ()):
-        object.__setattr__(self, "coeffs", coeffs)
+    _defaults = {"coeffs": ()}
 
     @classmethod
     def build(cls, coeffs: dict[int, Coefficient]) -> "DiffOperator":

@@ -35,14 +35,12 @@ class Character(Record):
     __slots__ = ("p0", "dim", "Mval")
 
     def __init__(self, p0: float, dim: int, Mval: float = 1.0):
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "Mval", Mval)
         # "not p0 > 0" rather than "p0 <= 0", so that nan is rejected too
         if not (p0 > 0 and math.isfinite(p0)):
             raise ValueError("character momentum must be finite and positive")
         if not math.isfinite(Mval):
             raise ValueError("character mass scale must be finite")
+        super().__init__(p0, dim, Mval)
 
 
 class IdealElement(Record):
@@ -51,37 +49,19 @@ class IdealElement(Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a: PositionFunction, b: PositionFunction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         if a.dim != b.dim:
             raise DiffRegError("ideal factors must share a dimension")
         if not fourier_safe(b):
             raise DiffRegError("ideal factor b must be Fourier-safe")
+        super().__init__(a, b)
 
 
 class AuditReport(Record):
+    """The audit of elem under character; err_estimate bounds the residual's
+    quadrature error, 0 if exact."""
+
     __slots__ = ("residual", "err_estimate", "value_ab", "value_a",
                  "character_value", "route_ab", "elem", "character")
-
-    def __init__(
-        self,
-        residual: float,
-        err_estimate: float,  # bound on the residual's quadrature error, 0 if exact
-        value_ab: float,
-        value_a: float,
-        character_value: float,
-        route_ab: str,
-        elem: IdealElement,
-        character: Character,
-    ):
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "err_estimate", err_estimate)
-        object.__setattr__(self, "value_ab", value_ab)
-        object.__setattr__(self, "value_a", value_a)
-        object.__setattr__(self, "character_value", character_value)
-        object.__setattr__(self, "route_ab", route_ab)
-        object.__setattr__(self, "elem", elem)
-        object.__setattr__(self, "character", character)
 
 
 def character_eval(b: PositionFunction, ch: Character) -> float:

@@ -29,15 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (
-    MomentumFunction,
-    PositionFunction,
-    back_substitute,
-    log_power_map,
-    log_power_rows,
-    sub,
-    term_map,
-)
+from .algebra import PositionFunction, back_substitute, log_power_map, log_power_rows, sub, term_map
 from .coeffs import Coefficient, LN2, ONE, Record
 from .errors import DiffRegError, NotRepresentableError
 from .fourier import fourier_base, term_route
@@ -50,18 +42,7 @@ class Representation(Record):
     and g has an exact Fourier transform."""
 
     __slots__ = ("L", "g", "target", "note")
-
-    def __init__(
-        self,
-        L: DiffOperator,
-        g: PositionFunction,
-        target: PositionFunction,
-        note: str = "equality holds for r != 0",
-    ):
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "note", note)
+    _defaults = {"note": "equality holds for r != 0"}
 
 
 # seed exponents -n < s < 0 of dims 2-10 with m <= 4 and top log powers 0-3
@@ -116,19 +97,11 @@ def find_representation(
 
 
 class MassShift(Record):
-    """Exact effect of M -> lambda M on a representation."""
+    """Exact effect of M -> lambda M on a representation: seed_shift is
+    g_{lambda M} - g_M, image_shift its purely local image under L, and
+    momentum_shift the change of the formal transform."""
 
     __slots__ = ("seed_shift", "image_shift", "momentum_shift")
-
-    def __init__(
-        self,
-        seed_shift: PositionFunction,  # g_{lambda M} - g_M
-        image_shift: PositionFunction,  # L applied to seed_shift (purely local)
-        momentum_shift: MomentumFunction,  # change of the formal transform
-    ):
-        object.__setattr__(self, "seed_shift", seed_shift)
-        object.__setattr__(self, "image_shift", image_shift)
-        object.__setattr__(self, "momentum_shift", momentum_shift)
 
 
 def shift_mass(f: PositionFunction, ln_lambda: Coefficient) -> PositionFunction:

@@ -51,18 +51,7 @@ class SurfaceExpansion(Record):
     O(eps^remainder_eps_pow * log^remainder_log_pow(eps M))."""
 
     __slots__ = ("dim", "entries", "remainder_eps_pow", "remainder_log_pow")
-
-    def __init__(
-        self,
-        dim: int,
-        entries: tuple[tuple[tuple[int | Fraction, int], MomentumFunction], ...] = (),
-        remainder_eps_pow: int | Fraction = 2,
-        remainder_log_pow: int = 1,
-    ):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "remainder_eps_pow", remainder_eps_pow)
-        object.__setattr__(self, "remainder_log_pow", remainder_log_pow)
+    _defaults = {"entries": (), "remainder_eps_pow": 2, "remainder_log_pow": 1}
 
     def entry(self, eps_pow, log_pow) -> MomentumFunction | None:
         for (m, k), v in self.entries:
@@ -173,12 +162,9 @@ def surface_expansion(L: DiffOperator, g: PositionFunction) -> SurfaceExpansion:
 
 
 class LeadingDivergence(Record):
-    __slots__ = ("log_pow", "value")
+    """value per unit log^log_pow(eps M)."""
 
-    def __init__(self, log_pow: int, value: MomentumFunction):
-        # value per unit log^log_pow(eps M)
-        object.__setattr__(self, "log_pow", log_pow)
-        object.__setattr__(self, "value", value)
+    __slots__ = ("log_pow", "value")
 
 
 def leading_divergence(se: SurfaceExpansion) -> LeadingDivergence | None:

@@ -1,12 +1,15 @@
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+import diffreg
 from diffreg.algebra import (
     LocalTerm,
     MomentumFunction,
@@ -29,9 +32,10 @@ from diffreg.coeffs import (
     sphere_area,
 )
 from diffreg.errors import DiffRegError, SymbolSetError
+from diffreg.operators import DiffOperator
 from diffreg.quotient import Character, IdealElement, diagram_audit
-from diffreg.regulate import find_representation, mass_shift
-from diffreg.surface import leading_divergence, surface_expansion
+from diffreg.regulate import Representation, find_representation, mass_shift
+from diffreg.surface import SurfaceExpansion, leading_divergence, surface_expansion
 
 from conftest import coefficients, monomials, small_rationals
 
@@ -384,6 +388,26 @@ class TestSpecialValues:
                 polygamma(k, 0.5)
 
 
+def _tables():
+    """Every lru_cache table defined in a module of the package, by name."""
+    for info in pkgutil.iter_modules(diffreg.__path__):
+        module = importlib.import_module(f"diffreg.{info.name}")
+        for name, fn in vars(module).items():
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                yield f"{info.name}.{name}", fn
+
+
+def test_every_table_is_bounded_and_typed():
+    # typed, so an int key never reads an entry that an equal Fraction or
+    # float made; the exponent keys are in as_exponent form already
+    tables = dict(_tables())
+    assert {"coeffs.sphere_area", "fourier._log_derivative_unit", "numeric._start_moments",
+            "numeric._tail_moment", "surface._seed_brackets"} <= set(tables)
+    for name, fn in tables.items():
+        params = fn.cache_parameters()
+        assert type(params["maxsize"]) is int and params["typed"] is True, name
+
+
 def _sample_records():
     """One value of every record class, built the way the package builds
     them."""
@@ -474,3 +498,41 @@ class TestRecord:
     def test_init_makes_integral_exponent_int(self):
         t = RadialTerm(ONE, Fraction(4, 2))
         assert t.rpow == 2 and type(t.rpow) is int
+
+    @records
+    def test_missing_field_names_the_class(self, x):
+        cls = type(x)
+        rest = dict(zip(cls.__slots__[1:], _fields(x)[1:]))
+        if cls is Coefficient or cls.__slots__[0] in cls._defaults:
+            assert cls(**rest) == cls(())  # the one field defaults to the empty sum
+        else:
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(**rest)
+
+    @records
+    @pytest.mark.parametrize("bad", [
+        lambda cls, fields: cls(*fields, extra=None),
+        lambda cls, fields: cls(*fields, **{cls.__slots__[0]: fields[0]}),
+        lambda cls, fields: cls(*fields, None),
+    ], ids=["unknown", "twice", "surplus"])
+    def test_bad_arguments_name_the_class(self, x, bad):
+        with pytest.raises(TypeError, match=type(x).__name__):
+            bad(type(x), _fields(x))
+
+    @records
+    def test_defaults_fill_left_out_fields(self, x):
+        cls = type(x)
+        assert set(cls._defaults) <= set(cls.__slots__)
+        given = dict(zip(cls.__slots__, _fields(x)))
+        for field, default in cls._defaults.items():
+            made = cls(**{k: v for k, v in given.items() if k != field})
+            assert getattr(made, field) == default and made == cls(**dict(given, **{field: default}))
+
+    def test_defaults(self):
+        assert PositionFunction(4) == PositionFunction.build(4)
+        assert MomentumFunction(4) == MomentumFunction.build(4)
+        assert DiffOperator() == DiffOperator.build({})
+        se = SurfaceExpansion(4)
+        assert (se.entries, se.remainder_eps_pow, se.remainder_log_pow) == ((), 2, 1)
+        rep = next(x for x in RECORDS if type(x) is Representation)
+        assert Representation(rep.L, rep.g, rep.target).note == "equality holds for r != 0"

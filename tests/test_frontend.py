@@ -1219,10 +1219,34 @@ class TestReadme:
         dim = re.search(r"All take `--dim`\s+\(default (\d+)\)", text).group(1)
         assert all(options["--dim"] == (int, int(dim)) for _, _, options in cli._TABLE.values())
 
-    def test_cli_tour(self, capsys):
+    def tour(self):
+        """The argv of each command of the README's CLI tour."""
         lines = [line for block in self.blocks("sh") for line in block.splitlines()
                  if line.startswith("diffreg ")]
-        assert len(lines) == 7
-        for line in lines:
-            code, doc = run_json(capsys, *shlex.split(line, comments=True)[1:])
-            assert (code, doc["status"]) == (0, "ok"), line
+        return [shlex.split(line, comments=True)[1:] for line in lines]
+
+    def test_cli_tour(self, capsys):
+        assert len(self.tour()) == 7
+        for argv in self.tour():
+            code, doc = run_json(capsys, *argv)
+            assert (code, doc["status"]) == (0, "ok"), argv
+
+    def test_cli_tour_reads_no_coefficient_terms(self, capsys, monkeypatch):
+        # Coefficient.terms is the documented record field, a view of the
+        # ints that its __getattr__ builds on first read; the tour's
+        # arithmetic, hashes and printing read only the ints.  Every read is
+        # counted, and a fill is a read of an empty slot, so a slot that an
+        # earlier test filled cannot hide one
+        reads = []
+        slot = Coefficient.terms
+
+        def read(c):
+            reads.append(c)
+            return slot.__get__(c, Coefficient)
+
+        monkeypatch.setattr(Coefficient, "terms", property(read))
+        assert (3 * PI).terms == (((1, 0, 0, 0), 3),) and len(reads) == 1
+        reads.clear()
+        for argv in self.tour():
+            assert run_json(capsys, *argv)[0] == 0, argv
+            assert reads == [], argv
