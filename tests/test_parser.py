@@ -148,6 +148,10 @@ NAMED = [
     "pi^" + "9" * 1001, "2/" + "0" * 1000, "box*delta", "delta*box", "box*(r^-2 + delta)",
     "box^2*r^2*pi", "(box + 2)*(r^-2)", "box*box*r^2", "delta/r^2", "r^2*delta*delta",
     "((r^-2)", "r^-2))", "(", ")", "r^0/2", "3/0*r", "0/3*r", "r^-2/(0)", "2^2", "r^2^2",
+    # leading zeros, Unicode digits and zero powers inside a leaf
+    "pi^007", "box^00*r^-2", "r^٣/٢", "log(p^2/M^2)^٢", "r^-0", "pi^0*r^-2",
+    # an error inside a leaf on a later line, and a caret with no int after it
+    "r^-2 +\n  r^-3/0", "1 +\n  pi^-2", "r +\n 2/00", "r^ -", "log(r^2*M^2)^^2",
 ]
 
 
