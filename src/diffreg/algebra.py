@@ -384,6 +384,8 @@ def radial_derivative(f: PositionFunction, r: float, Mval: float = 1.0) -> float
     derivative c r^(a-1) (a log^k + 2k log^(k-1))."""
     if r <= 0:
         raise EvaluationError("r must be positive")
+    if Mval <= 0:
+        raise EvaluationError("mass must be positive")
     lg = 2.0 * (math.log(r) + math.log(Mval))
     total = 0.0
     try:

@@ -57,16 +57,15 @@ def fourier_safe(f: PositionFunction) -> bool:
     return all(-n < t.rpow < 0 and t.logpow <= MAX_EXACT_LOGPOW for t in f.radial)
 
 
-@lru_cache(maxsize=256, typed=True)
 def master_coefficients(aprime: Fraction, n: int, depth: int) -> tuple[Coefficient, ...]:
     """The tuple (C, C', ..., C^(depth)) where C(a') is the master-formula
     constant pi^{n/2} 2^{n-2a'} Gamma(n/2-a')/Gamma(a').  The one gate of
     the exact transform: the term r^{-2a'} log^depth must lie in the open
     window 0 < a' < n/2, with 2a' an integer and depth <= MAX_EXACT_LOGPOW.
 
-    A bounded table keyed by exact type: 0.5 and Fraction(1, 2) are
-    different keys, so a float still raises on every call, and a call that
-    raises is never stored."""
+    Not a table itself: _fourier_unit and _inverse_rows call it on a miss
+    only and store its image, never a call that raises, so a refused term
+    runs the gate on every call."""
     if not (0 < aprime < Fraction(n, 2)):
         raise FourierWindowError(
             f"term r^{-2 * aprime} log^{depth} (p^{2 * aprime - n} in momentum) "
@@ -159,27 +158,15 @@ def fourier_formal(rep) -> MomentumFunction:
     return multiply_by_symbol(base, operator_symbol(rep.L, rep.g.dim))
 
 
-# log powers 0-3 of the exact layer, each for both sides; the rest is room
-@lru_cache(maxsize=16, typed=True)
-def _log_derivative_unit(k: int, sign: int) -> tuple[tuple[int, int], ...]:
-    """d/d log(M^2) of the unit term L^k, the log-power map with d = (0,
-    sign): sign = 1 on the position side, L = log(r^2 M^2), and -1 on the
-    momentum side, L = log(p^2/M^2)."""
-    return tuple(log_power_map(1, k, (0, sign)))
-
-
 def cs_derivative(F: MomentumFunction) -> MomentumFunction:
-    """d/d log(M^2) on the momentum side, each term times its
-    _log_derivative_unit image; the M-independent polynomial part drops.
-    M d/dM is twice this."""
-    terms = term_map(((t.ppow, j), t.coeff * q)
-                     for t in F.terms for j, q in _log_derivative_unit(t.logpow, -1))
+    """d/d log(M^2) on the momentum side, L = log(p^2/M^2): c L^k goes to
+    -k c L^(k-1) and the polynomial part drops.  M d/dM is twice this."""
+    terms = term_map(((t.ppow, t.logpow - 1), t.coeff * -t.logpow) for t in F.terms if t.logpow)
     return MomentumFunction.from_maps(F.dim, terms, {}, F.flags)
 
 
 def cs_derivative_position(f: PositionFunction) -> PositionFunction:
-    """d/d log(M^2) on the position side, each term times its
-    _log_derivative_unit image; delta-type terms drop."""
-    terms = term_map(((t.rpow, j), t.coeff * q)
-                     for t in f.radial for j, q in _log_derivative_unit(t.logpow, 1))
+    """d/d log(M^2) on the position side, L = log(r^2 M^2): c L^k goes to
+    k c L^(k-1); delta-type terms drop."""
+    terms = term_map(((t.rpow, t.logpow - 1), t.coeff * t.logpow) for t in f.radial if t.logpow)
     return PositionFunction.from_maps(f.dim, terms, {}, f.flags)

@@ -37,9 +37,9 @@ import sys
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
-from .algebra import PositionFunction, position_term, radial_derivative
+from .algebra import PositionFunction, radial_derivative
 from .coeffs import sphere_area
-from .errors import ConvergenceError, EvaluationError, NonIntegrableError
+from .errors import ConvergenceError, DimensionMismatchError, EvaluationError, NonIntegrableError
 from .surface import angular_series
 
 
@@ -128,12 +128,6 @@ def hankel_numeric(
     if f.local:
         raise EvaluationError("numeric transform of delta terms is exact, "
                               "not quadrature; strip the local part")
-    for t in f.radial:
-        if t.rpow <= -n:
-            raise NonIntegrableError(
-                f"term r^{t.rpow} is not integrable at the origin in "
-                f"dim {n}; use truncated_ft_numeric"
-            )
     return _radial_transform(f, p, n, Mval, 0.0)
 
 
@@ -153,6 +147,8 @@ def gauss_flux_numeric(
 ) -> float:
     """Flux of grad f through the radius sphere:
     Omega_{n-1} radius^(n-1) f'(radius)."""
+    if n != f.dim:
+        raise DimensionMismatchError(f"dim {n} != dim {f.dim} of the function")
     if not (radius > 0 and math.isfinite(radius)):
         raise EvaluationError("radius must be finite and positive")
     return _omega(n) * radius ** (n - 1) * radial_derivative(f, radius, Mval)
@@ -179,6 +175,13 @@ _MAX_DIM = 10
 
 
 def _radial_transform(f, p, n, Mval, lo) -> tuple[float, float]:
+    if n != f.dim:
+        raise DimensionMismatchError(f"dim {n} != dim {f.dim} of the function")
+    if not lo:  # from r = 0, each term must be integrable
+        for t in f.radial:
+            if t.rpow <= -n:
+                raise NonIntegrableError(f"term r^{t.rpow} is not integrable at the "
+                                         f"origin in dim {n}; use truncated_ft_numeric")
     if n > _MAX_DIM:
         raise EvaluationError(f"the oracle serves dims up to {_MAX_DIM}, not dim {n}")
     if not (math.isfinite(p) and math.isfinite(Mval)):
@@ -394,9 +397,9 @@ def _tail_moment(n: int, pb: float, rpow, j: int) -> tuple[complex, complex, flo
     """The moments of the unit term (z/pb)^rpow (2 log(z/pb))^j on the
     contour table (n, pb): its 60-node sum Q60 of h, Q60 - Q40, and the
     floor (roundoff + eps pb) sum w |h| over the 60 nodes, h from
-    _vector_integrand at p = pb, M = 1.  Keyed on the exact rpow."""
+    _vector_integrand.  Keyed on the exact rpow."""
     z, kernel = _contour_table(n, pb)
-    h = _vector_integrand(position_term(n, 1, rpow, j), pb, n, 1.0, kernel)(z)
+    h = _vector_integrand(rpow, j, pb, n, kernel)(z)
     w60, w40 = _laguerre_rule(_LAG_N)[1], _laguerre_rule(40)[1]
     fine = sum(w * x for w, x in zip(w60, h))
     coarse = sum(w * x for w, x in zip(w40, h[_LAG_N:]))
@@ -404,20 +407,19 @@ def _tail_moment(n: int, pb: float, rpow, j: int) -> tuple[complex, complex, flo
     return fine, fine - coarse, (_ROUNDOFF + _EPS * pb) * size
 
 
-def _vector_integrand(f: PositionFunction, p: float, n: int, Mval: float, kernel):
-    """The tail's integrand h (see _tail) on the contour points z = p r of
-    a table (Re r > 0, principal branches): f(r) times the table's kernel
-    column, p^(1-n), which turns its z^(n-1) into r^(n-1), and 1/p.
-    _tail_moment calls it once per table entry, on a unit term at p = pb,
-    M = 1, where r = z/pb."""
-    data = [(t.coeff.evalf(), float(t.rpow), t.logpow) for t in f.radial]
+def _vector_integrand(rpow, j: int, pb: float, n: int, kernel):
+    """The tail's integrand h (see _tail) of the unit term r^rpow (2 log
+    r)^j, r = z/pb, on the contour points z of a table (Re z > 0,
+    principal branches): the term times the table's kernel column, pb^(1-n),
+    which turns its z^(n-1) into r^(n-1), and 1/pb.  _tail_moment calls it
+    once per table entry."""
+    a = float(rpow)
 
     def vec(z):
         h = []
         for zk, kk in zip(z, kernel):
-            r = zk / p
-            lg = 2.0 * cmath.log(r * Mval)  # log(r^2 M^2) for Re r > 0; r^2 may overflow
-            h.append(sum(c * r ** a * lg ** k for c, a, k in data) * kk * p ** (1 - n) / p)
+            r = zk / pb
+            h.append(r ** a * (2.0 * cmath.log(r)) ** j * kk * pb ** (1 - n) / pb)
         return h
 
     return vec

@@ -81,16 +81,13 @@ class DiffOperator(Record):
         return DiffOperator.build(acc)
 
 
-# typed, so that an integral Fraction s never hands its Fraction entries to
-# an int s, whose tables must hold ints
-@lru_cache(maxsize=256, typed=True)
 def box_derivatives(
     s: int | Fraction, m: int, n: int, depth: int | None = None
 ) -> tuple[int | Fraction, ...]:
     """d_i = 2^i c_m^(i)(s) for i < depth (all 2m + 1 when depth is None):
-    the log-power map's d for box^m on r^s in n dimensions, as a bounded
-    table.  c L^k reads only d_0 .. d_k, so depth k + 1 keeps the product
-    of the 2m factors at O(m k) work instead of O(m^2)."""
+    the log-power map's d for box^m on r^s in n dimensions, built on a miss
+    of the tables _box_unit and regulate._seed_rows.  c L^k reads only d_0
+    .. d_k, so depth k + 1 keeps the 2m factors' product at O(m k), not O(m^2)."""
     top = 2 * m + 1 if depth is None else min(depth, 2 * m + 1)
     # Taylor coefficients a_i = c_m^(i)(s) / i! of c_m at s, the first top
     a = [1]

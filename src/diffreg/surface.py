@@ -29,7 +29,7 @@ from .algebra import (
 )
 from .coeffs import Coefficient, Record, sphere_area
 from .errors import DiffRegError
-from .operators import DiffOperator, box_derivatives
+from .operators import DiffOperator, _box_unit
 
 
 def angular_series(n: int, order: int) -> list[Fraction]:
@@ -92,7 +92,7 @@ def _seed_brackets(n: int, a: int | Fraction, k: int, m: int):
         # v_j = box^j r^a L^k, merged; once it vanishes every later one
         # does.  Merging can cancel a log power only below the top one, the
         # one the remainder reads
-        image = log_power_map(1, k, box_derivatives(a, j, n, k + 1))
+        image = _box_unit(a, k, j, n)
         if not image:
             break
         b = a - 2 * j

@@ -16,8 +16,20 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hankel1e, jv, roots_genlaguerre
 
-from diffreg.algebra import PositionFunction, add, delta_term, eval_momentum, position_term
-from diffreg.errors import ConvergenceError, EvaluationError, NonIntegrableError
+from diffreg.algebra import (
+    PositionFunction,
+    add,
+    delta_term,
+    eval_momentum,
+    position_term,
+    radial_derivative,
+)
+from diffreg.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    EvaluationError,
+    NonIntegrableError,
+)
 from diffreg.fourier import fourier_base
 from diffreg import numeric
 from diffreg.coeffs import Coefficient, sphere_area
@@ -28,6 +40,7 @@ from diffreg.numeric import (
     _quad_panels,
     angular_kernel,
     finite_diff_lnM,
+    gauss_flux_numeric,
     hankel_numeric,
     truncated_ft_numeric,
 )
@@ -457,10 +470,9 @@ class TestContour:
         sizes, keys = [], []
         original = numeric._vector_integrand
 
-        def counting(f, p, n, Mval, kernel):
-            vec = original(f, p, n, Mval, kernel)
-            (t,) = f.radial
-            keys.append((n, p, t.rpow, t.logpow))
+        def counting(rpow, j, pb, n, kernel):
+            vec = original(rpow, j, pb, n, kernel)
+            keys.append((n, pb, rpow, j))
 
             def counted(z):
                 sizes.append(len(z))
@@ -903,6 +915,27 @@ class TestContract:
                     hankel_numeric(position_term(4, 1, Fraction(-2), 1), 1.0, 4, M)
                 else:
                     truncated_ft_numeric(position_term(4, 1, Fraction(-4)), 1.0, 4, M, eps)
+
+    @pytest.mark.parametrize("M", [0.0, -1.0])
+    def test_flux_rejects_non_positive_mass(self, M):
+        f = position_term(4, 1, Fraction(-2), 1)
+        for call in (lambda: radial_derivative(f, 1.0, M), lambda: gauss_flux_numeric(f, 1.0, 4, M)):
+            with pytest.raises(EvaluationError, match="mass must be positive"):
+                call()
+
+    # a dim-4 function in dim 3 would give the dim-3 transform (19.739 for
+    # r^-2 at p = 1), so each entry point refuses it before any work
+    def test_transform_rejects_other_dim(self):
+        with pytest.raises(DimensionMismatchError, match="dim 3 != dim 4"):
+            hankel_numeric(position_term(4, 1, -2), 1.0, 3)
+
+    def test_truncated_transform_rejects_other_dim(self):
+        with pytest.raises(DimensionMismatchError, match="dim 5 != dim 4"):
+            truncated_ft_numeric(position_term(4, 1, -4), 1.0, 5, 1.0, 0.1)
+
+    def test_flux_rejects_other_dim(self):
+        with pytest.raises(DimensionMismatchError, match="dim 3 != dim 4"):
+            gauss_flux_numeric(position_term(4, 1, -2), 1.0, 3)
 
     def test_zero_momentum_needs_decay(self):
         with pytest.raises(EvaluationError):
